@@ -31,10 +31,8 @@ __all__ = [
     "draw_interleaver",
     "interleave",
     "deinterleave",
-    "TransmissionRecord",
     "FrameBatch",
     "transmit_batch",
-    "transmit_frame",
     "ChannelEstimate",
     "estimate_channel",
     "SymmetryResult",
@@ -74,35 +72,14 @@ class FrameBatch:
     c: np.ndarray              # (B, n) codewords
     c_tilde: np.ndarray        # (B, n) interleaved code bits
     perms: np.ndarray          # (B, n) interleaver permutations
-    x: np.ndarray              # (B, n_sym) transmitted symbols (pad included)
-    y: np.ndarray              # (B, n_sym) received symbols
     llr_tilde: np.ndarray      # (B, n) pre-deinterleave LLRs (pad stripped)
     llr: np.ndarray            # (B, n) LLRs in code order
     hard: np.ndarray           # (B, n) hard decisions 1(llr < 0)
     reliab: np.ndarray         # (B, n) |llr|
     flips: np.ndarray          # (B, n) w^b = c xor hard
-    message_flips: np.ndarray  # (B, k) A @ w^b
 
     def __len__(self) -> int:
         return self.u.shape[0]
-
-
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """One frame through the chain, with the realized flip patterns."""
-
-    u: np.ndarray
-    c: np.ndarray
-    c_tilde: np.ndarray
-    perm: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    llr_tilde: np.ndarray
-    llr: np.ndarray
-    hard: np.ndarray
-    reliab: np.ndarray
-    flips: np.ndarray
-    message_flips: np.ndarray
 
 
 def transmit_batch(
@@ -156,11 +133,9 @@ def transmit_batch(
     llr = _deint_rows(llr_tilde, perms)
     hard, reliab = hard_split(llr)
     flips = c ^ hard
-    message_flips = code.p_inv_apply(flips)
     return FrameBatch(
-        u=u, c=c, c_tilde=c_tilde, perms=perms, x=x, y=y,
-        llr_tilde=llr_tilde, llr=llr, hard=hard, reliab=reliab,
-        flips=flips, message_flips=message_flips,
+        u=u, c=c, c_tilde=c_tilde, perms=perms,
+        llr_tilde=llr_tilde, llr=llr, hard=hard, reliab=reliab, flips=flips,
     )
 
 
@@ -168,26 +143,6 @@ def _deint_rows(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     np.put_along_axis(out, perms, v, axis=1)
     return out
-
-
-def transmit_frame(
-    code: LinearCode,
-    const: Constellation,
-    noise: NoiseConfig,
-    rng: np.random.Generator,
-    u: np.ndarray | None = None,
-    **kwargs,
-) -> TransmissionRecord:
-    """Single-frame chain; see transmit_batch for the keyword options."""
-    if u is not None:
-        u = np.asarray(u, dtype=np.uint8).reshape(1, code.k)
-    b = transmit_batch(code, const, noise, rng, 1, u=u, **kwargs)
-    return TransmissionRecord(
-        u=b.u[0], c=b.c[0], c_tilde=b.c_tilde[0], perm=b.perms[0],
-        x=b.x[0], y=b.y[0], llr_tilde=b.llr_tilde[0], llr=b.llr[0],
-        hard=b.hard[0], reliab=b.reliab[0], flips=b.flips[0],
-        message_flips=b.message_flips[0],
-    )
 
 
 @dataclass

@@ -21,7 +21,8 @@ from .neural import (
 def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         kv = harness.parse_config_text(fh.read())
-    cfg = harness.config_from_mapping(kv)
+    cfg = harness.ExperimentConfig(
+        **harness.config_kwargs(harness.ExperimentConfig, kv))
     if args.out:
         cfg = replace(cfg, out=args.out)
     if args.seed is not None:
@@ -44,19 +45,7 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             kv = harness.parse_config_text(fh.read())
-        typed = harness.TrainConfig()
-        for key, val in kv.items():
-            if not hasattr(typed, key):
-                raise SystemExit(f"unknown training key {key!r}")
-            current = getattr(typed, key)
-            if isinstance(current, bool):
-                overrides[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                overrides[key] = int(val)
-            elif isinstance(current, float):
-                overrides[key] = float(val)
-            else:
-                overrides[key] = val
+        overrides = harness.config_kwargs(harness.TrainConfig, kv)
     for key in ("code", "steps", "seed", "out", "curve"):
         val = getattr(args, key)
         if val is not None:

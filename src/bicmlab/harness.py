@@ -12,7 +12,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,13 +39,16 @@ from .neural import (
     train_step,
 )
 from .refdec import ErrorCounter
-from .sbnd import make_training_batch, statistic_batch
+# statistic_batch stays importable from here: bench/spans.py traces it by
+# this name
+from .sbnd import decode_batch, make_training_batch, statistic_batch  # noqa: F401
 
 __all__ = [
     "StopRule",
     "ExperimentConfig",
     "BerRecord",
     "parse_config_text",
+    "config_kwargs",
     "run_point",
     "run_sweep",
     "write_csv",
@@ -59,6 +62,15 @@ __all__ = [
 ]
 
 CHUNK_FRAMES = 2048
+
+_CONSTELLATIONS = ("bpsk", "qpsk", "psk8", "qam16")
+_DEMAPPERS = ("exact", "maxlog")
+
+
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; choose from "
+                         f"{', '.join(choices)}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.ebn0_db:
             raise ValueError("Eb/N0 grid is empty")
-        if self.decoder not in ("hard-pinv", "map", "osd", "sbnd"):
-            raise ValueError(f"unknown decoder {self.decoder!r}")
+        _check_choice("decoder", self.decoder,
+                      ("hard-pinv", "map", "osd", "sbnd"))
+        _check_choice("constellation", self.constellation, _CONSTELLATIONS)
+        _check_choice("demap", self.demap, _DEMAPPERS)
+        _check_choice("interleaver", self.interleaver, ("fresh", "pinned"))
         if self.decoder == "sbnd" and not self.checkpoint:
             raise ValueError("sbnd decoder needs a checkpoint path")
         if self.workers < 1:
@@ -134,33 +149,37 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def config_from_mapping(kv: dict) -> ExperimentConfig:
-    base = ExperimentConfig()
-    stop = StopRule(
-        min_frame_errors=int(kv.get("min_frame_errors", 100)),
-        min_bit_errors=int(kv.get("min_bit_errors", 0)),
-        max_frames=int(kv.get("max_frames", 10_000_000)),
-    )
-    grid = tuple(
-        float(t) for t in kv.get("ebn0_db", "2,4,6").replace(",", " ").split()
-    )
-    return replace(
-        base,
-        code=kv.get("code", base.code),
-        constellation=kv.get("constellation", base.constellation),
-        decoder=kv.get("decoder", base.decoder),
-        osd_order=int(kv.get("osd_order", base.osd_order)),
-        checkpoint=kv.get("checkpoint", ""),
-        ebn0_db=grid,
-        demap=kv.get("demap", base.demap),
-        interleaver=kv.get("interleaver", base.interleaver),
-        interleaver_seed=int(kv.get("interleaver_seed", 0)),
-        pad=kv.get("pad", "false").lower() in ("1", "true", "yes"),
-        stop=stop,
-        seed=int(kv.get("seed", 0)),
-        workers=int(kv.get("workers", 1)),
-        out=kv.get("out", ""),
-    )
+def config_kwargs(cls, kv: dict[str, str]) -> dict:
+    """Typed keyword arguments for ExperimentConfig or TrainConfig from the
+    string values of parse_config_text.
+
+    Each value is converted to the type of its field's default; the grid
+    ebn0_db is a comma or space separated list.  StopRule's fields are flat
+    keys of an experiment config.  An unknown key raises ValueError.
+    """
+    defaults = cls()
+    known = {f.name for f in fields(cls)} - {"stop"}
+    stop_keys = ({f.name for f in fields(StopRule)}
+                 if cls is ExperimentConfig else set())
+    out: dict = {}
+    stop: dict[str, int] = {}
+    for key, text in kv.items():
+        if key in stop_keys:
+            stop[key] = int(text)
+        elif key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        else:
+            default = getattr(defaults, key)
+            if isinstance(default, bool):
+                out[key] = text.lower() in ("1", "true", "yes")
+            elif isinstance(default, tuple):
+                out[key] = tuple(float(t)
+                                 for t in text.replace(",", " ").split())
+            else:
+                out[key] = type(default)(text)
+    if stop:
+        out["stop"] = StopRule(**stop)
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,20 +200,11 @@ class BerRecord:
 # decoders operating on simulated chunks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChunkStats:
-    frames: int = 0
-    bit_errors: int = 0
-    frame_errors: int = 0
-    ml_bit_errors: int | None = None
-    ml_frame_errors: int | None = None
-
-
 class HardPinvDecoder:
     def __init__(self, code: LinearCode):
         self.code = code
 
-    def decode_chunk(self, fb: FrameBatch) -> ChunkStats:
+    def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
         u_hat = self.code.p_inv_apply(fb.hard)
         return _count(u_hat, fb.u)
 
@@ -204,23 +214,17 @@ class MapDecoder:
         self.code = code
         code.codebook()  # prime the cache before workers share it
 
-    def decode_chunk(self, fb: FrameBatch) -> ChunkStats:
-        cws = self.code.codebook().astype(np.float64)
-        metrics = fb.llr @ (1.0 - 2.0 * cws).T  # (B, 2^k)
-        pick = np.argmax(metrics, axis=1)
-        best = metrics[np.arange(len(fb)), pick]
+    def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
+        cws = self.code.codebook()
+        metrics = fb.llr @ (1.0 - 2.0 * cws.astype(np.float64)).T  # (B, 2^k)
+        u_hat = self.code.messages()[np.argmax(metrics, axis=1)]
+        best = metrics.max(axis=1)
         # exact ties (possible only for degenerate LLRs) resolve to the
         # lexicographically smallest codeword, as in refdec
         for i in np.nonzero(np.sum(metrics == best[:, None], axis=1) > 1)[0]:
-            pick[i] = _lex_smallest(self.code.codebook(), metrics[i])
-        u_hat = self.code.messages()[pick]
+            cw, _ = refdec._lex_best(cws, metrics[i])
+            u_hat[i] = self.code.p_inv_apply(cw)
         return _count(u_hat, fb.u)
-
-
-def _lex_smallest(cws: np.ndarray, metric_row: np.ndarray) -> int:
-    idx = np.nonzero(metric_row == metric_row.max())[0]
-    rows = cws[idx]
-    return int(idx[np.lexsort(rows.T[::-1])[0]])
 
 
 class OsdDecoder:
@@ -231,21 +235,12 @@ class OsdDecoder:
         self.code = code
         self.order = order
 
-    def decode_chunk(self, fb: FrameBatch,
-                     cancel: threading.Event | None = None) -> ChunkStats | None:
+    def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
         ctr = ErrorCounter()
         for i in range(len(fb)):
-            if cancel is not None and (i & 63) == 0 and cancel.is_set():
-                return None  # chunk is past the stop point, result unused
             out = refdec.osd_decode(self.code, fb.llr[i], self.order)
             refdec.ml_bound_update(ctr, self.code, fb.c[i], out, fb.llr[i])
-        return ChunkStats(
-            frames=ctr.frames,
-            bit_errors=ctr.bit_errors,
-            frame_errors=ctr.frame_errors,
-            ml_bit_errors=ctr.ml_bit_errors,
-            ml_frame_errors=ctr.ml_frame_errors,
-        )
+        return ctr
 
 
 class NeuralEstimator:
@@ -262,11 +257,15 @@ class NeuralEstimator:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_checkpoint(cls, path) -> "NeuralEstimator":
+    def from_checkpoint(cls, path, code: LinearCode) -> "NeuralEstimator":
+        """Load a network trained for `code`; its (r, k) must be (2n-k, k)."""
         net, header = load_checkpoint(path)
-        cfg = net.cfg
-        n = (cfg.r + cfg.k) // 2
-        return cls(net, n=n, input_scale=header.get("input_scale", 1.0))
+        got = (net.cfg.r, net.cfg.k)
+        want = (2 * code.n - code.k, code.k)
+        if got != want:
+            raise ValueError(f"checkpoint {path} has (r, k) = {got}; "
+                             f"code ({code.n},{code.k}) needs {want}")
+        return cls(net, n=code.n, input_scale=header.get("input_scale", 1.0))
 
     def predict(self, stats: np.ndarray) -> np.ndarray:
         x = np.array(stats, dtype=np.float64)
@@ -280,17 +279,13 @@ class SbndDecoder:
         self.code = code
         self.est = estimator
 
-    def decode_chunk(self, fb: FrameBatch) -> ChunkStats:
-        stats = statistic_batch(self.code, fb.llr)
-        scores = self.est.predict(stats)
-        flips = (scores > 0).astype(np.uint8)
-        u_hat = self.code.p_inv_apply(fb.hard) ^ flips
-        return _count(u_hat, fb.u)
+    def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
+        return _count(decode_batch(self.code, fb.llr, self.est), fb.u)
 
 
-def _count(u_hat: np.ndarray, u: np.ndarray) -> ChunkStats:
+def _count(u_hat: np.ndarray, u: np.ndarray) -> ErrorCounter:
     wrong = u_hat != u
-    return ChunkStats(
+    return ErrorCounter(
         frames=u.shape[0],
         bit_errors=int(np.count_nonzero(wrong)),
         frame_errors=int(np.count_nonzero(wrong.any(axis=1))),
@@ -304,7 +299,8 @@ def make_decoder(cfg: ExperimentConfig, code: LinearCode):
         return MapDecoder(code)
     if cfg.decoder == "osd":
         return OsdDecoder(code, cfg.osd_order)
-    return SbndDecoder(code, NeuralEstimator.from_checkpoint(cfg.checkpoint))
+    return SbndDecoder(code,
+                       NeuralEstimator.from_checkpoint(cfg.checkpoint, code))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +316,16 @@ def _chunk_rng(seed: int, point_index: int, chunk_index: int
 
 def run_point(cfg: ExperimentConfig, ebn0_db: float,
               point_index: int | None = None) -> BerRecord:
-    """Simulate one grid point until the stop rule fires."""
+    """Simulate one grid point until the stop rule fires.
+
+    The point's RNG streams derive from its index on the grid, so an Eb/N0
+    off cfg.ebn0_db needs an explicit point_index.
+    """
     if point_index is None:
-        point_index = cfg.ebn0_db.index(ebn0_db) if ebn0_db in cfg.ebn0_db else 0
+        if ebn0_db not in cfg.ebn0_db:
+            raise ValueError(f"Eb/N0 {ebn0_db:g} dB is not on the grid "
+                             f"{cfg.ebn0_db}; pass point_index")
+        point_index = cfg.ebn0_db.index(ebn0_db)
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
     noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
@@ -332,63 +335,47 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         if cfg.interleaver == "pinned" else None
     )
 
-    cancel = threading.Event()
-    osd_like = cfg.decoder == "osd"
-
-    def work(chunk_index: int) -> ChunkStats | None:
-        if cancel.is_set():
-            return None
+    def work(chunk_index: int) -> ErrorCounter:
         rng = _chunk_rng(cfg.seed, point_index, chunk_index)
         fb = transmit_batch(
             code, const, noise, rng, CHUNK_FRAMES,
             demap_kind=cfg.demap, interleaver=pinned, pad=cfg.pad,
         )
-        if osd_like:
-            return decoder.decode_chunk(fb, cancel=cancel)
         return decoder.decode_chunk(fb)
 
     t0 = time.perf_counter()
-    frames = bits = fes = 0
-    ml_bits = ml_fes = None
-    if osd_like:
-        ml_bits = ml_fes = 0
+    total = ErrorCounter()
 
-    # chunk partitioning is fixed, so totals never depend on the pool size
+    # chunk partitioning is fixed, so totals never depend on the pool size;
+    # a single worker gains nothing from a queued chunk, so it never starts
+    # one past the stop
     pool = cfg.workers if getattr(decoder, "parallel", True) else 1
-    window = max(2 * pool, 2)
+    window = 2 * pool if pool > 1 else 1
     pending: dict[int, object] = {}
     next_submit = 0
     next_collect = 0
     with ThreadPoolExecutor(max_workers=pool) as ex:
-        stop = False
-        while not stop:
+        while not cfg.stop.satisfied(total.frames, total.bit_errors,
+                                     total.frame_errors):
             while len(pending) < window:
                 pending[next_submit] = ex.submit(work, next_submit)
                 next_submit += 1
-            res = pending.pop(next_collect).result()
+            total.merge(pending.pop(next_collect).result())
             next_collect += 1
-            frames += res.frames
-            bits += res.bit_errors
-            fes += res.frame_errors
-            if ml_bits is not None:
-                ml_bits += res.ml_bit_errors
-                ml_fes += res.ml_frame_errors
-            stop = cfg.stop.satisfied(frames, bits, fes)
-        # chunks beyond the stop prefix never enter the totals, so they can
-        # abort mid-flight; totals stay identical for any worker count
-        cancel.set()
+        # chunks beyond the stop prefix never enter the totals
         for fut in pending.values():
             fut.cancel()
 
     k = code.k
     return BerRecord(
         ebn0_db=ebn0_db,
-        frames=frames,
-        bit_errors=bits,
-        frame_errors=fes,
-        ber=bits / (frames * k),
-        fer=fes / frames,
-        ml_bound_ber=None if ml_bits is None else ml_bits / (frames * k),
+        frames=total.frames,
+        bit_errors=total.bit_errors,
+        frame_errors=total.frame_errors,
+        ber=total.bit_errors / (total.frames * k),
+        fer=total.frame_errors / total.frames,
+        ml_bound_ber=(total.ml_bit_errors / (total.frames * k)
+                      if cfg.decoder == "osd" else None),
         seconds=time.perf_counter() - t0,
         seed=cfg.seed,
         decoder_id=cfg.decoder_id(),
@@ -457,17 +444,20 @@ class TrainConfig:
     log_every: int = 100
     resume: str = ""
 
+    def __post_init__(self):
+        _check_choice("arch", self.arch, ("rnn", "transformer"))
+        _check_choice("constellation", self.constellation, _CONSTELLATIONS)
+        _check_choice("demap", self.demap, _DEMAPPERS)
+
     def model_config(self, code: LinearCode):
         if self.arch == "rnn":
             return RnnConfig.for_code(code.n, code.k, alpha=self.alpha,
                                       time_steps=self.time_steps,
                                       depth=self.depth)
-        if self.arch == "transformer":
-            return TransformerConfig.for_code(code.n, code.k,
-                                              embed_dim=self.embed_dim,
-                                              heads=self.heads,
-                                              encoders=self.encoders)
-        raise ValueError(f"unknown architecture {self.arch!r}")
+        return TransformerConfig.for_code(code.n, code.k,
+                                          embed_dim=self.embed_dim,
+                                          heads=self.heads,
+                                          encoders=self.encoders)
 
 
 TRAIN_PRESETS: dict[str, dict] = {

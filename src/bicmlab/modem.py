@@ -123,9 +123,7 @@ _KINDS = {
     "bpsk": _bpsk,
     "qpsk": _qpsk,
     "psk8": _psk8,
-    "psk8_gray": _psk8,
     "qam16": _qam16,
-    "qam16_gray": _qam16,
 }
 
 

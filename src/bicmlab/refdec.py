@@ -134,7 +134,8 @@ def _test_patterns(k: int, order: int) -> np.ndarray:
 
 @dataclass
 class ErrorCounter:
-    """Per-worker OSD / ML-bound error tallies; merge by field addition."""
+    """Error tallies of one chunk or of a whole point; merge by field
+    addition.  The ML-bound fields are filled by OSD only."""
 
     frames: int = 0
     bit_errors: int = 0

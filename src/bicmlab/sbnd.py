@@ -1,58 +1,34 @@
-"""Syndrome-based decoding: sufficient-statistic extraction, the pluggable
-bit-flip estimator interface, thresholding, and message reconstruction.
+"""Syndrome-based decoding of whole frame batches: sufficient-statistic
+extraction, the pluggable bit-flip estimator interface, thresholding, and
+message reconstruction.
 
-The decoder never sees the codeword, only (|l|, H l^b); the estimator output
-is a vector of k logits for the message-domain flip pattern, thresholded at
-zero and xored with the hard-decision pseudo-inverse.
+Every function takes a (B, n) batch of LLR frames.  ``statistic_batch``
+packs (|l|, H l^b) into (B, 2n - k) estimator inputs; ``decode_batch`` feeds
+them to an estimator, thresholds its (B, k) logits at zero and xors the
+resulting message-domain flip pattern with the hard-decision pseudo-inverse;
+``make_training_batch`` pairs the inputs with their true flip targets.  The
+decoder never sees the codeword, only the statistic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .bicm import FrameBatch, TransmissionRecord
+from .bicm import FrameBatch
 from .gf2code import LinearCode
 from .modem import hard_split
 
 __all__ = [
-    "SufficientStatistic",
     "Estimator",
     "ZeroEstimator",
     "OracleEstimator",
-    "DecodeResult",
-    "extract_statistic",
     "statistic_batch",
-    "decode",
     "decode_batch",
-    "make_training_pair",
     "make_training_batch",
     "map_noise_equivalence",
 ]
-
-
-@dataclass(frozen=True)
-class SufficientStatistic:
-    """(|l|, H l^b) packed for the estimator.
-
-    The packed vector has length r = 2n - k: reliabilities first, then the
-    syndrome bits mapped to +-1 reals (0 -> +1, 1 -> -1) so both halves live
-    on comparable scales.
-    """
-
-    reliabilities: np.ndarray  # (n,)
-    syndrome: np.ndarray       # (n - k,) bits
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.reliabilities, 1.0 - 2.0 * self.syndrome.astype(np.float64)]
-        )
-
-    @property
-    def r(self) -> int:
-        return self.reliabilities.size + self.syndrome.size
 
 
 class Estimator(Protocol):
@@ -74,8 +50,8 @@ class ZeroEstimator:
 class OracleEstimator:
     """Replays known true flip patterns as +-1 logits (testing aid)."""
 
-    def __init__(self, message_flips: np.ndarray):
-        self.logits = 2.0 * np.atleast_2d(message_flips).astype(np.float64) - 1.0
+    def __init__(self, flips: np.ndarray):
+        self.logits = 2.0 * np.atleast_2d(flips).astype(np.float64) - 1.0
         self._row = 0
 
     def predict(self, stats: np.ndarray) -> np.ndarray:
@@ -84,58 +60,29 @@ class OracleEstimator:
         return out
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    u_hat: np.ndarray           # (k,) decoded message
-    flip_hat: np.ndarray        # (k,) thresholded flip estimate
-    scores: np.ndarray          # (k,) raw logits
-
-
-def extract_statistic(code: LinearCode, llr: np.ndarray) -> SufficientStatistic:
-    """Sufficient statistic (|l|, H l^b) of one LLR frame."""
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (code.n,):
-        raise ValueError(f"llr length {llr.shape} != n = {code.n}")
-    hard, reliab = hard_split(llr)
-    return SufficientStatistic(reliabilities=reliab,
-                               syndrome=code.syndrome(hard))
-
-
 def statistic_batch(code: LinearCode, llr: np.ndarray) -> np.ndarray:
-    """Packed statistic vectors for a (B, n) batch of LLR frames: (B, 2n-k)."""
+    """Packed statistic vectors for a (B, n) batch of LLR frames: (B, 2n-k).
+
+    Reliabilities first, then the syndrome bits mapped to +-1 reals (0 -> +1,
+    1 -> -1) so both halves live on comparable scales.
+    """
     llr = np.asarray(llr, dtype=np.float64)
     hard, reliab = hard_split(llr)
     syn = code.syndrome(hard).astype(np.float64)
     return np.concatenate([reliab, 1.0 - 2.0 * syn], axis=-1)
 
 
-def decode(code: LinearCode, llr: np.ndarray, est: Estimator) -> DecodeResult:
-    """Estimate the message-domain flips from (|l|, H l^b) and undo them."""
-    stat = extract_statistic(code, llr)
-    scores = np.asarray(est.predict(stat.vector()[None, :]))[0]
-    if scores.shape != (code.k,):
-        raise ValueError(f"estimator returned {scores.shape}, expected ({code.k},)")
-    flip_hat = (scores > 0).astype(np.uint8)
-    hard, _ = hard_split(llr)
-    u_hat = code.p_inv_apply(hard) ^ flip_hat
-    return DecodeResult(u_hat=u_hat, flip_hat=flip_hat, scores=scores)
-
-
 def decode_batch(code: LinearCode, llr: np.ndarray, est: Estimator) -> np.ndarray:
-    """Vectorized decode of a (B, n) LLR batch; returns (B, k) messages."""
+    """Estimate the message-domain flips of a (B, n) LLR batch from
+    (|l|, H l^b) and undo them; returns (B, k) messages."""
     stats = statistic_batch(code, llr)
     scores = np.asarray(est.predict(stats))
+    if scores.shape != (stats.shape[0], code.k):
+        raise ValueError(f"estimator returned {scores.shape}, expected "
+                         f"({stats.shape[0]}, {code.k})")
     flip_hat = (scores > 0).astype(np.uint8)
     hard, _ = hard_split(llr)
     return code.p_inv_apply(hard) ^ flip_hat
-
-
-def make_training_pair(record: TransmissionRecord, code: LinearCode
-                       ) -> tuple[SufficientStatistic, np.ndarray]:
-    """(input statistic, target flip pattern) from one transmission."""
-    stat = extract_statistic(code, record.llr)
-    target = code.p_inv_apply(record.hard) ^ record.u
-    return stat, target
 
 
 def make_training_batch(batch: FrameBatch, code: LinearCode

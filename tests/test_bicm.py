@@ -15,7 +15,6 @@ from bicmlab.bicm import (
     predicted_crossover,
     bsc_symmetry_ztest,
     transmit_batch,
-    transmit_frame,
 )
 from bicmlab.gf2code import get_code, hamming_7_4
 from bicmlab.modem import NoiseConfig, build_constellation
@@ -54,11 +53,11 @@ class TestTransmit:
     def test_zero_noise_recovers_message(self):
         rng = np.random.default_rng(3)
         code = hamming_7_4()
-        rec = transmit_frame(code, build_constellation("bpsk"),
-                             NoiseConfig(1e-8), rng)
-        assert np.array_equal(rec.hard, rec.c)
-        assert not np.any(rec.flips)
-        assert np.array_equal(code.p_inv_apply(rec.hard), rec.u)
+        fb = transmit_batch(code, build_constellation("bpsk"),
+                            NoiseConfig(1e-8), rng, 1)
+        assert np.array_equal(fb.hard, fb.c)
+        assert not np.any(fb.flips)
+        assert np.array_equal(code.p_inv_apply(fb.hard), fb.u)
 
     def test_record_self_consistency(self):
         rng = np.random.default_rng(4)
@@ -66,11 +65,12 @@ class TestTransmit:
         const = build_constellation("qam16")
         nc = NoiseConfig.from_ebn0_db(3.0, code.rate, const.m)
         for _ in range(20):
-            rec = transmit_frame(code, const, nc, rng)
-            assert np.array_equal(rec.c, code.encode(rec.u))
-            assert np.array_equal(rec.llr, deinterleave(rec.llr_tilde, rec.perm))
+            fb = transmit_batch(code, const, nc, rng, 1)
+            assert np.array_equal(fb.c, code.encode(fb.u))
+            assert np.array_equal(fb.llr[0],
+                                  deinterleave(fb.llr_tilde[0], fb.perms[0]))
             assert np.array_equal(
-                rec.message_flips, code.p_inv_apply(rec.hard) ^ rec.u)
+                code.p_inv_apply(fb.flips), code.p_inv_apply(fb.hard) ^ fb.u)
 
     def test_syndrome_frame_invariant(self):
         # H l^b = H w^b because H c = 0
@@ -114,7 +114,7 @@ class TestTransmit:
         nc = NoiseConfig.from_esn0_db(5.0)
         a = transmit_batch(code, const, nc, np.random.default_rng(99), 32)
         b = transmit_batch(code, const, nc, np.random.default_rng(99), 32)
-        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.perms, b.perms)
         assert np.array_equal(a.llr, b.llr)
 
 

@@ -3,6 +3,7 @@ config parsing, training entry points, and the CLI."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bicmlab import cli, harness
@@ -10,7 +11,7 @@ from bicmlab.harness import (
     ExperimentConfig,
     StopRule,
     TrainConfig,
-    config_from_mapping,
+    config_kwargs,
     parse_config_text,
     run_point,
     run_sweep,
@@ -19,7 +20,13 @@ from bicmlab.harness import (
     verify_channel,
     write_csv,
 )
-from bicmlab.neural import count_params_rnn, load_checkpoint
+from bicmlab.neural import (
+    RnnConfig,
+    build_rnn_estimator,
+    count_params_rnn,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def quick_stop(frames=4096):
@@ -29,11 +36,47 @@ def quick_stop(frames=4096):
 class TestConfig:
     def test_parse_key_values(self):
         kv = parse_config_text(
-            "# comment\ncode = hamming_7_4\nebn0_db = 1, 2,3\nworkers=2\n")
-        cfg = config_from_mapping(kv)
+            "# comment\ncode = hamming_7_4\nebn0_db = 1, 2,3\nworkers=2\n"
+            "max_frames = 4096\npad = yes\n")
+        cfg = ExperimentConfig(**config_kwargs(ExperimentConfig, kv))
         assert cfg.code == "hamming_7_4"
         assert cfg.ebn0_db == (1.0, 2.0, 3.0)
         assert cfg.workers == 2
+        assert cfg.pad is True
+        assert cfg.stop == StopRule(max_frames=4096)
+
+    def test_train_keys_typed(self):
+        kv = parse_config_text("arch = transformer\nlr = 0.01\nsteps = 7\n")
+        assert config_kwargs(TrainConfig, kv) == dict(
+            arch="transformer", lr=0.01, steps=7)
+
+    @pytest.mark.parametrize("cls", [ExperimentConfig, TrainConfig])
+    def test_unknown_key_rejected(self, cls):
+        with pytest.raises(ValueError, match="osd_ordr"):
+            config_kwargs(cls, {"osd_ordr": "5"})
+
+    def test_stop_keys_only_for_experiments(self):
+        with pytest.raises(ValueError, match="max_frames"):
+            config_kwargs(TrainConfig, {"max_frames": "5"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("constellation", "qpks"),
+        ("demap", "max-log"),
+        ("interleaver", "random"),
+    ])
+    def test_bad_experiment_choice(self, key, value):
+        kv = parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"{key} '{value}'"):
+            ExperimentConfig(**config_kwargs(ExperimentConfig, kv))
+
+    @pytest.mark.parametrize("key, value", [
+        ("arch", "lstm"),
+        ("constellation", "qam64"),
+        ("demap", "approx"),
+    ])
+    def test_bad_train_choice(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} '{value}'"):
+            TrainConfig(**{key: value})
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
@@ -92,6 +135,13 @@ class TestRunPoint:
         r = run_point(cfg, 0.0)
         assert r.frame_errors >= 50
         assert r.frames < 1_000_000
+
+    def test_off_grid_point_needs_index(self):
+        cfg = ExperimentConfig(code="hamming_7_4", constellation="bpsk",
+                               ebn0_db=(2.0, 4.0), stop=quick_stop(2048))
+        with pytest.raises(ValueError, match="not on the grid"):
+            run_point(cfg, 3.0)
+        assert run_point(cfg, 3.0, point_index=1).frames == 2048
 
     def test_pinned_interleaver_mode(self):
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
@@ -199,6 +249,18 @@ class TestTraining:
         r = run_point(sim, 6.0)
         assert r.frames >= 2048
         assert 0 <= r.ber <= 1
+
+    def test_sbnd_checkpoint_for_another_code_rejected(self, tmp_path):
+        ckpt = tmp_path / "h74.ckpt"
+        net = build_rnn_estimator(
+            RnnConfig.for_code(7, 4, alpha=1, time_steps=1, depth=1),
+            np.random.default_rng(0))
+        save_checkpoint(ckpt, net)
+        sim = ExperimentConfig(code="polar_16_8", constellation="qam16",
+                               decoder="sbnd", checkpoint=str(ckpt),
+                               ebn0_db=(6.0,), stop=quick_stop(2048))
+        with pytest.raises(ValueError, match=r"\(10, 4\).*\(24, 8\)"):
+            run_point(sim, 6.0)
 
 
 class TestVerifyChannel:
