@@ -143,7 +143,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_count_params)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad config values, keys, codes and checkpoints: a usage error
+        parser.exit(2, f"bicmlab: error: {exc}\n")
 
 
 if __name__ == "__main__":

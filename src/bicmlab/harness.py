@@ -228,19 +228,14 @@ class MapDecoder:
 
 
 class OsdDecoder:
-    # per-frame python decoding is GIL-bound: threads only thrash it
-    parallel = False
-
     def __init__(self, code: LinearCode, order: int):
         self.code = code
         self.order = order
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
-        ctr = ErrorCounter()
-        for i in range(len(fb)):
-            out = refdec.osd_decode(self.code, fb.llr[i], self.order)
-            refdec.ml_bound_update(ctr, self.code, fb.c[i], out, fb.llr[i])
-        return ctr
+        out = refdec.osd_decode(self.code, fb.llr, self.order)
+        return refdec.ml_bound_update(ErrorCounter(), self.code, fb.c, out,
+                                      fb.llr)
 
 
 class NeuralEstimator:
@@ -348,16 +343,17 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
 
     # chunk partitioning is fixed, so totals never depend on the pool size;
     # a single worker gains nothing from a queued chunk, so it never starts
-    # one past the stop
-    pool = cfg.workers if getattr(decoder, "parallel", True) else 1
+    # one past the stop, and no pool starts one past the frame budget
+    pool = cfg.workers
     window = 2 * pool if pool > 1 else 1
+    budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
     pending: dict[int, object] = {}
     next_submit = 0
     next_collect = 0
     with ThreadPoolExecutor(max_workers=pool) as ex:
         while not cfg.stop.satisfied(total.frames, total.bit_errors,
                                      total.frame_errors):
-            while len(pending) < window:
+            while len(pending) < window and next_submit < budget:
                 pending[next_submit] = ex.submit(work, next_submit)
                 next_submit += 1
             total.merge(pending.pop(next_collect).result())

@@ -6,6 +6,11 @@ All candidate comparisons use the correlation metric sum_i (1 - 2 c_i) l_i,
 which is the ML statistic for symmetric memoryless LLR channels; ties break
 toward the lexicographically smallest codeword so exhaustive cross-checks
 are exact.
+
+OSD and the ML-bound tally take a whole (B, n) batch of frames: the Gauss-
+Jordan eliminations of all frames run in lock-step on bit-packed rows, and
+the weight-1 and weight-2 flip patterns are scored from one Gram matrix per
+frame.  A single (n,) frame is a one-row batch.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2code import LinearCode, gf2_matmul
+from .gf2code import LinearCode
 
 __all__ = [
     "CandidateScore",
@@ -29,14 +34,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CandidateScore:
+    """A decision: an (n,) codeword and its float metric, or for a batch
+    (B, n) codewords and (B,) metrics."""
+
     codeword: np.ndarray
-    metric: float
+    metric: float | np.ndarray
 
 
 def correlation_metric(codewords: np.ndarray, llr: np.ndarray) -> np.ndarray:
-    """sum_i (1 - 2 c_i) l_i for one codeword or a batch of them."""
+    """sum_i (1 - 2 c_i) l_i along the last axis; codewords and llr
+    broadcast, so one frame may score many codewords or each frame its own.
+
+    Each row is summed on its own, so a codeword scores the same in any
+    batch."""
     c = np.asarray(codewords, dtype=np.float64)
-    return (1.0 - 2.0 * c) @ np.asarray(llr, dtype=np.float64)
+    return np.sum((1.0 - 2.0 * c) * np.asarray(llr, dtype=np.float64),
+                  axis=-1)
 
 
 def _lex_best(codewords: np.ndarray, metrics: np.ndarray) -> tuple[np.ndarray, float]:
@@ -63,52 +76,155 @@ def map_bruteforce(code: LinearCode, llr: np.ndarray) -> CandidateScore:
 
 
 def osd_decode(code: LinearCode, llr: np.ndarray, order: int) -> CandidateScore:
-    """Ordered statistics decoding of one LLR frame.
+    """Ordered statistics decoding of one (n,) frame or a (B, n) batch.
 
     Sorts positions by decreasing reliability, Gauss-eliminates the generator
     onto the first k independent positions in that ranking (the most reliable
-    basis), hard-decides the basis, re-encodes every flip pattern of weight
-    <= order on it, and keeps the correlation maximizer.
+    basis), hard-decides the basis, and keeps the correlation maximizer among
+    the re-encodings of every flip pattern of weight <= order on it.  A batch
+    returns (B, n) codewords and (B,) metrics; a single frame is a one-row
+    batch and returns an (n,) codeword and a float.
     """
     if not 0 <= order <= code.k:
         raise ValueError(f"order must be in [0, {code.k}]")
     llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (code.n,):
-        raise ValueError(f"llr length {llr.shape} != n = {code.n}")
-    n, k = code.n, code.k
-    hard = (llr < 0).astype(np.uint8)
-    reliab = np.abs(llr)
-
-    ranking = np.argsort(-reliab, kind="stable")
-    g = code.g[:, ranking].copy()
-
-    # Gauss-Jordan scan in reliability order; dependent columns are skipped,
-    # so the pivots form the most reliable basis
-    basis: list[int] = []
-    row = 0
-    for col in range(n):
-        hits = np.nonzero(g[row:, col])[0]
-        if hits.size == 0:
-            continue
-        p = row + hits[0]
-        if p != row:
-            g[[row, p]] = g[[p, row]]
-        mask = g[:, col].astype(bool)
-        mask[row] = False
-        g[mask] ^= g[row]
-        basis.append(col)
-        row += 1
-        if row == k:
-            break
-    basis_arr = np.array(basis)
-
-    base_info = hard[ranking][basis_arr]
-    trials = _test_patterns(k, order) ^ base_info
-    cand_perm = gf2_matmul(trials, g)
-    candidates = np.empty_like(cand_perm)
-    candidates[:, ranking] = cand_perm
-    cw, metric = _lex_best(candidates, correlation_metric(candidates, llr))
+    if llr.ndim not in (1, 2) or llr.shape[-1] != code.n:
+        raise ValueError(f"llr shape {llr.shape} is not (n,) or (B, n), "
+                         f"n = {code.n}")
+    frames = llr.reshape(-1, code.n)
+    ranking = np.argsort(-np.abs(frames), axis=1, kind="stable")
+    rows, basis = _reduce_on_ranking(code.g, ranking)
+    cw = np.empty(frames.shape, dtype=np.uint8)
+    metric = np.empty(len(frames))
+    for s in range(0, len(frames), _SLICE_FRAMES):
+        sl = slice(s, s + _SLICE_FRAMES)
+        cw[sl], metric[sl] = _osd_slice(code, frames[sl], ranking[sl],
+                                        rows[sl], basis[sl], order)
+    if llr.ndim == 1:
+        return CandidateScore(codeword=cw[0], metric=float(metric[0]))
     return CandidateScore(codeword=cw, metric=metric)
+
+
+# frames scored together: bounds the unpacked per-frame matrices and the
+# pattern score table to a few MB at order 2
+_SLICE_FRAMES = 128
+
+# weight-3+ patterns are re-encoded explicitly, in blocks of about this many
+# codeword bits over the slice
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _osd_slice(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
+               rows: np.ndarray, basis: np.ndarray, order: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Best codewords (B, n) and metrics (B,) of a slice of frames, given
+    their reliability ranking and _reduce_on_ranking's rows and basis.
+
+    In the reliability-permuted domain, with R the reduced generator and c0
+    the re-encoded hard basis, the flip pattern e scores
+    M0 - 2 sum_{j in supp(e R)} s_j with s = (1 - 2 c0) * l.  Weights 1 and 2
+    read that off d = R s and the Gram matrix R diag(s) R^T.  These float
+    scores only shortlist: every pattern within a rounding tolerance of the
+    best is re-encoded and scored with correlation_metric, and exact ties go
+    to _lex_best, as in map_bruteforce.
+    """
+    k = code.k
+    l_perm = np.take_along_axis(llr, ranking, axis=1)
+    rf = np.unpackbits(rows.view(np.uint8), axis=-1, count=code.n,
+                       bitorder="little").astype(np.float64)
+    info = (np.take_along_axis(l_perm, basis, axis=1) < 0).astype(np.uint8)
+    c0 = _encode_rows(info, rf)
+    s = (1.0 - 2.0 * c0) * l_perm
+    m0 = s.sum(axis=1, keepdims=True)
+
+    pats = _test_patterns(k, order)
+    scores = [m0]
+    if order >= 1:
+        d = (rf @ s[:, :, None])[:, :, 0]
+        scores.append(m0 - 2.0 * d)
+    if order >= 2:
+        gram = (rf * s[:, None, :]) @ rf.transpose(0, 2, 1)
+        iu, ju = np.triu_indices(k, 1)
+        scores.append(m0 - 2.0 * (d[:, iu] + d[:, ju] - 2.0 * gram[:, iu, ju]))
+    high = pats[1 + k + k * (k - 1) // 2:]      # weight >= 3
+    step = max(1, _BLOCK_ENTRIES // (len(llr) * code.n))
+    for p in range(0, len(high), step):
+        flips = (high[p:p + step].astype(np.float64) @ rf).astype(np.int64) & 1
+        scores.append(m0 - 2.0 * (flips @ s[:, :, None])[:, :, 0])
+    scores = np.concatenate(scores, axis=1)
+
+    # the scores' rounding errors are many orders of magnitude below this
+    # tolerance, so every pattern that ties the best in exact arithmetic
+    # makes the shortlist
+    tol = 1e-9 * np.abs(llr).sum(axis=1, keepdims=True)
+    near = scores >= scores.max(axis=1, keepdims=True) - tol
+    first = np.argmax(near, axis=1)
+    cw = _unpermute(_encode_rows(info ^ pats[first], rf), ranking)
+    metric = correlation_metric(cw, llr)
+    for i in np.flatnonzero(near.sum(axis=1) > 1):
+        cands = _unpermute(_encode_rows(info[i] ^ pats[near[i]], rf[i]),
+                           ranking[i])
+        cw[i], metric[i] = _lex_best(cands, correlation_metric(cands, llr[i]))
+    return cw, metric
+
+
+def _encode_rows(info: np.ndarray, rf: np.ndarray) -> np.ndarray:
+    """info @ R over GF(2): (B, k) with (B, k, n), or (P, k) with (k, n)."""
+    prod = (info.astype(np.float64)[..., None, :] @ rf)[..., 0, :]
+    return (prod.astype(np.int64) & 1).astype(np.uint8)
+
+
+def _unpermute(cw_perm: np.ndarray, ranking: np.ndarray) -> np.ndarray:
+    """Codewords in transmission order from the reliability-permuted ones."""
+    cw = np.empty_like(cw_perm)
+    np.put_along_axis(cw, np.broadcast_to(ranking, cw.shape), cw_perm, axis=-1)
+    return cw
+
+
+def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan of G[:, ranking[b]] for every frame b in lock-step.
+
+    Rows are packed into ceil(n/64) uint64 words.  Columns are scanned in
+    reliability order; a frame pivots on the first row at or below its
+    pivot count that has a 1, and skips dependent columns, so its k pivot
+    columns form the most reliable basis.  Returns the reduced rows, packed
+    (B, k, words), in the permuted domain, row i having its pivot at column
+    basis[b, i], and the pivot columns (B, k).
+    """
+    k, n = g.shape
+    nb = len(ranking)
+    words = -(-n // 64)
+    gt = np.ascontiguousarray(g.T)
+    packed = np.zeros((nb, k, 8 * words), dtype=np.uint8)
+    for s in range(0, nb, _SLICE_FRAMES):
+        # packbits is several times faster on contiguous rows
+        part = np.ascontiguousarray(
+            gt[ranking[s:s + _SLICE_FRAMES]].transpose(0, 2, 1))
+        packed[s:s + _SLICE_FRAMES, :, :-(-n // 8)] = np.packbits(
+            part, axis=-1, bitorder="little")
+    rows = packed.view("<u8")      # bit j of a row is bit j % 64 of word j // 64
+    pivots = np.zeros(nb, dtype=np.intp)
+    basis = np.zeros((nb, k), dtype=np.intp)
+    row_ids = np.arange(k)
+    for col in range(n):
+        if pivots.min() == k:
+            break
+        w, b = divmod(col, 64)
+        hit = ((rows[:, :, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
+        hit &= row_ids >= pivots[:, None]
+        f = np.flatnonzero(hit.any(axis=1))
+        p, r0 = hit[f].argmax(axis=1), pivots[f]
+        piv = rows[f, p]
+        rows[f, p] = rows[f, r0]
+        rows[f, r0] = piv
+        # every other row with a 1 in this column, pivot rows included
+        clear = ((rows[f, :, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
+        clear[np.arange(len(f)), r0] = False
+        rows[f] ^= np.where(clear[:, :, None], piv[:, None, :], np.uint64(0))
+        basis[f, r0] = col
+        pivots[f] += 1
+    return rows, basis
 
 
 _PATTERNS: dict[tuple[int, int], np.ndarray] = {}
@@ -159,19 +275,20 @@ def ml_bound_update(
     osd_out: CandidateScore,
     llr: np.ndarray,
 ) -> ErrorCounter:
-    """Tally one frame: OSD errors always; ML-bound errors only when the OSD
-    output both differs from the transmitted codeword and strictly outscores
-    it (an ML decoder would have failed too)."""
-    transmitted = np.asarray(transmitted, dtype=np.uint8)
-    counter.frames += 1
-    if np.array_equal(osd_out.codeword, transmitted):
-        return counter
-    u_true = code.p_inv_apply(transmitted)
-    u_osd = code.p_inv_apply(osd_out.codeword)
-    nbit = int(np.count_nonzero(u_true ^ u_osd))
-    counter.frame_errors += 1
-    counter.bit_errors += nbit
-    if osd_out.metric > float(correlation_metric(transmitted, llr)):
-        counter.ml_frame_errors += 1
-        counter.ml_bit_errors += nbit
+    """Tally one frame or a (B, n) batch: OSD errors always; ML-bound errors
+    only where the OSD output both differs from the transmitted codeword and
+    strictly outscores it (an ML decoder would have failed too)."""
+    c = np.asarray(transmitted, dtype=np.uint8).reshape(-1, code.n)
+    cw = np.asarray(osd_out.codeword, dtype=np.uint8).reshape(-1, code.n)
+    metric = np.reshape(osd_out.metric, -1)
+    llr = np.asarray(llr, dtype=np.float64).reshape(-1, code.n)
+    wrong = np.any(cw != c, axis=1)
+    # A is linear: A c ^ A c_osd = A (c ^ c_osd)
+    nbit = np.count_nonzero(code.p_inv_apply(c[wrong] ^ cw[wrong]), axis=1)
+    ml = metric[wrong] > correlation_metric(c[wrong], llr[wrong])
+    counter.frames += len(c)
+    counter.frame_errors += int(np.count_nonzero(wrong))
+    counter.bit_errors += int(nbit.sum())
+    counter.ml_frame_errors += int(np.count_nonzero(ml))
+    counter.ml_bit_errors += int(nbit[ml].sum())
     return counter

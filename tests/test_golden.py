@@ -22,6 +22,10 @@ GOLDEN = {
     "osd2": (dict(code="polar_32_16", constellation="qpsk", decoder="osd",
                   osd_order=2, demap="maxlog", ebn0_db=(3.0,)),
              (2048, 168, 59, 168)),
+    # n = 128: two 64-bit words per packed row in the OSD elimination
+    "osd1": (dict(code="polar_128_64", constellation="qam16", decoder="osd",
+                  osd_order=1, demap="exact", ebn0_db=(4.0,)),
+             (2048, 5066, 636, 1240)),
 }
 
 

@@ -143,6 +143,23 @@ class TestRunPoint:
             run_point(cfg, 3.0)
         assert run_point(cfg, 3.0, point_index=1).frames == 2048
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_no_chunk_past_frame_budget(self, monkeypatch, chunks, workers):
+        transmits = []
+        real = harness.transmit_batch
+
+        def counted(*args, **kwargs):
+            transmits.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "transmit_batch", counted)
+        cfg = ExperimentConfig(code="hamming_7_4", constellation="bpsk",
+                               ebn0_db=(2.0,), workers=workers,
+                               stop=quick_stop(chunks * harness.CHUNK_FRAMES))
+        assert run_point(cfg, 2.0).frames == chunks * harness.CHUNK_FRAMES
+        assert transmits == [harness.CHUNK_FRAMES] * chunks
+
     def test_pinned_interleaver_mode(self):
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                decoder="hard-pinv", ebn0_db=(4.0,),
@@ -299,6 +316,15 @@ class TestCli:
         rc = cli.main(["simulate", "--config", str(cfgfile), "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    def test_config_error_is_one_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("code = hamming_7_4\nosd_ordr = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "bicmlab: error: unknown config key 'osd_ordr'\n"
 
     def test_train_cli_writes_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "t.ckpt"

@@ -1,10 +1,12 @@
 """Brute-force MAP, ordered statistics decoding, and ML-bound bookkeeping."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from bicmlab.bicm import transmit_batch
-from bicmlab.gf2code import get_code, hamming_7_4
+from bicmlab.gf2code import get_code, gf2_matmul, gf2_rank, gf2_rref, hamming_7_4
 from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.refdec import (
     CandidateScore,
@@ -55,60 +57,136 @@ class TestMapBruteforce:
             assert np.array_equal(a.codeword, b.codeword)
 
 
+def osd_reference(code, llr, order):
+    """OSD spelled out for one frame: the most reliable basis by a rank test
+    per position, the generator inverted on it by gf2_rref, and every
+    pattern of weight <= order enumerated and re-encoded.  Best metric;
+    exact ties to the lexicographically smallest codeword."""
+    ranking = np.argsort(-np.abs(llr), kind="stable")
+    basis = []
+    for pos in ranking:
+        if gf2_rank(code.g[:, basis + [pos]]) > len(basis):
+            basis.append(pos)
+        if len(basis) == code.k:
+            break
+    rref, _ = gf2_rref(np.concatenate([code.g[:, basis], code.g], axis=1))
+    r = rref[:, code.k:]                       # r[:, basis] = I
+    flips = [np.zeros((1, code.k), dtype=np.uint8)]
+    for w in range(1, order + 1):
+        where = np.array(list(combinations(range(code.k), w)))
+        pats = np.zeros((len(where), code.k), dtype=np.uint8)
+        pats[np.arange(len(where))[:, None], where] = 1
+        flips.append(pats)
+    info = (llr[basis] < 0).astype(np.uint8) ^ np.concatenate(flips)
+    cws = gf2_matmul(info, r)
+    metrics = (1.0 - 2.0 * cws) @ llr
+    top = cws[metrics == metrics.max()]
+    return np.array(min(map(tuple, top)), dtype=np.uint8), metrics.max()
+
+
 class TestOsd:
     def test_order_zero_noiseless(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 20, ebn0_db=25.0, seed=4)
-        for i in range(20):
-            out = osd_decode(code, fb.llr[i], order=0)
-            assert np.array_equal(out.codeword, fb.c[i])
+        out = osd_decode(code, fb.llr, order=0)
+        assert np.array_equal(out.codeword, fb.c)
 
     def test_metric_monotone_in_order(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 200, seed=5)
-        for i in range(200):
-            prev = -np.inf
-            for w in range(0, 5):
-                m = osd_decode(code, fb.llr[i], order=w).metric
-                assert m >= prev - 1e-12
-                prev = m
+        metrics = [osd_decode(code, fb.llr, order=w).metric for w in range(5)]
+        for lower, higher in zip(metrics, metrics[1:]):
+            assert np.all(higher >= lower - 1e-12)
 
     def test_full_order_equals_bruteforce_hamming(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 10_000, seed=6)
+        out = osd_decode(code, fb.llr, order=4)
         for i in range(10_000):
             a = map_bruteforce(code, fb.llr[i])
-            b = osd_decode(code, fb.llr[i], order=4)
-            assert np.array_equal(a.codeword, b.codeword)
+            assert np.array_equal(a.codeword, out.codeword[i])
 
     def test_full_order_equals_bruteforce_polar_16_8(self):
         code = get_code("polar_16_8")
         const = build_constellation("qam16")
         nc = NoiseConfig.from_ebn0_db(3.0, code.rate, const.m)
         fb = transmit_batch(code, const, nc, np.random.default_rng(7), 2_000)
+        out = osd_decode(code, fb.llr, order=8)
         for i in range(2_000):
             a = map_bruteforce(code, fb.llr[i])
-            b = osd_decode(code, fb.llr[i], order=8)
-            assert np.array_equal(a.codeword, b.codeword)
+            assert np.array_equal(a.codeword, out.codeword[i])
 
     def test_scaling_invariance(self):
         code = get_code("polar_16_8")
         fb = noisy_frames(code, 50, seed=8, kind="qpsk")
-        for i in range(50):
-            a = osd_decode(code, fb.llr[i], order=2)
-            b = osd_decode(code, 0.01 * fb.llr[i], order=2)
-            assert np.array_equal(a.codeword, b.codeword)
+        a = osd_decode(code, fb.llr, order=2)
+        b = osd_decode(code, 0.01 * fb.llr, order=2)
+        assert np.array_equal(a.codeword, b.codeword)
 
     def test_candidates_are_codewords(self):
         code = get_code("polar_32_16")
         fb = noisy_frames(code, 50, seed=9, kind="qpsk")
-        for i in range(50):
-            out = osd_decode(code, fb.llr[i], order=1)
-            assert not np.any(code.syndrome(out.codeword))
+        out = osd_decode(code, fb.llr, order=1)
+        assert not np.any(code.syndrome(out.codeword))
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError, match="order"):
             osd_decode(hamming_7_4(), np.zeros(7), order=5)
+
+    def test_llr_shape_checked(self):
+        with pytest.raises(ValueError, match="llr shape"):
+            osd_decode(hamming_7_4(), np.zeros((2, 8)), order=1)
+
+
+class TestOsdBatch:
+    @pytest.mark.parametrize("integer", [False, True],
+                             ids=["continuous", "integer"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name,frames",
+                             [("polar_32_16", 40), ("polar_128_64", 6)])
+    def test_matches_enumerating_reference(self, name, frames, order,
+                                           integer):
+        # integer LLRs in -2..2 force exact ties between candidates;
+        # polar_128_64 packs each generator row into two 64-bit words
+        code = get_code(name)
+        llr = noisy_frames(code, frames, ebn0_db=1.0, seed=20,
+                           kind="qpsk").llr
+        if integer:
+            rng = np.random.default_rng(21)
+            llr = rng.integers(-2, 3, size=llr.shape).astype(np.float64)
+        out = osd_decode(code, llr, order)
+        for i in range(frames):
+            cw, metric = osd_reference(code, llr[i], order)
+            assert np.array_equal(out.codeword[i], cw)
+            assert out.metric[i] == pytest.approx(metric, abs=1e-9)
+
+    def test_batch_equals_single_rows(self):
+        # 300 frames span three decoding slices
+        code = get_code("polar_64_32")
+        llr = noisy_frames(code, 300, ebn0_db=2.0, seed=22, kind="qpsk").llr
+        llr[:100] = np.round(llr[:100] / 4.0)   # frames with exact ties
+        out = osd_decode(code, llr, order=2)
+        assert out.codeword.shape == (300, 64) and out.metric.shape == (300,)
+        for i in range(300):
+            one = osd_decode(code, llr[i], order=2)
+            assert one.codeword.shape == (64,) and isinstance(one.metric,
+                                                              float)
+            assert np.array_equal(one.codeword, out.codeword[i])
+            assert one.metric == out.metric[i]
+
+
+def _ml_cases(code):
+    """(transmitted, OSD output, LLR) rows: right, wrong but no ML error,
+    ML error, and a tie."""
+    c = code.encode(np.array([1, 0, 0, 1], dtype=np.uint8))
+    other = code.encode(np.array([0, 1, 1, 0], dtype=np.uint8))
+    favors_c = (1.0 - 2.0 * c.astype(np.float64)) * 3.0
+    favors_other = (1.0 - 2.0 * other.astype(np.float64)) * 3.0
+    rows = [(c, c, favors_c), (c, other, favors_c),
+            (c, other, favors_other), (c, other, np.zeros(7))]
+    return [(t, CandidateScore(codeword=o,
+                               metric=float(correlation_metric(o, l))), l)
+            for t, o, l in rows]
 
 
 class TestMlBound:
@@ -122,46 +200,49 @@ class TestMlBound:
         assert ctr.frame_errors == 0 and ctr.ml_frame_errors == 0
 
     def test_osd_error_without_ml_error(self):
-        # craft an OSD output worse than the transmitted codeword
+        # an OSD output worse than the transmitted codeword
         code = hamming_7_4()
-        c = code.encode(np.array([1, 0, 0, 1], dtype=np.uint8))
-        llr = (1.0 - 2.0 * c.astype(np.float64)) * 3.0
-        other = code.encode(np.array([0, 1, 1, 0], dtype=np.uint8))
-        fake = CandidateScore(codeword=other,
-                              metric=float(correlation_metric(other, llr)))
-        ctr = ErrorCounter()
-        ml_bound_update(ctr, code, c, fake, llr)
+        c, fake, llr = _ml_cases(code)[1]
+        ctr = ml_bound_update(ErrorCounter(), code, c, fake, llr)
         assert ctr.frame_errors == 1 and ctr.ml_frame_errors == 0
 
     def test_ml_error_when_impostor_outscores(self):
         code = hamming_7_4()
-        c = code.encode(np.array([1, 0, 0, 1], dtype=np.uint8))
-        other = code.encode(np.array([0, 1, 1, 0], dtype=np.uint8))
-        llr = (1.0 - 2.0 * other.astype(np.float64)) * 3.0  # favors impostor
-        fake = CandidateScore(codeword=other,
-                              metric=float(correlation_metric(other, llr)))
-        ctr = ErrorCounter()
-        ml_bound_update(ctr, code, c, fake, llr)
+        c, fake, llr = _ml_cases(code)[2]
+        ctr = ml_bound_update(ErrorCounter(), code, c, fake, llr)
         assert ctr.frame_errors == 1 and ctr.ml_frame_errors == 1
         assert ctr.ml_bit_errors == ctr.bit_errors > 0
 
     def test_tie_is_not_an_ml_error(self):
         code = hamming_7_4()
-        c = code.encode(np.array([1, 0, 0, 1], dtype=np.uint8))
-        other = code.encode(np.array([0, 1, 1, 0], dtype=np.uint8))
-        llr = np.zeros(7)  # every metric ties at zero
-        fake = CandidateScore(codeword=other, metric=0.0)
-        ctr = ErrorCounter()
-        ml_bound_update(ctr, code, c, fake, llr)
+        c, fake, llr = _ml_cases(code)[3]   # every metric ties at zero
+        ctr = ml_bound_update(ErrorCounter(), code, c, fake, llr)
         assert ctr.frame_errors == 1 and ctr.ml_frame_errors == 0
+
+    def test_batch_equals_row_tallies(self):
+        code = hamming_7_4()
+        cases = _ml_cases(code)
+        fb = noisy_frames(code, 500, ebn0_db=0.0, seed=12)
+        out = osd_decode(code, fb.llr, order=1)
+        cases += [(fb.c[i], CandidateScore(out.codeword[i], out.metric[i]),
+                   fb.llr[i]) for i in range(500)]
+        rows = ErrorCounter()
+        for c, o, llr in cases:
+            ml_bound_update(rows, code, c, o, llr)
+        batch = ml_bound_update(
+            ErrorCounter(), code, np.array([c for c, _, _ in cases]),
+            CandidateScore(np.array([o.codeword for _, o, _ in cases]),
+                           np.array([o.metric for _, o, _ in cases])),
+            np.array([llr for _, _, llr in cases]))
+        assert batch == rows
+        assert rows.frames == 504 and 0 < rows.ml_frame_errors
 
     def test_ml_bound_below_osd_over_stream(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 2_000, ebn0_db=0.0, seed=11)
-        ctr = ErrorCounter()
-        for i in range(2_000):
-            out = osd_decode(code, fb.llr[i], order=1)
-            ml_bound_update(ctr, code, fb.c[i], out, fb.llr[i])
+        out = osd_decode(code, fb.llr, order=1)
+        ctr = ml_bound_update(ErrorCounter(), code, fb.c, out, fb.llr)
+        assert ctr.frames == 2_000
         assert 0 < ctr.ml_frame_errors <= ctr.frame_errors
         assert ctr.ml_bit_errors <= ctr.bit_errors
 
