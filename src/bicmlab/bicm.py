@@ -50,13 +50,15 @@ def draw_interleaver(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(n)
 
 
-def interleave(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return np.asarray(v)[..., perm]
+def interleave(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Row-wise permutation: row i of the result is v[i, perms[i]]."""
+    return np.take_along_axis(v, perms, axis=-1)
 
 
-def deinterleave(v: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(np.asarray(v))
-    out[..., perm] = v
+def deinterleave(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The inverse of interleave: row i of the result at perms[i] is v[i]."""
+    out = np.empty_like(v)
+    np.put_along_axis(out, perms, v, axis=-1)
     return out
 
 
@@ -75,8 +77,6 @@ class FrameBatch:
     llr_tilde: np.ndarray      # (B, n) pre-deinterleave LLRs (pad stripped)
     llr: np.ndarray            # (B, n) LLRs in code order
     hard: np.ndarray           # (B, n) hard decisions 1(llr < 0)
-    reliab: np.ndarray         # (B, n) |llr|
-    flips: np.ndarray          # (B, n) w^b = c xor hard
 
     def __len__(self) -> int:
         return self.u.shape[0]
@@ -89,7 +89,6 @@ def transmit_batch(
     rng: np.random.Generator,
     n_frames: int,
     *,
-    u: np.ndarray | None = None,
     demap_kind: str = "exact",
     interleaver: np.ndarray | None = None,
     pad: bool = False,
@@ -108,10 +107,7 @@ def transmit_batch(
         )
     n_pad = _padded_length(n, m)
 
-    if u is None:
-        u = rng.integers(0, 2, size=(n_frames, k), dtype=np.uint8)
-    else:
-        u = np.asarray(u, dtype=np.uint8).reshape(n_frames, k)
+    u = rng.integers(0, 2, size=(n_frames, k), dtype=np.uint8)
     c = code.encode(u)
 
     if interleaver is None:
@@ -119,7 +115,7 @@ def transmit_batch(
         perms = np.argsort(keys, axis=1)
     else:
         perms = np.broadcast_to(np.asarray(interleaver), (n_frames, n))
-    c_tilde = np.take_along_axis(c, perms, axis=1)
+    c_tilde = interleave(c, perms)
 
     tx_bits = c_tilde
     if n_pad != n:
@@ -130,19 +126,10 @@ def transmit_batch(
     y = awgn(x, noise, rng)
     llr_full = clamp_llrs(demap(const, y, noise, kind=demap_kind))
     llr_tilde = llr_full[:, :n]
-    llr = _deint_rows(llr_tilde, perms)
-    hard, reliab = hard_split(llr)
-    flips = c ^ hard
-    return FrameBatch(
-        u=u, c=c, c_tilde=c_tilde, perms=perms,
-        llr_tilde=llr_tilde, llr=llr, hard=hard, reliab=reliab, flips=flips,
-    )
-
-
-def _deint_rows(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    np.put_along_axis(out, perms, v, axis=1)
-    return out
+    llr = deinterleave(llr_tilde, perms)
+    hard, _ = hard_split(llr)
+    return FrameBatch(u=u, c=c, c_tilde=c_tilde, perms=perms,
+                      llr_tilde=llr_tilde, llr=llr, hard=hard)
 
 
 @dataclass
@@ -323,7 +310,7 @@ def measure_flip_correlation(
         fb = transmit_batch(code, const, noise, rng, b,
                             demap_kind=demap_kind, interleaver=interleaver,
                             pad=pad)
-        w = fb.flips.astype(np.float64)
+        w = (fb.c ^ fb.hard).astype(np.float64)
         s1 += w.sum(axis=0)
         s2 += w.T @ w
         done += b

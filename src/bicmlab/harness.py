@@ -506,7 +506,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
             net = build_transformer_estimator(model_cfg, rng)
         calib = transmit_batch(code, const, noise, rng, 4096,
                                demap_kind=cfg.demap, pad=cfg.pad)
-        input_scale = 1.0 / float(np.mean(calib.reliab))
+        input_scale = 1.0 / float(np.mean(np.abs(calib.llr)))
     if verbose:
         print(f"model: {cfg.arch} with {net.num_params()} parameters")
 

@@ -3,6 +3,11 @@
 The four supported constellations (BPSK, QPSK, Gray 8-PSK, Gray 16-QAM) are
 defined in code, not config, so the labelings are bit-exact.  All are unit
 average energy on the complex channel y = x + w, w ~ CN(0, sigma2).
+
+One demapper serves every constellation and both BICM metrics: the exact
+and the max-log bit-LLR differ only in how each label subset's point
+metrics are reduced, by log-sum-exp or by max (Caire, Taricco & Biglieri,
+"Bit-interleaved coded modulation", IEEE Trans. IT 1998).
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ __all__ = [
     "build_constellation",
     "modulate",
     "awgn",
-    "llr_exact",
-    "llr_maxlog",
     "demap",
     "hard_split",
     "clamp_llrs",
@@ -187,52 +190,36 @@ def awgn(symbols: np.ndarray, noise: NoiseConfig,
     return symbols + w
 
 
-def llr_exact(const: Constellation, y: np.ndarray,
-              noise: NoiseConfig) -> np.ndarray:
-    """Exact bit-LLRs log P(y|bit=0) - log P(y|bit=1) per position.
-
-    Computed with max-shifted log-sum-exp over the two label subsets.
-    Output shape: y.shape + (m,).
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    z = -np.abs(y[..., None] - const.points) ** 2 / noise.sigma2  # (..., M)
-    out = np.empty(y.shape + (const.m,), dtype=np.float64)
-    for s in range(const.m):
-        mask0 = const.labels[:, s] == 0
-        out[..., s] = _logsumexp_masked(z, mask0) - _logsumexp_masked(z, ~mask0)
-    return out
-
-
-def _logsumexp_masked(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    zm = np.where(mask, z, -np.inf)
-    peak = np.max(zm, axis=-1, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(zm - peak), axis=-1, keepdims=True)))[..., 0]
-
-
-def llr_maxlog(const: Constellation, y: np.ndarray,
-               noise: NoiseConfig) -> np.ndarray:
-    """Approximate LLRs (min_{x in X1} |y-x|^2 - min_{x in X0} |y-x|^2)/sigma2."""
-    y = np.asarray(y, dtype=np.complex128)
-    d2 = np.abs(y[..., None] - const.points) ** 2  # (..., M)
-    out = np.empty(y.shape + (const.m,), dtype=np.float64)
-    for s in range(const.m):
-        mask0 = const.labels[:, s] == 0
-        min0 = np.min(np.where(mask0, d2, np.inf), axis=-1)
-        min1 = np.min(np.where(~mask0, d2, np.inf), axis=-1)
-        out[..., s] = (min1 - min0) / noise.sigma2
-    return out
-
-
 def demap(const: Constellation, y: np.ndarray, noise: NoiseConfig,
           kind: str = "exact") -> np.ndarray:
-    """Per-frame flat LLR vector from a (..., n_sym) symbol array."""
-    if kind == "exact":
-        l = llr_exact(const, y, noise)
-    elif kind == "maxlog":
-        l = llr_maxlog(const, y, noise)
-    else:
+    """Bit-LLRs log P(y|bit=0) - log P(y|bit=1) of a (..., n_sym) symbol array.
+
+    Point x scores z = (2 Re(y conj(x)) - |x|^2) / sigma2, which is
+    -|y - x|^2 / sigma2 without the |y|^2 term that cancels in every LLR.
+    Each bit position reduces its two label subsets of z with max; "exact"
+    adds the max-shifted log-sum-exp remainder, "maxlog" stops at the max.
+    Output: the per-frame flat LLR vector, shape (..., n_sym * m).
+    """
+    if kind not in ("exact", "maxlog"):
         raise ValueError(f"unknown demapper {kind!r}")
-    return l.reshape(l.shape[:-2] + (-1,))
+    y = np.asarray(y, dtype=np.complex128)
+    pts = const.points
+    # Re(y conj(x)) = Re y Re x + Im y Im x: one real (..., 2) @ (2, M)
+    z = np.stack([y.real, y.imag], axis=-1) @ (
+        np.stack([pts.real, pts.imag]) * (2.0 / noise.sigma2))
+    z -= np.abs(pts) ** 2 / noise.sigma2
+    out = np.empty(y.shape + (const.m,), dtype=np.float64)
+    for s, bit in enumerate(const.labels.T):
+        reduced = []
+        for subset in (np.flatnonzero(bit == 0), np.flatnonzero(bit)):
+            zs = z[..., subset]
+            r = zs.max(axis=-1)
+            if kind == "exact":
+                zs -= r[..., None]
+                r += np.log(np.exp(zs, out=zs).sum(axis=-1))
+            reduced.append(r)
+        out[..., s] = reduced[0] - reduced[1]
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def hard_split(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .layers import Dense, LayerNorm, Param
@@ -45,7 +47,7 @@ class MultiHeadSelfAttention:
         q = self._split(self.q.forward(x))
         k = self._split(self.k.forward(x))
         v = self._split(self.v.forward(x))
-        scores = q @ k.swapaxes(-1, -2) / np.sqrt(self.dk)
+        scores = q @ k.swapaxes(-1, -2) / math.sqrt(self.dk)
         attn = _softmax(scores)
         ctx = self._join(attn @ v)
         self._cache = (q, k, v, attn)
@@ -57,7 +59,7 @@ class MultiHeadSelfAttention:
         dattn = dctx @ v.swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(self.dk)
+        dscores /= math.sqrt(self.dk)
         dq = dscores @ k
         dk_ = dscores.swapaxes(-1, -2) @ q
         dx = self.q.backward(self._join(dq))

@@ -166,7 +166,7 @@ class TransformerEstimator:
         out_scale = 1.0 / np.sqrt(2.0 * cfg.encoders)
         self.embed = Param(
             "embed",
-            rng.uniform(-1, 1, size=(cfg.r, d)).astype(dtype) / np.sqrt(d))
+            (rng.uniform(-1, 1, size=(cfg.r, d)) / np.sqrt(d)).astype(dtype))
         self.encoders = [
             EncoderLayer(f"enc{i}", d, cfg.heads, rng, dtype, out_scale)
             for i in range(cfg.encoders)

@@ -334,7 +334,7 @@ def test_criterion_8_zero_noise_exactness():
             const = build_constellation(kind)
             pad = code.n % const.m != 0
             fb = transmit_batch(code, const, tiny, rng, 200, pad=pad)
-            ok &= not np.any(fb.flips)
+            ok &= not np.any(fb.c ^ fb.hard)
             ok &= np.array_equal(code.p_inv_apply(fb.hard), fb.u)
     report("8a zero-noise exactness", ok,
            f"exact recovery on {len(builtin_code_names())} codes x 4 "

@@ -30,9 +30,12 @@ class TestInterleaver:
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        perm = draw_interleaver(64, rng)
-        v = rng.normal(size=64)
-        assert np.array_equal(deinterleave(interleave(v, perm), perm), v)
+        perms = np.stack([draw_interleaver(64, rng) for _ in range(3)])
+        v = rng.normal(size=(3, 64))
+        w = interleave(v, perms)
+        for i in range(3):
+            assert np.array_equal(w[i], v[i, perms[i]])
+        assert np.array_equal(deinterleave(w, perms), v)
 
     def test_uniformity(self):
         rng = np.random.default_rng(2)
@@ -56,7 +59,7 @@ class TestTransmit:
         fb = transmit_batch(code, build_constellation("bpsk"),
                             NoiseConfig(1e-8), rng, 1)
         assert np.array_equal(fb.hard, fb.c)
-        assert not np.any(fb.flips)
+        assert not np.any(fb.c ^ fb.hard)
         assert np.array_equal(code.p_inv_apply(fb.hard), fb.u)
 
     def test_record_self_consistency(self):
@@ -67,10 +70,9 @@ class TestTransmit:
         for _ in range(20):
             fb = transmit_batch(code, const, nc, rng, 1)
             assert np.array_equal(fb.c, code.encode(fb.u))
-            assert np.array_equal(fb.llr[0],
-                                  deinterleave(fb.llr_tilde[0], fb.perms[0]))
+            assert np.array_equal(fb.llr, deinterleave(fb.llr_tilde, fb.perms))
             assert np.array_equal(
-                code.p_inv_apply(fb.flips), code.p_inv_apply(fb.hard) ^ fb.u)
+                code.p_inv_apply(fb.c ^ fb.hard), code.p_inv_apply(fb.hard) ^ fb.u)
 
     def test_syndrome_frame_invariant(self):
         # H l^b = H w^b because H c = 0
@@ -79,7 +81,7 @@ class TestTransmit:
         const = build_constellation("qpsk")
         nc = NoiseConfig.from_ebn0_db(2.0, code.rate, const.m)
         fb = transmit_batch(code, const, nc, rng, 200)
-        assert np.array_equal(code.syndrome(fb.hard), code.syndrome(fb.flips))
+        assert np.array_equal(code.syndrome(fb.hard), code.syndrome(fb.c ^ fb.hard))
 
     def test_high_snr_bpsk_hamming_no_flips(self):
         # Q-function oracle: expected per-bit flips are < 1e-6 at 20 dB
@@ -88,7 +90,7 @@ class TestTransmit:
         assert q_func(math.sqrt(2.0 / nc.sigma2)) < 1e-6
         rng = np.random.default_rng(6)
         fb = transmit_batch(code, build_constellation("bpsk"), nc, rng, 1000)
-        assert not np.any(fb.flips)
+        assert not np.any(fb.c ^ fb.hard)
 
     def test_padding_required_when_m_does_not_divide_n(self):
         code = hamming_7_4()
@@ -106,7 +108,7 @@ class TestTransmit:
         for kind in ("psk8", "qam16"):
             fb = transmit_batch(code, build_constellation(kind),
                                 NoiseConfig(1e-8), rng, 50, pad=True)
-            assert not np.any(fb.flips)
+            assert not np.any(fb.c ^ fb.hard)
 
     def test_fixed_seed_reproducible(self):
         code = get_code("polar_16_8")

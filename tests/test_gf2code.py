@@ -1,5 +1,8 @@
 """GF(2) algebra: alist I/O, ranks, generators, pseudo-inverses, codes."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from bicmlab.gf2code import (
     load_alist,
     repetition_2_1,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def rank_by_rowspace(m: np.ndarray) -> int:
@@ -108,6 +113,16 @@ class TestAlist:
         h = get_code("polar_64_32").h
         assert h.shape == (32, 64)
         assert rank_by_elimination(h) == 32
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_shipped_polar_alist_matches_its_generator(self, n):
+        spec = importlib.util.spec_from_file_location(
+            "make_polar_alists", ROOT / "tools" / "make_polar_alists.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        shipped = ROOT / "src" / "bicmlab" / "data" / f"polar_{n}_{n // 2}.alist"
+        text = dump_alist(tool.polar_parity_check(n, n // 2))
+        assert text.encode("ascii") == shipped.read_bytes()
 
 
 class TestDeriveGenerator:

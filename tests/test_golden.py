@@ -5,17 +5,39 @@ to the numerics of the transmit chain, the demappers or the decoders moves
 these numbers; such a change must re-record them on purpose and say why.
 """
 
+import numpy as np
 import pytest
 
 from bicmlab import harness
 from bicmlab.gf2code import get_code
 from bicmlab.harness import ExperimentConfig, StopRule, run_point
+from bicmlab.neural import RnnConfig, build_rnn_estimator, save_checkpoint
+
+HARD_PINV = dict(code="polar_16_8", constellation="qam16", decoder="hard-pinv",
+                 ebn0_db=(4.0,))
 
 # (config fields, (frames, bit_errors, frame_errors, ML-bound bit errors))
 GOLDEN = {
-    "hard-pinv": (dict(code="polar_16_8", constellation="qam16",
-                       decoder="hard-pinv", ebn0_db=(4.0,)),
-                  (2048, 5285, 1317, None)),
+    "hard-pinv": (HARD_PINV, (2048, 5285, 1317, None)),
+    # one hard-pinv point per (constellation, demap) pair the others lack;
+    # n = 16 is no multiple of m = 3, so 8-PSK pads
+    "hard-pinv-psk8-exact": (dict(HARD_PINV, constellation="psk8",
+                                  demap="exact", pad=True),
+                             (2048, 4792, 1216, None)),
+    "hard-pinv-psk8-maxlog": (dict(HARD_PINV, constellation="psk8",
+                                   demap="maxlog", pad=True),
+                              (2048, 4792, 1216, None)),
+    "hard-pinv-qam16-maxlog": (dict(HARD_PINV, demap="maxlog"),
+                               (2048, 5293, 1318, None)),
+    "hard-pinv-qpsk-exact": (dict(HARD_PINV, constellation="qpsk",
+                                  demap="exact"),
+                             (2048, 3172, 789, None)),
+    "hard-pinv-bpsk-maxlog": (dict(HARD_PINV, constellation="bpsk",
+                                   demap="maxlog"),
+                              (2048, 3012, 741, None)),
+    # an estimator that predicts no flip leaves SBND at the hard pseudo-inverse
+    "sbnd-zero-head": (dict(HARD_PINV, decoder="sbnd"),
+                       (2048, 5285, 1317, None)),
     "map": (dict(code="hamming_7_4", constellation="bpsk", decoder="map",
                  ebn0_db=(2.0,)),
             (2048, 218, 120, None)),
@@ -29,10 +51,26 @@ GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def zero_head_checkpoint(tmp_path_factory):
+    """A small GRU estimator for polar_16_8 whose head outputs 0 logits."""
+    code = get_code(HARD_PINV["code"])
+    net = build_rnn_estimator(
+        RnnConfig.for_code(code.n, code.k, alpha=1, time_steps=1, depth=1),
+        np.random.default_rng(0))
+    net.head.w.value[:] = 0.0
+    net.head.b.value[:] = 0.0
+    path = tmp_path_factory.mktemp("golden") / "zero_head.ckpt"
+    save_checkpoint(path, net)
+    return str(path)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_counts(name, workers):
+def test_golden_counts(name, workers, zero_head_checkpoint):
     fields, want = GOLDEN[name]
+    if fields["decoder"] == "sbnd":
+        fields = dict(fields, checkpoint=zero_head_checkpoint)
     cfg = ExperimentConfig(
         stop=StopRule(min_frame_errors=0, min_bit_errors=0,
                       max_frames=harness.CHUNK_FRAMES),

@@ -12,8 +12,6 @@ from bicmlab.modem import (
     clamp_llrs,
     demap,
     hard_split,
-    llr_exact,
-    llr_maxlog,
     modulate,
 )
 
@@ -152,21 +150,28 @@ class TestAwgn:
         assert np.allclose(y, x, atol=1e-12)
 
 
+def bit_llrs(const, y, noise, kind):
+    """demap's LLRs as a y.shape + (m,) array, one column per bit position."""
+    return demap(const, y, noise, kind).reshape(y.shape + (const.m,))
+
+
 class TestLlrs:
     def test_bpsk_exact_equals_maxlog(self):
         c = build_constellation("bpsk")
         rng = np.random.default_rng(3)
         y = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
         nc = NoiseConfig.from_esn0_db(4.0)
-        assert np.max(np.abs(llr_exact(c, y, nc) - llr_maxlog(c, y, nc))) <= 1e-12
+        diff = bit_llrs(c, y, nc, "exact") - bit_llrs(c, y, nc, "maxlog")
+        assert np.max(np.abs(diff)) <= 1e-12
 
     def test_qpsk_exact_equals_maxlog(self):
         c = build_constellation("qpsk")
         rng = np.random.default_rng(4)
         y = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
         nc = NoiseConfig.from_esn0_db(4.0)
-        diff = np.abs(llr_exact(c, y, nc) - llr_maxlog(c, y, nc))
-        assert np.max(diff / np.maximum(np.abs(llr_exact(c, y, nc)), 1.0)) <= 1e-12
+        exact = bit_llrs(c, y, nc, "exact")
+        diff = np.abs(exact - bit_llrs(c, y, nc, "maxlog"))
+        assert np.max(diff / np.maximum(np.abs(exact), 1.0)) <= 1e-12
 
     def test_psk8_boundary_zero(self):
         c = build_constellation("psk8")
@@ -174,15 +179,15 @@ class TestLlrs:
         # the real axis is the bit-1 max-log boundary and, by the conjugation
         # symmetry, also the exact-LLR boundary
         y = np.array([0.7 + 0j, 2.0 + 0j, 0.05 + 0j])
-        assert np.max(np.abs(llr_exact(c, y, nc)[:, 0])) <= 1e-9
-        assert np.max(np.abs(llr_maxlog(c, y, nc)[:, 0])) <= 1e-9
+        assert np.max(np.abs(bit_llrs(c, y, nc, "exact")[:, 0])) <= 1e-9
+        assert np.max(np.abs(bit_llrs(c, y, nc, "maxlog")[:, 0])) <= 1e-9
 
     def test_qam16_against_high_precision_oracle(self):
         c = build_constellation("qam16")
         nc = NoiseConfig.from_esn0_db(6.0)
         rng = np.random.default_rng(5)
         ys = rng.normal(scale=1.2, size=40) + 1j * rng.normal(scale=1.2, size=40)
-        got = llr_exact(c, ys, nc)
+        got = bit_llrs(c, ys, nc, "exact")
         for i, y in enumerate(ys):
             ref = llr_oracle(c, y, nc.sigma2)
             rel = np.abs(got[i] - ref) / np.maximum(np.abs(ref), 1e-30)
@@ -193,7 +198,7 @@ class TestLlrs:
         nc = NoiseConfig.from_esn0_db(3.0)
         rng = np.random.default_rng(6)
         ys = rng.normal(size=25) + 1j * rng.normal(size=25)
-        got = llr_exact(c, ys, nc)
+        got = bit_llrs(c, ys, nc, "exact")
         for i, y in enumerate(ys):
             ref = llr_oracle(c, y, nc.sigma2)
             rel = np.abs(got[i] - ref) / np.maximum(np.abs(ref), 1e-30)
@@ -205,7 +210,7 @@ class TestLlrs:
         rng = np.random.default_rng(7)
         y = rng.normal(size=1000) + 1j * rng.normal(size=1000)
         y = y[np.abs(y.imag) > 1e-6]
-        l1 = llr_maxlog(c, y, nc)[:, 0]
+        l1 = bit_llrs(c, y, nc, "maxlog")[:, 0]
         assert np.array_equal(l1 < 0, y.imag < 0)
 
     def test_maxlog_approaches_exact_at_high_snr(self):
@@ -214,8 +219,8 @@ class TestLlrs:
         gaps = []
         for esn0 in (6.0, 16.0, 26.0):
             nc = NoiseConfig.from_esn0_db(esn0)
-            e = llr_exact(c, y, nc)
-            a = llr_maxlog(c, y, nc)
+            e = bit_llrs(c, y, nc, "exact")
+            a = bit_llrs(c, y, nc, "maxlog")
             gaps.append(np.max(np.abs(e - a) / np.abs(e)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-6
@@ -227,8 +232,14 @@ class TestLlrs:
             c = build_constellation(kind)
             x = c.points[rng.integers(0, c.M, size=100_000)]
             y = awgn(x, nc, rng)
-            agree = np.sign(llr_exact(c, y, nc)) == np.sign(llr_maxlog(c, y, nc))
+            agree = (np.sign(bit_llrs(c, y, nc, "exact"))
+                     == np.sign(bit_llrs(c, y, nc, "maxlog")))
             assert np.mean(agree) >= 0.99
+
+    def test_unknown_kind(self):
+        c = build_constellation("qpsk")
+        with pytest.raises(ValueError, match="demapper"):
+            demap(c, np.zeros(4, dtype=np.complex128), NoiseConfig(1.0), "log")
 
 
 class TestHardSplit:

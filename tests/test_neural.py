@@ -132,6 +132,21 @@ class TestForward:
         single = np.vstack([net.forward(x[i:i + 1]) for i in range(5)])
         assert np.allclose(full, single, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    def test_network_keeps_its_dtype(self, arch, dtype):
+        rng = np.random.default_rng(3)
+        if arch == "rnn":
+            net = build_rnn_estimator(
+                RnnConfig(r=8, k=3, alpha=1, time_steps=2, depth=1), rng,
+                dtype=dtype)
+        else:
+            net = build_transformer_estimator(
+                TransformerConfig(r=8, k=3, embed_dim=8, heads=2, encoders=1),
+                rng, dtype=dtype)
+        assert {p.value.dtype for p in net.params()} == {np.dtype(dtype)}
+        assert net.predict(rng.normal(size=(4, 8))).dtype == dtype
+
     def test_permuting_batch_rows_permutes_outputs(self):
         rng = np.random.default_rng(3)
         net = build_transformer_estimator(

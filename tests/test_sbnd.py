@@ -75,7 +75,7 @@ class TestDecode:
         rng = np.random.default_rng(4)
         fb = transmit_batch(code, const, nc, rng, 300, pad=True)
         got = decode_batch(code, fb.llr,
-                           OracleEstimator(code.p_inv_apply(fb.flips)))
+                           OracleEstimator(code.p_inv_apply(fb.c ^ fb.hard)))
         assert np.array_equal(got, fb.u)
 
     def test_statistic_only_dependence(self):
