@@ -326,8 +326,28 @@ def measure_flip_correlation(
 # semi-analytic crossover oracle
 # ---------------------------------------------------------------------------
 
-def _q_func(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2))
+def _axis_crossover(levels: np.ndarray, labels: np.ndarray, s1d: float
+                    ) -> list[float]:
+    """P(1|0) of each bit of a PAM axis in N(0, s1d^2) noise: the Gaussian
+    mass of the nearest-level intervals whose bit is 1, averaged over the
+    levels whose bit is 0."""
+    order = np.argsort(levels)
+    lv, lab = levels[order], labels[order]
+    edges = np.concatenate([[-np.inf], (lv[1:] + lv[:-1]) / 2, [np.inf]])
+    per = []
+    for bit in lab.T:
+        acc = 0.0
+        for a in lv[bit == 0]:
+            for j in np.flatnonzero(bit):
+                lo, hi = (edges[j] - a) / s1d, (edges[j + 1] - a) / s1d
+                if lo < 0:
+                    # mirror onto the upper tail: a difference of two upper
+                    # tails keeps its relative precision at high SNR
+                    lo, hi = -hi, -lo
+                acc += 0.5 * (math.erfc(lo / math.sqrt(2))
+                              - math.erfc(hi / math.sqrt(2)))
+        per.append(acc / np.count_nonzero(bit == 0))
+    return per
 
 
 def _gauss_sector_prob(center: complex, sigma2: float,
@@ -365,25 +385,12 @@ def predicted_crossover(const: Constellation, noise: NoiseConfig
                         ) -> tuple[np.ndarray, float]:
     """Semi-analytic per-position flip probabilities P(1|0) and pooled q.
 
-    Integrates the complex Gaussian over the max-log decision regions:
-    half-plane tails for BPSK/QPSK, strip integrals for 16-QAM, and 2-D
-    quadrature over the angular sectors for 8-PSK.
+    Integrates the complex Gaussian over the max-log decision regions: the
+    nearest-level intervals of each PAM axis of BPSK, QPSK and 16-QAM, and
+    by 2-D quadrature the angular sectors of 8-PSK.
     """
     s2 = noise.sigma2
-    s1d = math.sqrt(s2 / 2.0)
-    if const.name == "bpsk":
-        per = np.array([_q_func(1.0 / s1d)])
-    elif const.name == "qpsk":
-        d = 1.0 / math.sqrt(2.0)
-        per = np.array([_q_func(d / s1d)] * 2)
-    elif const.name == "qam16":
-        a1, a3, b = 1 / math.sqrt(10), 3 / math.sqrt(10), 2 / math.sqrt(10)
-        # sign bit, sent 0: transmitted level +a1 or +a3 equally often
-        p_sign = 0.5 * (_q_func(a1 / s1d) + _q_func(a3 / s1d))
-        # magnitude bit, sent 0 (outer): flip when |y| falls inside +-b
-        p_mag = (_phi((b - a3) / s1d) - _phi((-b - a3) / s1d))
-        per = np.array([p_sign, p_mag, p_sign, p_mag])
-    elif const.name == "psk8":
+    if const.name == "psk8":
         per = np.empty(3)
         for s in (1, 2, 3):
             pts = const.bit_subset(s, 0)
@@ -393,9 +400,7 @@ def predicted_crossover(const: Constellation, noise: NoiseConfig
                     acc += _gauss_sector_prob(complex(x), s2, lo, hi)
             per[s - 1] = acc / pts.size
     else:
-        raise ValueError(f"no crossover oracle for {const.name!r}")
+        per = np.concatenate([
+            _axis_crossover(coords[:, 0], labels, math.sqrt(s2 / 2.0))
+            for coords, labels in const.factors])
     return per, float(np.mean(per))
-
-
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2))

@@ -63,7 +63,6 @@ __all__ = [
 
 CHUNK_FRAMES = 2048
 
-_CONSTELLATIONS = ("bpsk", "qpsk", "psk8", "qam16")
 _DEMAPPERS = ("exact", "maxlog")
 
 
@@ -119,7 +118,7 @@ class ExperimentConfig:
             raise ValueError("Eb/N0 grid is empty")
         _check_choice("decoder", self.decoder,
                       ("hard-pinv", "map", "osd", "sbnd"))
-        _check_choice("constellation", self.constellation, _CONSTELLATIONS)
+        build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
         _check_choice("interleaver", self.interleaver, ("fresh", "pinned"))
         if self.decoder == "sbnd" and not self.checkpoint:
@@ -136,7 +135,7 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat 'key = value' lines; '#' starts a comment."""
+    """Flat 'key = value' lines, each key once; '#' starts a comment."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -144,9 +143,28 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (t.strip() for t in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        out[key] = val
     return out
+
+
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+
+def _typed(key: str, text: str, default):
+    """text as the type of default; a value that does not parse names key."""
+    try:
+        if isinstance(default, bool):
+            return _BOOLS[text.lower()]
+        if isinstance(default, tuple):
+            return tuple(float(t) for t in text.replace(",", " ").split())
+        return type(default)(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {key!r}: bad {type(default).__name__} "
+                         f"value {text!r}") from None
 
 
 def config_kwargs(cls, kv: dict[str, str]) -> dict:
@@ -154,8 +172,10 @@ def config_kwargs(cls, kv: dict[str, str]) -> dict:
     string values of parse_config_text.
 
     Each value is converted to the type of its field's default; the grid
-    ebn0_db is a comma or space separated list.  StopRule's fields are flat
-    keys of an experiment config.  An unknown key raises ValueError.
+    ebn0_db is a comma or space separated list and a boolean is one of
+    true/false/yes/no/1/0.  StopRule's fields are flat keys of an experiment
+    config.  An unknown key, or a value that does not parse, raises a
+    ValueError naming the key.
     """
     defaults = cls()
     known = {f.name for f in fields(cls)} - {"stop"}
@@ -165,18 +185,11 @@ def config_kwargs(cls, kv: dict[str, str]) -> dict:
     stop: dict[str, int] = {}
     for key, text in kv.items():
         if key in stop_keys:
-            stop[key] = int(text)
+            stop[key] = _typed(key, text, getattr(StopRule(), key))
         elif key not in known:
             raise ValueError(f"unknown config key {key!r}")
         else:
-            default = getattr(defaults, key)
-            if isinstance(default, bool):
-                out[key] = text.lower() in ("1", "true", "yes")
-            elif isinstance(default, tuple):
-                out[key] = tuple(float(t)
-                                 for t in text.replace(",", " ").split())
-            else:
-                out[key] = type(default)(text)
+            out[key] = _typed(key, text, getattr(defaults, key))
     if stop:
         out["stop"] = StopRule(**stop)
     return out
@@ -442,7 +455,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_choice("arch", self.arch, ("rnn", "transformer"))
-        _check_choice("constellation", self.constellation, _CONSTELLATIONS)
+        build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
 
     def model_config(self, code: LinearCode):

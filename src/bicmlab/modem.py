@@ -1,18 +1,24 @@
 """Constellations, complex AWGN and bit-LLR demodulation.
 
-The four supported constellations (BPSK, QPSK, Gray 8-PSK, Gray 16-QAM) are
-defined in code, not config, so the labelings are bit-exact.  All are unit
-average energy on the complex channel y = x + w, w ~ CN(0, sigma2).
+A constellation is a Cartesian product of factors, each placing its points
+on one or two real dimensions of the complex channel y = x + w,
+w ~ CN(0, sigma2).  BPSK, QPSK and Gray 16-QAM are one Gray PAM axis per
+real dimension, each axis carrying its own label bits; Gray 8-PSK is a
+single two-dimensional factor.  The tables are defined in code, not config,
+so the labelings are bit-exact, and all four have unit average energy.
 
-One demapper serves every constellation and both BICM metrics: the exact
-and the max-log bit-LLR differ only in how each label subset's point
-metrics are reduced, by log-sum-exp or by max (Caire, Taricco & Biglieri,
+One demapper serves every constellation and both BICM metrics.  |y - x|^2 is
+a sum over the factors, so each factor's bits are demapped from its own
+dimensions of y over its own points (Tosato & Bisaglia, "Simplified
+soft-output demapper for binary interleaved COFDM", ICC 2002).  The exact
+and the max-log bit-LLR differ only in how each label subset's point metrics
+are reduced, by log-sum-exp or by max (Caire, Taricco & Biglieri,
 "Bit-interleaved coded modulation", IEEE Trans. IT 1998).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,26 +40,48 @@ LLR_CLAMP = 50.0
 
 @dataclass(frozen=True)
 class Constellation:
-    """M complex points with an m-bit label per point (a bijection)."""
+    """The Cartesian product of factors, each a pair (coords, labels).
+
+    A factor puts L points on the next d real dimensions of y (I, then Q):
+    coords is (L, d) and labels (L, b) gives each point b label bits.  The
+    factors span at most the two real dimensions.  Point i of the product
+    takes one point of each factor, the first factor varying slowest; its
+    coordinates and its label are the factors' in order.  `points` (M,)
+    complex128 and `labels` (M, m) uint8 are read-only fields derived from
+    the product; they must be unit average energy and a bijection.
+    """
 
     name: str
-    points: np.ndarray  # (M,) complex128, unit average energy
-    labels: np.ndarray  # (M, m) uint8
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    points: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        lab = np.asarray(self.labels, dtype=np.uint8)
-        if pts.ndim != 1 or lab.shape != (pts.size, self.m):
-            raise ValueError("inconsistent points/labels shapes")
-        if abs(np.mean(np.abs(pts) ** 2) - 1.0) > 1e-12:
-            raise ValueError(f"{self.name}: average energy != 1")
-        ints = self.label_ints()
-        if len(set(ints.tolist())) != pts.size:
-            raise ValueError(f"{self.name}: labels are not a bijection")
-        pts.setflags(write=False)
-        lab.setflags(write=False)
+        factors = tuple((np.array(c, dtype=np.float64),
+                         np.array(l, dtype=np.uint8)) for c, l in self.factors)
+        if any(c.ndim != 2 or l.ndim != 2 or len(l) != len(c)
+               for c, l in factors):
+            raise ValueError(f"{self.name}: a factor needs (L, d) coords and "
+                             f"(L, b) labels")
+        dims = sum(c.shape[1] for c, _ in factors)
+        if dims > 2:
+            raise ValueError(f"{self.name}: factors span {dims} real "
+                             f"dimensions, more than two")
+        grid = np.indices([len(c) for c, _ in factors]).reshape(len(factors), -1)
+        xy = np.zeros((grid.shape[1], 2))
+        xy[:, :dims] = np.concatenate(
+            [c[i] for (c, _), i in zip(factors, grid)], axis=1)
+        pts = xy.view(np.complex128).ravel()
+        lab = np.concatenate([l[i] for (_, l), i in zip(factors, grid)], axis=1)
+        for a in (pts, lab, *(a for f in factors for a in f)):
+            a.setflags(write=False)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", lab)
+        if abs(np.mean(np.abs(pts) ** 2) - 1.0) > 1e-12:
+            raise ValueError(f"{self.name}: average energy != 1")
+        if np.unique(self.label_ints()).size != pts.size:
+            raise ValueError(f"{self.name}: labels are not a bijection")
 
     @property
     def M(self) -> int:
@@ -61,13 +89,12 @@ class Constellation:
 
     @property
     def m(self) -> int:
-        return int(np.asarray(self.labels).shape[1])
+        return self.labels.shape[1]
 
     def label_ints(self) -> np.ndarray:
         """Label of each point packed as an integer, MSB = bit position 1."""
-        lab = np.asarray(self.labels, dtype=np.int64)
         weights = 1 << np.arange(self.m - 1, -1, -1, dtype=np.int64)
-        return lab @ weights
+        return self.labels.astype(np.int64) @ weights
 
     def point_index_of_label(self) -> np.ndarray:
         """Inverse map: label integer -> point index."""
@@ -82,60 +109,39 @@ class Constellation:
         return self.points[self.labels[:, s - 1] == c]
 
 
-def _bpsk() -> Constellation:
-    return Constellation("bpsk", np.array([1.0 + 0j, -1.0 + 0j]), [[0], [1]])
+def _gray_pam(levels: list[int], labels: list[list[int]], axes: int) -> tuple:
+    """`axes` copies of one Gray PAM axis, scaled to unit total energy."""
+    lv = np.array(levels, dtype=np.float64)[:, None]
+    return ((lv / np.sqrt(axes * np.mean(lv ** 2)), labels),) * axes
 
 
-def _qpsk() -> Constellation:
-    # bit 1 = sign of Re, bit 2 = sign of Im; Gray by construction
-    pts, labs = [], []
-    for b1 in (0, 1):
-        for b2 in (0, 1):
-            re = 1.0 if b1 == 0 else -1.0
-            im = 1.0 if b2 == 0 else -1.0
-            pts.append((re + 1j * im) / np.sqrt(2))
-            labs.append([b1, b2])
-    return Constellation("qpsk", np.array(pts), labs)
-
-
-def _psk8() -> Constellation:
+def _psk8_ring() -> tuple[np.ndarray, np.ndarray]:
     # points at pi/8 + t*pi/4 carrying the reflected Gray sequence of t,
     # which yields the three structural symmetries of the Gray-labeled ring:
     # bit 1 splits upper/lower half plane (conjugation), bit 2 left/right
     # (point reflection), bit 3 axes/diagonals (quarter-turn rotation).
-    t = np.arange(8)
-    pts = np.exp(1j * (2 * np.pi * t / 8 + np.pi / 8))
-    gray = t ^ (t >> 1)
-    labs = [[(v >> 2) & 1, (v >> 1) & 1, v & 1] for v in gray]
-    return Constellation("psk8", pts, labs)
+    theta = 2 * np.pi * np.arange(8) / 8 + np.pi / 8
+    gray = np.arange(8) ^ (np.arange(8) >> 1)
+    return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
+            (gray[:, None] >> np.array([2, 1, 0])) & 1)
 
 
-def _qam16() -> Constellation:
-    # per-axis Gray on levels (+3, +1, -1, -3); bits 1-2 from the I axis,
-    # bits 3-4 from the Q axis; bits 1/3 are sign bits, 2/4 inner/outer
-    axis_gray = {3: (0, 0), 1: (0, 1), -1: (1, 1), -3: (1, 0)}
-    pts, labs = [], []
-    for a in (3, 1, -1, -3):
-        for b in (3, 1, -1, -3):
-            pts.append((a + 1j * b) / np.sqrt(10))
-            labs.append(list(axis_gray[a]) + list(axis_gray[b]))
-    return Constellation("qam16", np.array(pts), labs)
-
-
-_KINDS = {
-    "bpsk": _bpsk,
-    "qpsk": _qpsk,
-    "psk8": _psk8,
-    "qam16": _qam16,
+# the factors of each constellation: BPSK, QPSK and 16-QAM are one Gray PAM
+# axis per real dimension, I first (bits 1-2 of 16-QAM from I, 3-4 from Q;
+# bits 1/3 are sign bits, 2/4 inner/outer); 8-PSK is one 2-D factor
+_FACTORS = {
+    "bpsk": _gray_pam([1, -1], [[0], [1]], 1),
+    "qpsk": _gray_pam([1, -1], [[0], [1]], 2),
+    "psk8": (_psk8_ring(),),
+    "qam16": _gray_pam([3, 1, -1, -3], [[0, 0], [0, 1], [1, 1], [1, 0]], 2),
 }
 
 
 def build_constellation(kind: str) -> Constellation:
-    key = kind.strip().lower()
-    if key not in _KINDS:
+    if kind not in _FACTORS:
         raise ValueError(f"unknown constellation {kind!r}; choose from "
-                         f"bpsk, qpsk, psk8, qam16")
-    return _KINDS[key]()
+                         f"{', '.join(_FACTORS)}")
+    return Constellation(kind, _FACTORS[kind])
 
 
 @dataclass(frozen=True)
@@ -194,32 +200,37 @@ def demap(const: Constellation, y: np.ndarray, noise: NoiseConfig,
           kind: str = "exact") -> np.ndarray:
     """Bit-LLRs log P(y|bit=0) - log P(y|bit=1) of a (..., n_sym) symbol array.
 
-    Point x scores z = (2 Re(y conj(x)) - |x|^2) / sigma2, which is
+    |y - x|^2 is a sum over the factors, so each factor's bits are demapped
+    from its own (..., d) slice of (Re y, Im y) and its own L points.  Point
+    x of a factor scores z = (2 <y, x> - |x|^2) / sigma2, which is
     -|y - x|^2 / sigma2 without the |y|^2 term that cancels in every LLR.
-    Each bit position reduces its two label subsets of z with max; "exact"
-    adds the max-shifted log-sum-exp remainder, "maxlog" stops at the max.
+    Each bit reduces its two label subsets of z with max; "exact" adds the
+    max-shifted log-sum-exp remainder, "maxlog" stops at the max.
     Output: the per-frame flat LLR vector, shape (..., n_sym * m).
     """
     if kind not in ("exact", "maxlog"):
         raise ValueError(f"unknown demapper {kind!r}")
-    y = np.asarray(y, dtype=np.complex128)
-    pts = const.points
-    # Re(y conj(x)) = Re y Re x + Im y Im x: one real (..., 2) @ (2, M)
-    z = np.stack([y.real, y.imag], axis=-1) @ (
-        np.stack([pts.real, pts.imag]) * (2.0 / noise.sigma2))
-    z -= np.abs(pts) ** 2 / noise.sigma2
-    out = np.empty(y.shape + (const.m,), dtype=np.float64)
-    for s, bit in enumerate(const.labels.T):
-        reduced = []
-        for subset in (np.flatnonzero(bit == 0), np.flatnonzero(bit)):
-            zs = z[..., subset]
-            r = zs.max(axis=-1)
-            if kind == "exact":
-                zs -= r[..., None]
-                r += np.log(np.exp(zs, out=zs).sum(axis=-1))
-            reduced.append(r)
-        out[..., s] = reduced[0] - reduced[1]
-    return out.reshape(out.shape[:-2] + (-1,))
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    yr = y.view(np.float64).reshape(-1, 2)
+    out = np.empty((y.size, const.m), dtype=np.float64)
+    dim = bit = 0
+    for coords, labels in const.factors:
+        d = coords.shape[1]
+        z = yr[:, dim:dim + d] @ (coords.T * (2.0 / noise.sigma2))
+        z -= np.sum(coords ** 2, axis=1) / noise.sigma2
+        for col in labels.T:
+            reduced = []
+            for subset in (np.flatnonzero(col == 0), np.flatnonzero(col)):
+                zs = z[:, subset]
+                r = zs.max(axis=1)
+                if kind == "exact":
+                    zs -= r[:, None]
+                    r += np.log(np.exp(zs, out=zs).sum(axis=1))
+                reduced.append(r)
+            out[:, bit] = reduced[0] - reduced[1]
+            bit += 1
+        dim += d
+    return out.reshape(y.shape[:-1] + (-1,))
 
 
 def hard_split(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

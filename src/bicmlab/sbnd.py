@@ -22,8 +22,6 @@ from .modem import hard_split
 
 __all__ = [
     "Estimator",
-    "ZeroEstimator",
-    "OracleEstimator",
     "statistic_batch",
     "decode_batch",
     "make_training_batch",
@@ -35,29 +33,6 @@ class Estimator(Protocol):
     """Bit-flip estimator: batch of packed statistics -> batch of k logits."""
 
     def predict(self, stats: np.ndarray) -> np.ndarray: ...
-
-
-class ZeroEstimator:
-    """Always predicts 'no flips'; decoding degrades to the hard pseudo-inverse."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def predict(self, stats: np.ndarray) -> np.ndarray:
-        return np.zeros((stats.shape[0], self.k))
-
-
-class OracleEstimator:
-    """Replays known true flip patterns as +-1 logits (testing aid)."""
-
-    def __init__(self, flips: np.ndarray):
-        self.logits = 2.0 * np.atleast_2d(flips).astype(np.float64) - 1.0
-        self._row = 0
-
-    def predict(self, stats: np.ndarray) -> np.ndarray:
-        out = self.logits[self._row:self._row + stats.shape[0]]
-        self._row += stats.shape[0]
-        return out
 
 
 def statistic_batch(code: LinearCode, llr: np.ndarray) -> np.ndarray:

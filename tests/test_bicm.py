@@ -24,6 +24,21 @@ def q_func(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2))
 
 
+def closed_form_crossover(kind: str, s1d: float) -> list[float]:
+    """P(1|0) per bit position: half-plane tails for BPSK and QPSK, and for
+    16-QAM the sign-bit tails and the magnitude-bit strip |y| < 2/sqrt(10)."""
+    if kind == "bpsk":
+        return [q_func(1.0 / s1d)]
+    if kind == "qpsk":
+        return [q_func(1.0 / math.sqrt(2.0) / s1d)] * 2
+    a1, a3, b = 1 / math.sqrt(10), 3 / math.sqrt(10), 2 / math.sqrt(10)
+    # sign bit, sent 0: transmitted level +a1 or +a3 equally often
+    p_sign = 0.5 * (q_func(a1 / s1d) + q_func(a3 / s1d))
+    # magnitude bit, sent 0 (outer): flip when |y| falls inside +-b
+    p_mag = q_func((a3 - b) / s1d) - q_func((a3 + b) / s1d)
+    return [p_sign, p_mag, p_sign, p_mag]
+
+
 class TestInterleaver:
     def test_n1_identity(self):
         assert np.array_equal(draw_interleaver(1, np.random.default_rng(0)), [0])
@@ -135,6 +150,15 @@ class TestChannelEstimate:
                                NoiseConfig.from_esn0_db(0.0), 16_000, rng)
         q_hat, se = est.pooled_q(), est.pooled_q_stderr()
         assert abs(q_hat - q_func(math.sqrt(2))) <= 3 * se
+
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk", "qam16"])
+    @pytest.mark.parametrize("esn0", [-3.0, 0.0, 3.0, 6.0, 12.0])
+    def test_axis_oracle_matches_closed_forms(self, kind, esn0):
+        nc = NoiseConfig.from_esn0_db(esn0)
+        per, q_ref = predicted_crossover(build_constellation(kind), nc)
+        ref = closed_form_crossover(kind, math.sqrt(nc.sigma2 / 2.0))
+        np.testing.assert_allclose(per, ref, rtol=1e-12, atol=0)
+        assert q_ref == pytest.approx(np.mean(ref), rel=1e-12, abs=0)
 
     def test_psk8_matches_quadrature_oracle(self):
         rng = np.random.default_rng(11)

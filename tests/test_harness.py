@@ -94,6 +94,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("a = 1\nbroken-line\n")
 
+    @pytest.mark.parametrize("cls, text, match", [
+        (ExperimentConfig, "pad = ture", "'pad': bad bool value 'ture'"),
+        (TrainConfig, "pad = on", "'pad': bad bool value 'on'"),
+        (ExperimentConfig, "osd_order = two", "'osd_order': bad int"),
+        (ExperimentConfig, "max_frames = lots", "'max_frames': bad int"),
+        (ExperimentConfig, "ebn0_db = 1, x", "'ebn0_db': bad tuple"),
+        (TrainConfig, "lr = fast", "'lr': bad float"),
+        (ExperimentConfig, "seed = 1\nseed = 2", "line 2: duplicate key 'seed'"),
+    ], ids=["pad-ture", "train-pad-on", "osd_order", "max_frames", "ebn0_db",
+            "lr", "duplicate"])
+    def test_bad_value_names_its_key(self, cls, text, match):
+        with pytest.raises(ValueError, match=match):
+            config_kwargs(cls, parse_config_text(text))
+
 
 class TestRunPoint:
     def test_hard_pinv_high_snr_no_errors(self):

@@ -6,6 +6,7 @@ import pytest
 
 from bicmlab.modem import (
     LLR_CLAMP,
+    Constellation,
     NoiseConfig,
     awgn,
     build_constellation,
@@ -16,6 +17,52 @@ from bicmlab.modem import (
 )
 
 ALL_KINDS = ("bpsk", "qpsk", "psk8", "qam16")
+
+# the point and label tables each constellation had when it was written out
+# point by point; the factor products must reproduce them bit for bit
+POINTWISE_TABLES = {
+    "bpsk": (
+        [(1+0j), (-1+0j)],
+        [[0], [1]]),
+    "qpsk": (
+        [(0.7071067811865475+0.7071067811865475j),
+         (0.7071067811865475-0.7071067811865475j),
+         (-0.7071067811865475+0.7071067811865475j),
+         (-0.7071067811865475-0.7071067811865475j)],
+        [[0, 0], [0, 1], [1, 0], [1, 1]]),
+    "psk8": (
+        [(0.9238795325112867+0.3826834323650898j),
+         (0.38268343236508984+0.9238795325112867j),
+         (-0.3826834323650897+0.9238795325112867j),
+         (-0.9238795325112867+0.3826834323650899j),
+         (-0.9238795325112868-0.38268343236508967j),
+         (-0.38268343236509034-0.9238795325112865j),
+         (0.38268343236509-0.9238795325112866j),
+         (0.9238795325112865-0.3826834323650904j)],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0],
+         [1, 1, 0], [1, 1, 1], [1, 0, 1], [1, 0, 0]]),
+    "qam16": (
+        [(0.9486832980505138+0.9486832980505138j),
+         (0.9486832980505138+0.31622776601683794j),
+         (0.9486832980505138-0.31622776601683794j),
+         (0.9486832980505138-0.9486832980505138j),
+         (0.31622776601683794+0.9486832980505138j),
+         (0.31622776601683794+0.31622776601683794j),
+         (0.31622776601683794-0.31622776601683794j),
+         (0.31622776601683794-0.9486832980505138j),
+         (-0.31622776601683794+0.9486832980505138j),
+         (-0.31622776601683794+0.31622776601683794j),
+         (-0.31622776601683794-0.31622776601683794j),
+         (-0.31622776601683794-0.9486832980505138j),
+         (-0.9486832980505138+0.9486832980505138j),
+         (-0.9486832980505138+0.31622776601683794j),
+         (-0.9486832980505138-0.31622776601683794j),
+         (-0.9486832980505138-0.9486832980505138j)],
+        [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0], [0, 1, 0, 0],
+         [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0], [1, 1, 0, 1],
+         [1, 1, 1, 1], [1, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 1],
+         [1, 0, 1, 0]]),
+}
 
 
 def llr_oracle(const, y, sigma2):
@@ -87,6 +134,31 @@ class TestConstellations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_constellation("qam64")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_factor_product_matches_pointwise_tables(self, kind):
+        c = build_constellation(kind)
+        points, labels = POINTWISE_TABLES[kind]
+        assert c.points.dtype == np.complex128 and c.labels.dtype == np.uint8
+        assert np.array_equal(c.points, np.array(points))
+        assert np.array_equal(c.labels, np.array(labels))
+
+    def test_factors_span_at_most_two_dimensions(self):
+        axis = ([[1.0], [-1.0]], [[0], [1]])
+        with pytest.raises(ValueError, match="3 real dimensions"):
+            Constellation("cube", (axis, axis, axis))
+        ring = (np.eye(2), [[0], [1]])
+        with pytest.raises(ValueError, match="3 real dimensions"):
+            Constellation("ring-axis", (ring, axis))
+
+    @pytest.mark.parametrize("coords, labels", [
+        ([[1.0], [-1.0]], [[0], [1], [1]]),   # three label rows, two points
+        ([[1.0], [-1.0]], [0, 1]),            # labels not (L, b)
+        ([1.0, -1.0], [[0], [1]]),            # coords not (L, d)
+    ])
+    def test_factor_labels_must_match_coords(self, coords, labels):
+        with pytest.raises(ValueError, match="a factor needs"):
+            Constellation("bad", ((coords, labels),))
 
 
 class TestNoiseConfig:
@@ -235,6 +307,18 @@ class TestLlrs:
             agree = (np.sign(bit_llrs(c, y, nc, "exact"))
                      == np.sign(bit_llrs(c, y, nc, "maxlog")))
             assert np.mean(agree) >= 0.99
+
+    @pytest.mark.parametrize("kind, bits", [("qam16", [0, 1]),
+                                            ("qpsk", [0])])
+    @pytest.mark.parametrize("metric", ["exact", "maxlog"])
+    def test_in_phase_bits_ignore_quadrature(self, kind, bits, metric):
+        c = build_constellation(kind)
+        nc = NoiseConfig.from_esn0_db(3.0)
+        rng = np.random.default_rng(10)
+        y = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+        moved = y.real + 1j * rng.normal(scale=3.0, size=2000)
+        assert np.array_equal(bit_llrs(c, y, nc, metric)[:, bits],
+                              bit_llrs(c, moved, nc, metric)[:, bits])
 
     def test_unknown_kind(self):
         c = build_constellation("qpsk")
