@@ -9,7 +9,6 @@ in chunk order, so the totals are identical for any worker count.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -27,7 +26,7 @@ from .bicm import (
     transmit_batch,
 )
 from .gf2code import LinearCode, get_code
-from .modem import NoiseConfig, build_constellation
+from .modem import Constellation, NoiseConfig, build_constellation
 from .neural import (
     Adam,
     RnnConfig,
@@ -254,15 +253,15 @@ class OsdDecoder:
 class NeuralEstimator:
     """Checkpointed network behind the estimator interface.
 
-    Applies the fixed reliability scale recorded at training time; a lock
-    serializes forward passes because layer caches are per-instance state.
+    Applies the fixed reliability scale recorded at training time.  The
+    network's inference pass keeps no state, so pool threads predict
+    concurrently on one instance.
     """
 
     def __init__(self, net, n: int, input_scale: float = 1.0):
         self.net = net
         self.n = n
         self.input_scale = input_scale
-        self._lock = threading.Lock()
 
     @classmethod
     def from_checkpoint(cls, path, code: LinearCode) -> "NeuralEstimator":
@@ -278,8 +277,7 @@ class NeuralEstimator:
     def predict(self, stats: np.ndarray) -> np.ndarray:
         x = np.array(stats, dtype=np.float64)
         x[:, :self.n] *= self.input_scale
-        with self._lock:
-            return np.asarray(self.net.predict(x), dtype=np.float64)
+        return np.asarray(self.net.predict(x), dtype=np.float64)
 
 
 class SbndDecoder:
@@ -315,6 +313,15 @@ def make_decoder(cfg: ExperimentConfig, code: LinearCode):
 # Monte-Carlo driver
 # ---------------------------------------------------------------------------
 
+def _check_fit(code: LinearCode, const: Constellation, pad: bool) -> None:
+    """Refuse an unpadded constellation whose m does not divide n before
+    any frame is sent (the config alone does not know n)."""
+    if code.n % const.m and not pad:
+        raise ValueError(f"constellation {const.name} has m = {const.m} bits "
+                         f"per symbol, which does not divide n = {code.n} of "
+                         f"{code.name}, and pad = false; set pad = true")
+
+
 def _chunk_rng(seed: int, point_index: int, chunk_index: int
                ) -> np.random.Generator:
     return np.random.default_rng(
@@ -336,6 +343,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         point_index = cfg.ebn0_db.index(ebn0_db)
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
+    _check_fit(code, const, cfg.pad)
     noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
     decoder = make_decoder(cfg, code)
     pinned = (
@@ -503,6 +511,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     """
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
+    _check_fit(code, const, cfg.pad)
     noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 

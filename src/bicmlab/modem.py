@@ -38,7 +38,7 @@ __all__ = [
 LLR_CLAMP = 50.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """The Cartesian product of factors, each a pair (coords, labels).
 
@@ -48,7 +48,9 @@ class Constellation:
     takes one point of each factor, the first factor varying slowest; its
     coordinates and its label are the factors' in order.  `points` (M,)
     complex128 and `labels` (M, m) uint8 are read-only fields derived from
-    the product; they must be unit average energy and a bijection.
+    the product; they must be unit average energy and a bijection.  Two
+    constellations are equal, and hash alike, when their names and the
+    bytes of their tables are.
     """
 
     name: str
@@ -82,6 +84,17 @@ class Constellation:
             raise ValueError(f"{self.name}: average energy != 1")
         if np.unique(self.label_ints()).size != pts.size:
             raise ValueError(f"{self.name}: labels are not a bijection")
+
+    def _key(self) -> tuple[str, bytes, bytes]:
+        return self.name, self.points.tobytes(), self.labels.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Constellation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def M(self) -> int:

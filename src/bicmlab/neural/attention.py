@@ -11,11 +11,6 @@ from .layers import Dense, LayerNorm, Param
 __all__ = ["MultiHeadSelfAttention", "EncoderLayer"]
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class MultiHeadSelfAttention:
     """Standard scaled dot-product attention on (B, tokens, dim) inputs."""
 
@@ -30,7 +25,6 @@ class MultiHeadSelfAttention:
         self.k = Dense(f"{name}.k", dim, dim, rng, dtype)
         self.v = Dense(f"{name}.v", dim, dim, rng, dtype)
         self.o = Dense(f"{name}.o", dim, dim, rng, dtype, init_scale=out_scale)
-        self._cache = None
 
     def params(self) -> list[Param]:
         return self.q.params() + self.k.params() + self.v.params() + self.o.params()
@@ -43,28 +37,36 @@ class MultiHeadSelfAttention:
         b, h, t, dk = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        q = self._split(self.q.forward(x))
-        k = self._split(self.k.forward(x))
-        v = self._split(self.v.forward(x))
-        scores = q @ k.swapaxes(-1, -2) / math.sqrt(self.dk)
-        attn = _softmax(scores)
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        q = self._split(self.q.forward(x, tape))
+        k = self._split(self.k.forward(x, tape))
+        v = self._split(self.v.forward(x, tape))
+        # scores hold keys on axis -2, so the softmax over keys reduces
+        # across rows, which numpy does far faster than along a short last
+        # axis; it runs in place, and attn is its (query, key) view
+        scores = k @ q.swapaxes(-1, -2)
+        scores /= math.sqrt(self.dk)
+        scores -= scores.max(axis=-2, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-2, keepdims=True)
+        attn = scores.swapaxes(-1, -2)
         ctx = self._join(attn @ v)
-        self._cache = (q, k, v, attn)
-        return self.o.forward(ctx)
+        if tape is not None:
+            tape[self] = (q, k, v, attn)
+        return self.o.forward(ctx, tape)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        q, k, v, attn = self._cache
-        dctx = self._split(self.o.backward(dy))
+    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+        q, k, v, attn = tape[self]
+        dctx = self._split(self.o.backward(dy, tape))
         dattn = dctx @ v.swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dscores /= math.sqrt(self.dk)
         dq = dscores @ k
         dk_ = dscores.swapaxes(-1, -2) @ q
-        dx = self.q.backward(self._join(dq))
-        dx = dx + self.k.backward(self._join(dk_))
-        dx = dx + self.v.backward(self._join(dv))
+        dx = self.q.backward(self._join(dq), tape)
+        dx = dx + self.k.backward(self._join(dk_), tape)
+        dx = dx + self.v.backward(self._join(dv), tape)
         return dx
 
 
@@ -85,19 +87,22 @@ class EncoderLayer:
         self.ff1 = Dense(f"{name}.ff1", dim, 4 * dim, rng, dtype)
         self.ff2 = Dense(f"{name}.ff2", 4 * dim, dim, rng, dtype,
                          init_scale=out_scale)
-        self._relu_mask = None
 
     def params(self) -> list[Param]:
         return (self.ln1.params() + self.mha.params() + self.ln2.params()
                 + self.ff1.params() + self.ff2.params())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.mha.forward(self.ln1.forward(x))
-        pre = self.ff1.forward(self.ln2.forward(x))
-        self._relu_mask = pre > 0
-        return x + self.ff2.forward(pre * self._relu_mask)
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        x = x + self.mha.forward(self.ln1.forward(x, tape), tape)
+        act = self.ff1.forward(self.ln2.forward(x, tape), tape)
+        np.maximum(act, 0, out=act)
+        if tape is not None:
+            tape[self] = act
+        y = self.ff2.forward(act, tape)
+        y += x
+        return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        dpre = self.ff2.backward(dy) * self._relu_mask
-        dx = dy + self.ln2.backward(self.ff1.backward(dpre))
-        return dx + self.ln1.backward(self.mha.backward(dx))
+    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+        dpre = self.ff2.backward(dy, tape) * (tape[self] > 0)
+        dx = dy + self.ln2.backward(self.ff1.backward(dpre, tape), tape)
+        return dx + self.ln1.backward(self.mha.backward(dx, tape), tape)

@@ -1,9 +1,13 @@
 """Differentiable layers with explicit forward/backward passes.
 
-Each layer caches what its backward pass needs, accumulates parameter
-gradients into Param.grad, and returns the gradient with respect to its
-input.  Everything is plain numpy; dtype is chosen at construction (float32
-for training, float64 for finite-difference gradient checks).
+A layer keeps no state between calls.  ``forward(x, tape)`` records what
+the backward pass needs in ``tape``, a dict the caller owns, under the
+layer itself as key; ``backward(dy, tape)`` reads it back, accumulates
+parameter gradients into Param.grad, and returns the gradient with respect
+to the input.  Without a tape, forward records nothing, so inference holds
+no activation past its use and one network serves concurrent callers.
+Everything is plain numpy; dtype is chosen at construction (float32 for
+training, float64 for finite-difference gradient checks).
 """
 
 from __future__ import annotations
@@ -47,17 +51,20 @@ class Dense:
         self.w = Param(f"{name}.w",
                        _uniform(rng, (n_in, n_out), n_in, dtype, init_scale))
         self.b = Param(f"{name}.b", np.zeros(n_out, dtype=dtype))
-        self._x = None
 
     def params(self) -> list[Param]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.w.value + self.b.value
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        if tape is not None:
+            tape[self] = x
+        y = x @ self.w.value
+        y += self.b.value
+        return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x2 = self._x.reshape(-1, self._x.shape[-1])
+    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+        x = tape[self]
+        x2 = x.reshape(-1, x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         self.w.grad += x2.T @ dy2
         self.b.grad += dy2.sum(axis=0)
@@ -71,21 +78,25 @@ class LayerNorm:
         self.gamma = Param(f"{name}.gamma", np.ones(dim, dtype=dtype))
         self.beta = Param(f"{name}.beta", np.zeros(dim, dtype=dtype))
         self.eps = eps
-        self._cache = None
 
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
-        self._cache = (xhat, inv)
-        return xhat * self.gamma.value + self.beta.value
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        # means over the short last axis as products with a (d, 1) column
+        # of 1/d: BLAS beats numpy's reduction there several times over
+        mean = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype)
+        xhat = x - x @ mean
+        inv = 1.0 / np.sqrt(np.square(xhat) @ mean + self.eps)
+        xhat *= inv
+        if tape is not None:
+            tape[self] = (xhat, inv)
+        y = xhat * self.gamma.value
+        y += self.beta.value
+        return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv = self._cache
+    def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+        xhat, inv = tape[self]
         d = xhat.shape[-1]
         flat = (-1, d)
         self.gamma.grad += (dy * xhat).reshape(flat).sum(axis=0)
@@ -116,17 +127,17 @@ class GRULayer:
         self.wh = Param(f"{name}.wh",
                         _uniform(rng, (n_out, 3 * n_out), n_out, dtype))
         self.b = Param(f"{name}.b", np.zeros(3 * n_out, dtype=dtype))
-        self._steps = None
 
     def params(self) -> list[Param]:
         return [self.wx, self.wh, self.b]
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
+    def forward(self, xs: np.ndarray, tape: dict | None = None) -> np.ndarray:
         t_steps, batch, _ = xs.shape
         hh = self.n_out
         h = np.zeros((batch, hh), dtype=xs.dtype)
         outs = np.empty((t_steps, batch, hh), dtype=xs.dtype)
-        self._steps = []
+        if tape is not None:
+            tape[self] = steps = []
         wh = self.wh.value
         for t in range(t_steps):
             x = xs[t]
@@ -136,19 +147,20 @@ class GRULayer:
             rh = r * h
             c = np.tanh(ax[:, 2 * hh:] + rh @ wh[:, 2 * hh:])
             h_new = z * h + (1.0 - z) * c
-            self._steps.append((x, h, z, r, rh, c))
+            if tape is not None:
+                steps.append((x, h, z, r, rh, c))
             outs[t] = h_new
             h = h_new
         return outs
 
-    def backward(self, douts: np.ndarray) -> np.ndarray:
+    def backward(self, douts: np.ndarray, tape: dict) -> np.ndarray:
         hh = self.n_out
         wh = self.wh.value
-        dxs = np.empty((len(self._steps),) + self._steps[0][0].shape,
-                       dtype=douts.dtype)
+        steps = tape[self]
+        dxs = np.empty((len(steps),) + steps[0][0].shape, dtype=douts.dtype)
         dh = np.zeros_like(douts[0])
-        for t in range(len(self._steps) - 1, -1, -1):
-            x, h_prev, z, r, rh, c = self._steps[t]
+        for t in range(len(steps) - 1, -1, -1):
+            x, h_prev, z, r, rh, c = steps[t]
             dh_tot = douts[t] + dh
             dz = dh_tot * (h_prev - c)
             dc = dh_tot * (1.0 - z)

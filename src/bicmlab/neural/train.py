@@ -80,13 +80,14 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam) -> float:
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     opt.zero_grad()
-    logits = net.forward(x)
+    tape: dict = {}
+    logits = net.forward(x, tape)
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged("non-finite activation in forward pass")
     loss, dz = bce_with_logits(logits, targets)
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
-    net.backward(dz)
+    net.backward(dz, tape)
     for p in opt.params:
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite gradient in {p.name}")
@@ -111,9 +112,10 @@ def gradient_check(net, x: np.ndarray, targets: np.ndarray,
 
     for p in params:
         p.grad[...] = 0
-    logits = net.forward(x)
+    tape: dict = {}
+    logits = net.forward(x, tape)
     loss, dz = bce_with_logits(logits, targets)
-    net.backward(dz)
+    net.backward(dz, tape)
 
     worst = 0.0
     for p in params:

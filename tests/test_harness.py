@@ -174,6 +174,22 @@ class TestRunPoint:
         assert run_point(cfg, 2.0).frames == chunks * harness.CHUNK_FRAMES
         assert transmits == [harness.CHUNK_FRAMES] * chunks
 
+    def test_unpadded_misfit_refused_before_any_chunk(self, monkeypatch):
+        transmits = []
+        monkeypatch.setattr(harness, "transmit_batch",
+                            lambda *a, **k: transmits.append(a))
+        cfg = ExperimentConfig(code="polar_16_8", constellation="psk8",
+                               ebn0_db=(2.0,), workers=2,
+                               stop=quick_stop(2048))
+        with pytest.raises(ValueError, match=r"psk8 has m = 3 .* n = 16 "
+                                             r".*pad = false"):
+            run_point(cfg, 2.0)
+        train = TrainConfig(code="polar_16_8", constellation="psk8",
+                            steps=1, batch_size=8)
+        with pytest.raises(ValueError, match="pad = false"):
+            train_estimator(train)
+        assert transmits == []
+
     def test_pinned_interleaver_mode(self):
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                decoder="hard-pinv", ebn0_db=(4.0,),
@@ -339,6 +355,16 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err == "bicmlab: error: unknown config key 'osd_ordr'\n"
+
+    def test_unpadded_misfit_is_a_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "psk8.cfg"
+        cfgfile.write_text("code = polar_16_8\nconstellation = psk8\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bicmlab: error: constellation psk8 has m = 3")
+        assert err.count("\n") == 1
 
     def test_train_cli_writes_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "t.ckpt"

@@ -1,9 +1,16 @@
-"""Weight-count fidelity, gradient correctness, training behaviour,
-checkpoints, and the attention cost model."""
+"""Weight-count fidelity, gradient correctness, the inference pass,
+training behaviour, checkpoints, and the attention cost model."""
+
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from bicmlab.harness import NeuralEstimator
+from bicmlab.neural import models
 from bicmlab.neural import (
     Adam,
     CheckpointError,
@@ -158,6 +165,101 @@ class TestForward:
                            atol=1e-12)
 
 
+def desk_net(arch, n, k, dtype=np.float32, seed=20):
+    """The desk-rnn or desk-transformer network of an (n, k) code."""
+    rng = np.random.default_rng(seed)
+    if arch == "rnn":
+        return build_rnn_estimator(
+            RnnConfig.for_code(n, k, alpha=2, time_steps=3, depth=2), rng,
+            dtype=dtype)
+    return build_transformer_estimator(
+        TransformerConfig.for_code(n, k, embed_dim=32, heads=4, encoders=2),
+        rng, dtype=dtype)
+
+
+def stray_arrays(obj, path="net"):
+    """Paths of the ndarrays reachable from a network's attributes, lists
+    and tuples without passing through a Param."""
+    if isinstance(obj, np.ndarray):
+        return [path]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj)
+                for p in stray_arrays(v, f"{path}[{i}]")]
+    if hasattr(obj, "params"):
+        return [p for name, v in vars(obj).items()
+                for p in stray_arrays(v, f"{path}.{name}")]
+    return []
+
+
+class TestInference:
+    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    def test_predict_leaves_no_arrays_on_the_network(self, arch):
+        net = desk_net(arch, 16, 8)
+        net.predict(np.random.default_rng(0).normal(size=(64, net.cfg.r)))
+        assert stray_arrays(net) == []
+
+    def test_concurrent_predicts_overlap_and_match_serial(self):
+        est = NeuralEstimator(desk_net("transformer", 16, 8), n=16,
+                              input_scale=0.5)
+        rng = np.random.default_rng(1)
+        inputs = [rng.normal(size=(64 + 8 * i, est.net.cfg.r))
+                  for i in range(4)]
+        serial = [est.predict(x) for x in inputs]
+        # every thread must be inside the network at once: a lock around
+        # the network's predict would break the barrier
+        together = threading.Barrier(len(inputs), timeout=10)
+        net_predict = est.net.predict
+
+        def met(stats):
+            together.wait()
+            return net_predict(stats)
+
+        est.net.predict = met
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(inputs)) as ex:
+                futures = [ex.submit(est.predict, x) for x in inputs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    def test_sliced_predict_matches_forward(self, arch):
+        x = np.random.default_rng(2).normal(size=(300, 48))
+        if arch == "transformer":
+            for itemsize in (4, 8):
+                # 300 rows span more than one slice of the predict
+                assert (models._SLICE_SCORE_BYTES
+                        // (4 * 48 * 48 * itemsize)) < 300
+        net64 = desk_net(arch, 32, 16, dtype=np.float64)
+        np.testing.assert_allclose(net64.predict(x), net64.forward(x),
+                                   rtol=0, atol=1e-12)
+        net32 = desk_net(arch, 32, 16, dtype=np.float32)
+        got, want = net32.predict(x), net32.forward(x)
+        assert got.shape == (300, 16)
+        assert np.array_equal(np.sign(got), np.sign(want))
+
+    def test_predict_memory_is_bounded_in_the_batch(self):
+        net = desk_net("transformer", 64, 32)
+        rng = np.random.default_rng(3)
+        inputs = [rng.normal(size=(frames, net.cfg.r))
+                  for frames in (256, 2048)]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for x in inputs:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                net.predict(x)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+
 class TestGradients:
     def test_dense_only(self):
         rng = np.random.default_rng(4)
@@ -201,8 +303,9 @@ def _head_only_check(net, x, t, rng, step=1e-6):
     """Central differences restricted to the output dense layer."""
     for p in net.params():
         p.grad[...] = 0
-    loss, dz = bce_with_logits(net.forward(x), t)
-    net.backward(dz)
+    tape = {}
+    loss, dz = bce_with_logits(net.forward(x, tape), t)
+    net.backward(dz, tape)
     worst = 0.0
     for p in (net.head.w, net.head.b):
         flat_v, flat_g = p.value.reshape(-1), p.grad.reshape(-1)
