@@ -82,6 +82,15 @@ class FrameBatch:
         return self.u.shape[0]
 
 
+def check_fit(code: LinearCode, const: Constellation, pad: bool) -> None:
+    """Refuse an unpadded constellation whose m does not divide n."""
+    if code.n % const.m and not pad:
+        raise ValueError(f"constellation {const.name} has m = {const.m} bits "
+                         f"per symbol, which does not divide n = {code.n} of "
+                         f"{code.name}, and pad = false; set pad = true for "
+                         f"zero padding")
+
+
 def transmit_batch(
     code: LinearCode,
     const: Constellation,
@@ -100,11 +109,8 @@ def transmit_batch(
     not divide n, pad=True appends known zero bits after the interleaver and
     strips their LLRs at the receiver; otherwise this is an error.
     """
+    check_fit(code, const, pad)
     n, k, m = code.n, code.k, const.m
-    if n % m != 0 and not pad:
-        raise ValueError(
-            f"m = {m} does not divide n = {n}; enable zero padding"
-        )
     n_pad = _padded_length(n, m)
 
     u = rng.integers(0, 2, size=(n_frames, k), dtype=np.uint8)

@@ -19,6 +19,7 @@ from . import refdec
 from .bicm import (
     FrameBatch,
     bsc_symmetry_ztest,
+    check_fit,
     draw_interleaver,
     estimate_channel,
     measure_flip_correlation,
@@ -313,15 +314,6 @@ def make_decoder(cfg: ExperimentConfig, code: LinearCode):
 # Monte-Carlo driver
 # ---------------------------------------------------------------------------
 
-def _check_fit(code: LinearCode, const: Constellation, pad: bool) -> None:
-    """Refuse an unpadded constellation whose m does not divide n before
-    any frame is sent (the config alone does not know n)."""
-    if code.n % const.m and not pad:
-        raise ValueError(f"constellation {const.name} has m = {const.m} bits "
-                         f"per symbol, which does not divide n = {code.n} of "
-                         f"{code.name}, and pad = false; set pad = true")
-
-
 def _chunk_rng(seed: int, point_index: int, chunk_index: int
                ) -> np.random.Generator:
     return np.random.default_rng(
@@ -343,7 +335,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         point_index = cfg.ebn0_db.index(ebn0_db)
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
-    _check_fit(code, const, cfg.pad)
+    check_fit(code, const, cfg.pad)
     noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
     decoder = make_decoder(cfg, code)
     pinned = (
@@ -511,7 +503,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     """
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
-    _check_fit(code, const, cfg.pad)
+    check_fit(code, const, cfg.pad)
     noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 

@@ -33,7 +33,8 @@ __all__ = [
 # its memory is bounded in the batch.  The softmax passes over the scores
 # then stay in a core's cache: on a 2-vCPU Xeon with one BLAS thread, a
 # 2048-frame desk predict ran 1.4x (r = 48) to 1.8x (r = 96) faster than
-# with fixed 256-frame slices.
+# with fixed 256-frame slices, and the sbnd-transformer benchmark (r = 48)
+# ran 1.4x the frames per second.
 _SLICE_SCORE_BYTES = 1 << 20
 
 

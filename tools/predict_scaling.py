@@ -43,6 +43,7 @@ PRESETS = ("desk-rnn", "desk-transformer")
 CODES = ("polar_16_8", "polar_32_16", "polar_64_32", "polar_128_64")
 FRAMES = 2048
 REPEATS = 3
+SEED = 0
 
 
 def build(preset: str, code_name: str, seed: int):
@@ -78,19 +79,18 @@ def main(argv=None) -> int:
     ap.add_argument("--presets", nargs="+", default=list(PRESETS),
                     choices=PRESETS)
     ap.add_argument("--codes", nargs="+", default=list(CODES), choices=CODES)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
     print(f"{FRAMES}-frame predict, OPENBLAS_NUM_THREADS="
-          f"{os.environ['OPENBLAS_NUM_THREADS']}, seed {args.seed}")
+          f"{os.environ['OPENBLAS_NUM_THREADS']}, seed {SEED}")
     print(f"{'preset':18s} {'code':14s} {'r':>4s} {'ms/frame':>9s} "
           f"{'ms/predict':>11s} {'peak MB':>8s}")
     for preset in args.presets:
         rs, times = [], []
         for code_name in args.codes:
-            net = build(preset, code_name, args.seed)
+            net = build(preset, code_name, SEED)
             r = net.cfg.r
-            stats = np.random.default_rng(args.seed + 1).normal(
+            stats = np.random.default_rng(SEED + 1).normal(
                 size=(FRAMES, r))
             secs, peak = measure(net, stats)
             rs.append(r)
