@@ -7,7 +7,7 @@ Submodules:
     bicm     -- interleaved transmit chain and binary-channel verification
     sbnd     -- sufficient statistics and the pluggable flip-estimator decoder
     neural   -- numpy GRU / transformer estimators with exact weight counts
-    refdec   -- brute-force MAP, ordered statistics decoding, ML bound
+    refdec   -- exhaustive MAP, ordered statistics decoding, ML bound
     harness  -- seeded parallel BER/FER runner, training loop, CLI back end
 """
 

@@ -72,6 +72,13 @@ def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
                          f"{', '.join(choices)}")
 
 
+def _check_at_least(cfg, low: int, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Stop a grid point after enough errors, or at the frame cap."""
@@ -123,8 +130,8 @@ class ExperimentConfig:
         _check_choice("interleaver", self.interleaver, ("fresh", "pinned"))
         if self.decoder == "sbnd" and not self.checkpoint:
             raise ValueError("sbnd decoder needs a checkpoint path")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check_at_least(self, 0, "seed", "interleaver_seed")
+        _check_at_least(self, 1, "workers")
 
     def decoder_id(self) -> str:
         if self.decoder == "osd":
@@ -228,27 +235,20 @@ class MapDecoder:
         code.codebook()  # prime the cache before workers share it
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
-        cws = self.code.codebook()
-        metrics = fb.llr @ (1.0 - 2.0 * cws.astype(np.float64)).T  # (B, 2^k)
-        u_hat = self.code.messages()[np.argmax(metrics, axis=1)]
-        best = metrics.max(axis=1)
-        # exact ties (possible only for degenerate LLRs) resolve to the
-        # lexicographically smallest codeword, as in refdec
-        for i in np.nonzero(np.sum(metrics == best[:, None], axis=1) > 1)[0]:
-            cw, _ = refdec._lex_best(cws, metrics[i])
-            u_hat[i] = self.code.p_inv_apply(cw)
-        return _count(u_hat, fb.u)
+        cw, _ = refdec.map_decode(self.code, fb.llr)
+        return _count(self.code.p_inv_apply(cw), fb.u)
 
 
 class OsdDecoder:
     def __init__(self, code: LinearCode, order: int):
         self.code = code
         self.order = order
+        # refuses a bad order, and primes the table before workers share it
+        refdec._test_patterns(code.k, order)
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
-        out = refdec.osd_decode(self.code, fb.llr, self.order)
-        return refdec.ml_bound_update(ErrorCounter(), self.code, fb.c, out,
-                                      fb.llr)
+        cw, metric = refdec.osd_decode(self.code, fb.llr, self.order)
+        return refdec.ml_bound_update(self.code, fb.c, cw, metric, fb.llr)
 
 
 class NeuralEstimator:
@@ -457,6 +457,8 @@ class TrainConfig:
         _check_choice("arch", self.arch, ("rnn", "transformer"))
         build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
+        _check_at_least(self, 0, "steps", "seed")
+        _check_at_least(self, 1, "batch_size", "log_every")
 
     def model_config(self, code: LinearCode):
         if self.arch == "rnn":
@@ -467,6 +469,12 @@ class TrainConfig:
                                           embed_dim=self.embed_dim,
                                           heads=self.heads,
                                           encoders=self.encoders)
+
+    def build_network(self, code: LinearCode, rng: np.random.Generator):
+        """An untrained estimator for code, its weights drawn from rng."""
+        build = (build_rnn_estimator if self.arch == "rnn"
+                 else build_transformer_estimator)
+        return build(self.model_config(code), rng)
 
 
 TRAIN_PRESETS: dict[str, dict] = {
@@ -513,11 +521,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
         input_scale = header["input_scale"]
         start_step = header["step"]
     else:
-        model_cfg = cfg.model_config(code)
-        if cfg.arch == "rnn":
-            net = build_rnn_estimator(model_cfg, rng)
-        else:
-            net = build_transformer_estimator(model_cfg, rng)
+        net = cfg.build_network(code, rng)
         calib = transmit_batch(code, const, noise, rng, 4096,
                                demap_kind=cfg.demap, pad=cfg.pad)
         input_scale = 1.0 / float(np.mean(np.abs(calib.llr)))

@@ -81,6 +81,8 @@ class TransformerConfig:
             raise ValueError("r and k must be positive")
         if self.encoders < 1:
             raise ValueError("encoders must be >= 1")
+        if self.heads < 1:
+            raise ValueError("heads must be >= 1")
         if self.embed_dim < 1 or self.embed_dim % self.heads != 0:
             raise ValueError("heads must divide embed_dim")
 

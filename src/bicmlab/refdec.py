@@ -1,20 +1,20 @@
-"""Reference decoders: exhaustive correlation-MAP, ordered statistics
-decoding over the most reliable basis, and maximum-likelihood bound
-bookkeeping.
+"""Reference decoders on (B, n) batches of frames: exhaustive correlation
+MAP, ordered statistics decoding over the most reliable basis, and the
+maximum-likelihood bound tally.
 
 All candidate comparisons use the correlation metric sum_i (1 - 2 c_i) l_i,
 which is the ML statistic for symmetric memoryless LLR channels; ties break
 toward the lexicographically smallest codeword so exhaustive cross-checks
-are exact.
+are exact.  Both decoders return (B, n) codewords and (B,) metrics.
 
-OSD and the ML-bound tally take a whole (B, n) batch of frames: the Gauss-
-Jordan eliminations of all frames run in lock-step on bit-packed rows, and
-the weight-1 and weight-2 flip patterns are scored from one Gram matrix per
-frame.  A single (n,) frame is a one-row batch.
+OSD runs the Gauss-Jordan eliminations of all frames in lock-step on
+bit-packed rows, and scores the weight-1 and weight-2 flip patterns from one
+Gram matrix per frame.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,22 +23,12 @@ import numpy as np
 from .gf2code import LinearCode
 
 __all__ = [
-    "CandidateScore",
     "correlation_metric",
-    "map_bruteforce",
+    "map_decode",
     "osd_decode",
     "ErrorCounter",
     "ml_bound_update",
 ]
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """A decision: an (n,) codeword and its float metric, or for a batch
-    (B, n) codewords and (B,) metrics."""
-
-    codeword: np.ndarray
-    metric: float | np.ndarray
 
 
 def correlation_metric(codewords: np.ndarray, llr: np.ndarray) -> np.ndarray:
@@ -52,6 +42,15 @@ def correlation_metric(codewords: np.ndarray, llr: np.ndarray) -> np.ndarray:
                   axis=-1)
 
 
+def _frames(code: LinearCode, llr: np.ndarray) -> np.ndarray:
+    """llr as float64, refused unless it is a (B, n) batch."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim != 2 or llr.shape[1] != code.n:
+        raise ValueError(f"llr shape {llr.shape} is not (B, n) with "
+                         f"n = {code.n}")
+    return llr
+
+
 def _lex_best(codewords: np.ndarray, metrics: np.ndarray) -> tuple[np.ndarray, float]:
     """Highest metric; on exact ties the lexicographically smallest codeword."""
     best = np.max(metrics)
@@ -63,46 +62,46 @@ def _lex_best(codewords: np.ndarray, metrics: np.ndarray) -> tuple[np.ndarray, f
     return codewords[idx[0]].copy(), float(best)
 
 
-def map_bruteforce(code: LinearCode, llr: np.ndarray) -> CandidateScore:
-    """Enumerate all 2^k codewords and return the correlation maximizer."""
+def map_decode(code: LinearCode, llr: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive MAP: score all 2^k codewords of every frame in one
+    (B, n) x (n, 2^k) product and return each frame's best codeword and
+    metric."""
     if code.k > 20:
         raise ValueError(f"k = {code.k} too large for exhaustive decoding")
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (code.n,):
-        raise ValueError(f"llr length {llr.shape} != n = {code.n}")
+    llr = _frames(code, llr)
     cws = code.codebook()
-    cw, metric = _lex_best(cws, correlation_metric(cws, llr))
-    return CandidateScore(codeword=cw, metric=metric)
+    metrics = llr @ (1.0 - 2.0 * cws.astype(np.float64)).T     # (B, 2^k)
+    best = np.argmax(metrics, axis=1)
+    cw = cws[best]
+    metric = metrics[np.arange(len(llr)), best]
+    # exact ties (possible only for degenerate LLRs)
+    for i in np.flatnonzero(np.sum(metrics == metric[:, None], axis=1) > 1):
+        cw[i], _ = _lex_best(cws, metrics[i])
+    return cw, metric
 
 
-def osd_decode(code: LinearCode, llr: np.ndarray, order: int) -> CandidateScore:
-    """Ordered statistics decoding of one (n,) frame or a (B, n) batch.
+def osd_decode(code: LinearCode, llr: np.ndarray, order: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered statistics decoding of a (B, n) batch.
 
     Sorts positions by decreasing reliability, Gauss-eliminates the generator
     onto the first k independent positions in that ranking (the most reliable
     basis), hard-decides the basis, and keeps the correlation maximizer among
-    the re-encodings of every flip pattern of weight <= order on it.  A batch
-    returns (B, n) codewords and (B,) metrics; a single frame is a one-row
-    batch and returns an (n,) codeword and a float.
+    the re-encodings of every flip pattern of weight <= order on it.  Returns
+    (B, n) codewords and (B,) metrics.
     """
-    if not 0 <= order <= code.k:
-        raise ValueError(f"order must be in [0, {code.k}]")
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim not in (1, 2) or llr.shape[-1] != code.n:
-        raise ValueError(f"llr shape {llr.shape} is not (n,) or (B, n), "
-                         f"n = {code.n}")
-    frames = llr.reshape(-1, code.n)
-    ranking = np.argsort(-np.abs(frames), axis=1, kind="stable")
+    llr = _frames(code, llr)
+    _test_patterns(code.k, order)       # refuses a bad order up front
+    ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
     rows, basis = _reduce_on_ranking(code.g, ranking)
-    cw = np.empty(frames.shape, dtype=np.uint8)
-    metric = np.empty(len(frames))
-    for s in range(0, len(frames), _SLICE_FRAMES):
+    cw = np.empty(llr.shape, dtype=np.uint8)
+    metric = np.empty(len(llr))
+    for s in range(0, len(llr), _SLICE_FRAMES):
         sl = slice(s, s + _SLICE_FRAMES)
-        cw[sl], metric[sl] = _osd_slice(code, frames[sl], ranking[sl],
+        cw[sl], metric[sl] = _osd_slice(code, llr[sl], ranking[sl],
                                         rows[sl], basis[sl], order)
-    if llr.ndim == 1:
-        return CandidateScore(codeword=cw[0], metric=float(metric[0]))
-    return CandidateScore(codeword=cw, metric=metric)
+    return cw, metric
 
 
 # frames scored together: bounds the unpacked per-frame matrices and the
@@ -126,7 +125,7 @@ def _osd_slice(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
     read that off d = R s and the Gram matrix R diag(s) R^T.  These float
     scores only shortlist: every pattern within a rounding tolerance of the
     best is re-encoded and scored with correlation_metric, and exact ties go
-    to _lex_best, as in map_bruteforce.
+    to _lex_best, as in map_decode.
     """
     k = code.k
     l_perm = np.take_along_axis(llr, ranking, axis=1)
@@ -227,25 +226,22 @@ def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray
     return rows, basis
 
 
-_PATTERNS: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _test_patterns(k: int, order: int) -> np.ndarray:
     """All binary k-vectors of weight <= order, weight-major; cached."""
-    key = (k, order)
-    if key not in _PATTERNS:
-        rows, cols = [], []
-        count = 1
-        for w in range(1, order + 1):
-            for combo in combinations(range(k), w):
-                rows.extend([count] * w)
-                cols.extend(combo)
-                count += 1
-        pats = np.zeros((count, k), dtype=np.uint8)
-        pats[rows, cols] = 1
-        pats.setflags(write=False)
-        _PATTERNS[key] = pats
-    return _PATTERNS[key]
+    if not 0 <= order <= k:
+        raise ValueError(f"OSD order {order} is not in [0, {k}]")
+    rows, cols = [], []
+    count = 1
+    for w in range(1, order + 1):
+        for combo in combinations(range(k), w):
+            rows.extend([count] * w)
+            cols.extend(combo)
+            count += 1
+    pats = np.zeros((count, k), dtype=np.uint8)
+    pats[rows, cols] = 1
+    pats.setflags(write=False)
+    return pats
 
 
 @dataclass
@@ -268,27 +264,21 @@ class ErrorCounter:
         return self
 
 
-def ml_bound_update(
-    counter: ErrorCounter,
-    code: LinearCode,
-    transmitted: np.ndarray,
-    osd_out: CandidateScore,
-    llr: np.ndarray,
-) -> ErrorCounter:
-    """Tally one frame or a (B, n) batch: OSD errors always; ML-bound errors
-    only where the OSD output both differs from the transmitted codeword and
-    strictly outscores it (an ML decoder would have failed too)."""
-    c = np.asarray(transmitted, dtype=np.uint8).reshape(-1, code.n)
-    cw = np.asarray(osd_out.codeword, dtype=np.uint8).reshape(-1, code.n)
-    metric = np.reshape(osd_out.metric, -1)
-    llr = np.asarray(llr, dtype=np.float64).reshape(-1, code.n)
+def ml_bound_update(code: LinearCode, c: np.ndarray, cw: np.ndarray,
+                    metric: np.ndarray, llr: np.ndarray) -> ErrorCounter:
+    """Tally of a (B, n) batch decoded to codewords cw with metrics metric,
+    against the transmitted codewords c: decoder errors always; ML-bound
+    errors only where cw both differs from c and strictly outscores it (an
+    ML decoder would have failed too)."""
+    llr = _frames(code, llr)
     wrong = np.any(cw != c, axis=1)
-    # A is linear: A c ^ A c_osd = A (c ^ c_osd)
+    # A is linear: A c ^ A cw = A (c ^ cw)
     nbit = np.count_nonzero(code.p_inv_apply(c[wrong] ^ cw[wrong]), axis=1)
     ml = metric[wrong] > correlation_metric(c[wrong], llr[wrong])
-    counter.frames += len(c)
-    counter.frame_errors += int(np.count_nonzero(wrong))
-    counter.bit_errors += int(nbit.sum())
-    counter.ml_frame_errors += int(np.count_nonzero(ml))
-    counter.ml_bit_errors += int(nbit[ml].sum())
-    return counter
+    return ErrorCounter(
+        frames=len(llr),
+        bit_errors=int(nbit.sum()),
+        frame_errors=int(np.count_nonzero(wrong)),
+        ml_bit_errors=int(nbit[ml].sum()),
+        ml_frame_errors=int(np.count_nonzero(ml)),
+    )

@@ -45,13 +45,7 @@ from bicmlab.neural import (
     count_params_transformer,
     gradient_check,
 )
-from bicmlab.refdec import (
-    CandidateScore,
-    ErrorCounter,
-    map_bruteforce,
-    ml_bound_update,
-    osd_decode,
-)
+from bicmlab.refdec import map_decode, ml_bound_update, osd_decode
 from bicmlab.sbnd import map_noise_equivalence
 
 MASTER_SEED = 20240
@@ -266,21 +260,17 @@ def test_criterion_6_reference_decoders():
     noise = NoiseConfig.from_ebn0_db(1.0, code.rate, const.m)
     fb = transmit_batch(code, const, noise, _rng(7), 10_000)
 
-    osd4 = osd_decode(code, fb.llr, order=4)
-    agree = all(np.array_equal(osd4.codeword[i],
-                               map_bruteforce(code, fb.llr[i]).codeword)
-                for i in range(10_000))
-    metrics = [osd_decode(code, fb.llr[:200], order=w).metric
+    cw, metric = osd_decode(code, fb.llr, order=4)
+    agree = np.array_equal(cw, map_decode(code, fb.llr)[0])
+    metrics = [osd_decode(code, fb.llr[:200], order=w)[1]
                for w in range(0, 5)]
     monotone = all(np.all(hi >= lo - 1e-12)
                    for lo, hi in zip(metrics, metrics[1:]))
     # frame for frame: no frame OSD decodes right counts as an ML error
-    ctr = ml_bound_update(ErrorCounter(), code, fb.c, osd4, fb.llr)
-    right = np.all(osd4.codeword == fb.c, axis=1)
-    on_right = ml_bound_update(
-        ErrorCounter(), code, fb.c[right],
-        CandidateScore(osd4.codeword[right], osd4.metric[right]),
-        fb.llr[right])
+    ctr = ml_bound_update(code, fb.c, cw, metric, fb.llr)
+    right = np.all(cw == fb.c, axis=1)
+    on_right = ml_bound_update(code, fb.c[right], cw[right], metric[right],
+                               fb.llr[right])
     ml_subset = (on_right.ml_frame_errors == 0
                  and ctr.ml_frame_errors <= ctr.frame_errors)
     ok = agree and monotone and ml_subset

@@ -20,8 +20,11 @@ from bicmlab.harness import (
     verify_channel,
     write_csv,
 )
+from bicmlab.gf2code import get_code
 from bicmlab.neural import (
     RnnConfig,
+    RnnEstimator,
+    TransformerEstimator,
     build_rnn_estimator,
     count_params_rnn,
     load_checkpoint,
@@ -108,6 +111,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             config_kwargs(cls, parse_config_text(text))
 
+    @pytest.mark.parametrize("cls, key, value", [
+        (TrainConfig, "steps", -1),
+        (TrainConfig, "batch_size", 0),
+        (TrainConfig, "log_every", 0),
+        (TrainConfig, "seed", -1),
+        (ExperimentConfig, "seed", -1),
+        (ExperimentConfig, "interleaver_seed", -1),
+        (ExperimentConfig, "workers", 0),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_out_of_range_value_names_its_key(self, cls, key, value):
+        kv = parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{key} must be >= "
+                                             f"{value + 1}, got {value}$"):
+            cls(**config_kwargs(cls, kv))
+
+    def test_zero_heads_refused(self):
+        cfg = TrainConfig(arch="transformer", heads=0)
+        with pytest.raises(ValueError, match="^heads must be >= 1$"):
+            cfg.model_config(get_code("polar_16_8"))
+
 
 class TestRunPoint:
     def test_hard_pinv_high_snr_no_errors(self):
@@ -190,6 +213,17 @@ class TestRunPoint:
             train_estimator(train)
         assert transmits == []
 
+    def test_osd_order_refused_before_any_chunk(self, monkeypatch):
+        transmits = []
+        monkeypatch.setattr(harness, "transmit_batch",
+                            lambda *a, **k: transmits.append(a))
+        cfg = ExperimentConfig(code="hamming_7_4", constellation="bpsk",
+                               decoder="osd", osd_order=9, ebn0_db=(2.0,),
+                               workers=2, stop=quick_stop(2048))
+        with pytest.raises(ValueError, match=r"order 9 is not in \[0, 4\]"):
+            run_point(cfg, 2.0)
+        assert transmits == []
+
     def test_pinned_interleaver_mode(self):
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                decoder="hard-pinv", ebn0_db=(4.0,),
@@ -256,9 +290,19 @@ class TestSweepCsv:
 class TestTraining:
     def test_table1_preset_parameter_count(self):
         cfg = train_config_from_preset("table1-rnn", code="polar_128_64")
-        from bicmlab.gf2code import get_code
         model_cfg = cfg.model_config(get_code("polar_128_64"))
         assert count_params_rnn(model_cfg) == 25_512_064
+
+    @pytest.mark.parametrize("preset, net_type", [
+        ("desk-rnn", RnnEstimator),
+        ("desk-transformer", TransformerEstimator),
+    ])
+    def test_build_network_follows_arch(self, preset, net_type):
+        cfg = train_config_from_preset(preset)
+        code = get_code(cfg.code)
+        net = cfg.build_network(code, np.random.default_rng(0))
+        assert type(net) is net_type
+        assert net.cfg == cfg.model_config(code)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
@@ -336,6 +380,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "2020033" in out
+
+    def test_zero_heads_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count-params", "--arch", "transformer", "--code",
+                      "polar_16_8", "--heads", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "bicmlab: error: heads must be >= 1\n")
+
+    def test_bad_train_value_writes_nothing(self, tmp_path, capsys):
+        cfgfile = tmp_path / "train.cfg"
+        cfgfile.write_text("code = polar_16_8\nlog_every = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(cfgfile), "--steps", "3",
+                      "--out", str(tmp_path / "t.ckpt")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "bicmlab: error: log_every must be >= 1, got 0\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
 
     def test_simulate_from_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

@@ -1,4 +1,4 @@
-"""Brute-force MAP, ordered statistics decoding, and ML-bound bookkeeping."""
+"""Exhaustive MAP, ordered statistics decoding, and ML-bound bookkeeping."""
 
 from itertools import combinations
 
@@ -9,10 +9,9 @@ from bicmlab.bicm import transmit_batch
 from bicmlab.gf2code import get_code, gf2_matmul, gf2_rank, gf2_rref, hamming_7_4
 from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.refdec import (
-    CandidateScore,
     ErrorCounter,
     correlation_metric,
-    map_bruteforce,
+    map_decode,
     ml_bound_update,
     osd_decode,
 )
@@ -29,32 +28,28 @@ class TestMapBruteforce:
     def test_noiseless_returns_transmitted(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 20, ebn0_db=25.0, seed=1)
-        for i in range(20):
-            out = map_bruteforce(code, fb.llr[i])
-            assert np.array_equal(out.codeword, fb.c[i])
+        cw, _ = map_decode(code, fb.llr)
+        assert np.array_equal(cw, fb.c)
 
     def test_hard_input_minimizes_hamming_distance(self):
         code = hamming_7_4()
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            hard = rng.integers(0, 2, size=7).astype(np.uint8)
-            llr = 1.0 - 2.0 * hard.astype(np.float64)
-            out = map_bruteforce(code, llr)
-            dists = np.count_nonzero(code.codebook() ^ hard, axis=1)
-            d_out = np.count_nonzero(out.codeword ^ hard)
-            assert d_out == dists.min()
+        hard = rng.integers(0, 2, size=(50, 7)).astype(np.uint8)
+        cw, _ = map_decode(code, 1.0 - 2.0 * hard.astype(np.float64))
+        dists = np.count_nonzero(code.codebook() ^ hard[:, None], axis=2)
+        assert np.array_equal(np.count_nonzero(cw ^ hard, axis=1),
+                              dists.min(axis=1))
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="too large"):
-            map_bruteforce(get_code("polar_64_32"), np.zeros(64))
+            map_decode(get_code("polar_64_32"), np.zeros((1, 64)))
 
     def test_metric_invariant_to_positive_scaling(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 100, seed=3)
-        for i in range(100):
-            a = map_bruteforce(code, fb.llr[i])
-            b = map_bruteforce(code, 7.3 * fb.llr[i])
-            assert np.array_equal(a.codeword, b.codeword)
+        a, _ = map_decode(code, fb.llr)
+        b, _ = map_decode(code, 7.3 * fb.llr)
+        assert np.array_equal(a, b)
 
 
 def osd_reference(code, llr, order):
@@ -88,54 +83,58 @@ class TestOsd:
     def test_order_zero_noiseless(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 20, ebn0_db=25.0, seed=4)
-        out = osd_decode(code, fb.llr, order=0)
-        assert np.array_equal(out.codeword, fb.c)
+        cw, _ = osd_decode(code, fb.llr, order=0)
+        assert np.array_equal(cw, fb.c)
 
     def test_metric_monotone_in_order(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 200, seed=5)
-        metrics = [osd_decode(code, fb.llr, order=w).metric for w in range(5)]
+        metrics = [osd_decode(code, fb.llr, order=w)[1] for w in range(5)]
         for lower, higher in zip(metrics, metrics[1:]):
             assert np.all(higher >= lower - 1e-12)
 
     def test_full_order_equals_bruteforce_hamming(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 10_000, seed=6)
-        out = osd_decode(code, fb.llr, order=4)
-        for i in range(10_000):
-            a = map_bruteforce(code, fb.llr[i])
-            assert np.array_equal(a.codeword, out.codeword[i])
+        cw, _ = osd_decode(code, fb.llr, order=4)
+        assert np.array_equal(cw, map_decode(code, fb.llr)[0])
 
     def test_full_order_equals_bruteforce_polar_16_8(self):
         code = get_code("polar_16_8")
         const = build_constellation("qam16")
         nc = NoiseConfig.from_ebn0_db(3.0, code.rate, const.m)
         fb = transmit_batch(code, const, nc, np.random.default_rng(7), 2_000)
-        out = osd_decode(code, fb.llr, order=8)
-        for i in range(2_000):
-            a = map_bruteforce(code, fb.llr[i])
-            assert np.array_equal(a.codeword, out.codeword[i])
+        cw, _ = osd_decode(code, fb.llr, order=8)
+        assert np.array_equal(cw, map_decode(code, fb.llr)[0])
 
     def test_scaling_invariance(self):
         code = get_code("polar_16_8")
         fb = noisy_frames(code, 50, seed=8, kind="qpsk")
-        a = osd_decode(code, fb.llr, order=2)
-        b = osd_decode(code, 0.01 * fb.llr, order=2)
-        assert np.array_equal(a.codeword, b.codeword)
+        a, _ = osd_decode(code, fb.llr, order=2)
+        b, _ = osd_decode(code, 0.01 * fb.llr, order=2)
+        assert np.array_equal(a, b)
 
     def test_candidates_are_codewords(self):
         code = get_code("polar_32_16")
         fb = noisy_frames(code, 50, seed=9, kind="qpsk")
-        out = osd_decode(code, fb.llr, order=1)
-        assert not np.any(code.syndrome(out.codeword))
+        cw, _ = osd_decode(code, fb.llr, order=1)
+        assert not np.any(code.syndrome(cw))
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError, match="order"):
-            osd_decode(hamming_7_4(), np.zeros(7), order=5)
+            osd_decode(hamming_7_4(), np.zeros((1, 7)), order=5)
 
-    def test_llr_shape_checked(self):
-        with pytest.raises(ValueError, match="llr shape"):
-            osd_decode(hamming_7_4(), np.zeros((2, 8)), order=1)
+    @pytest.mark.parametrize("shape", [(2, 8), (7,)], ids=["n", "frame"])
+    @pytest.mark.parametrize("decode", [
+        lambda code, llr: map_decode(code, llr),
+        lambda code, llr: osd_decode(code, llr, order=1),
+        lambda code, llr: ml_bound_update(
+            code, np.zeros((1, 7), dtype=np.uint8),
+            np.zeros((1, 7), dtype=np.uint8), np.zeros(1), llr),
+    ], ids=["map_decode", "osd_decode", "ml_bound_update"])
+    def test_llr_shape_checked(self, decode, shape):
+        with pytest.raises(ValueError, match=r"llr shape .* is not \(B, n\)"):
+            decode(hamming_7_4(), np.zeros(shape))
 
 
 class TestOsdBatch:
@@ -154,38 +153,35 @@ class TestOsdBatch:
         if integer:
             rng = np.random.default_rng(21)
             llr = rng.integers(-2, 3, size=llr.shape).astype(np.float64)
-        out = osd_decode(code, llr, order)
+        cw, metric = osd_decode(code, llr, order)
         for i in range(frames):
-            cw, metric = osd_reference(code, llr[i], order)
-            assert np.array_equal(out.codeword[i], cw)
-            assert out.metric[i] == pytest.approx(metric, abs=1e-9)
+            ref_cw, ref_metric = osd_reference(code, llr[i], order)
+            assert np.array_equal(cw[i], ref_cw)
+            assert metric[i] == pytest.approx(ref_metric, abs=1e-9)
 
     def test_batch_equals_single_rows(self):
         # 300 frames span three decoding slices
         code = get_code("polar_64_32")
         llr = noisy_frames(code, 300, ebn0_db=2.0, seed=22, kind="qpsk").llr
         llr[:100] = np.round(llr[:100] / 4.0)   # frames with exact ties
-        out = osd_decode(code, llr, order=2)
-        assert out.codeword.shape == (300, 64) and out.metric.shape == (300,)
+        cw, metric = osd_decode(code, llr, order=2)
+        assert cw.shape == (300, 64) and metric.shape == (300,)
         for i in range(300):
-            one = osd_decode(code, llr[i], order=2)
-            assert one.codeword.shape == (64,) and isinstance(one.metric,
-                                                              float)
-            assert np.array_equal(one.codeword, out.codeword[i])
-            assert one.metric == out.metric[i]
+            one_cw, one_metric = osd_decode(code, llr[i:i + 1], order=2)
+            assert np.array_equal(one_cw[0], cw[i])
+            assert one_metric[0] == metric[i]
 
 
 def _ml_cases(code):
-    """(transmitted, OSD output, LLR) rows: right, wrong but no ML error,
-    ML error, and a tie."""
+    """(transmitted, decoded, metric, LLR) one-row batches: right, wrong but
+    no ML error, ML error, and a tie."""
     c = code.encode(np.array([1, 0, 0, 1], dtype=np.uint8))
     other = code.encode(np.array([0, 1, 1, 0], dtype=np.uint8))
     favors_c = (1.0 - 2.0 * c.astype(np.float64)) * 3.0
     favors_other = (1.0 - 2.0 * other.astype(np.float64)) * 3.0
     rows = [(c, c, favors_c), (c, other, favors_c),
             (c, other, favors_other), (c, other, np.zeros(7))]
-    return [(t, CandidateScore(codeword=o,
-                               metric=float(correlation_metric(o, l))), l)
+    return [(t[None], o[None], correlation_metric(o, l)[None], l[None])
             for t, o, l in rows]
 
 
@@ -193,55 +189,49 @@ class TestMlBound:
     def test_correct_frame_counts_nothing(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 1, ebn0_db=25.0, seed=10)
-        ctr = ErrorCounter()
-        out = osd_decode(code, fb.llr[0], order=4)
-        ml_bound_update(ctr, code, fb.c[0], out, fb.llr[0])
+        cw, metric = osd_decode(code, fb.llr, order=4)
+        ctr = ml_bound_update(code, fb.c, cw, metric, fb.llr)
         assert ctr.frames == 1
         assert ctr.frame_errors == 0 and ctr.ml_frame_errors == 0
 
     def test_osd_error_without_ml_error(self):
         # an OSD output worse than the transmitted codeword
         code = hamming_7_4()
-        c, fake, llr = _ml_cases(code)[1]
-        ctr = ml_bound_update(ErrorCounter(), code, c, fake, llr)
+        ctr = ml_bound_update(code, *_ml_cases(code)[1])
         assert ctr.frame_errors == 1 and ctr.ml_frame_errors == 0
 
     def test_ml_error_when_impostor_outscores(self):
         code = hamming_7_4()
-        c, fake, llr = _ml_cases(code)[2]
-        ctr = ml_bound_update(ErrorCounter(), code, c, fake, llr)
+        ctr = ml_bound_update(code, *_ml_cases(code)[2])
         assert ctr.frame_errors == 1 and ctr.ml_frame_errors == 1
         assert ctr.ml_bit_errors == ctr.bit_errors > 0
 
     def test_tie_is_not_an_ml_error(self):
         code = hamming_7_4()
-        c, fake, llr = _ml_cases(code)[3]   # every metric ties at zero
-        ctr = ml_bound_update(ErrorCounter(), code, c, fake, llr)
+        # every metric ties at zero
+        ctr = ml_bound_update(code, *_ml_cases(code)[3])
         assert ctr.frame_errors == 1 and ctr.ml_frame_errors == 0
 
     def test_batch_equals_row_tallies(self):
         code = hamming_7_4()
         cases = _ml_cases(code)
         fb = noisy_frames(code, 500, ebn0_db=0.0, seed=12)
-        out = osd_decode(code, fb.llr, order=1)
-        cases += [(fb.c[i], CandidateScore(out.codeword[i], out.metric[i]),
-                   fb.llr[i]) for i in range(500)]
+        cw, metric = osd_decode(code, fb.llr, order=1)
+        cases += [(fb.c[i:i + 1], cw[i:i + 1], metric[i:i + 1],
+                   fb.llr[i:i + 1]) for i in range(500)]
         rows = ErrorCounter()
-        for c, o, llr in cases:
-            ml_bound_update(rows, code, c, o, llr)
-        batch = ml_bound_update(
-            ErrorCounter(), code, np.array([c for c, _, _ in cases]),
-            CandidateScore(np.array([o.codeword for _, o, _ in cases]),
-                           np.array([o.metric for _, o, _ in cases])),
-            np.array([llr for _, _, llr in cases]))
+        for case in cases:
+            rows.merge(ml_bound_update(code, *case))
+        batch = ml_bound_update(code, *(np.concatenate(col)
+                                        for col in zip(*cases)))
         assert batch == rows
         assert rows.frames == 504 and 0 < rows.ml_frame_errors
 
     def test_ml_bound_below_osd_over_stream(self):
         code = hamming_7_4()
         fb = noisy_frames(code, 2_000, ebn0_db=0.0, seed=11)
-        out = osd_decode(code, fb.llr, order=1)
-        ctr = ml_bound_update(ErrorCounter(), code, fb.c, out, fb.llr)
+        cw, metric = osd_decode(code, fb.llr, order=1)
+        ctr = ml_bound_update(code, fb.c, cw, metric, fb.llr)
         assert ctr.frames == 2_000
         assert 0 < ctr.ml_frame_errors <= ctr.frame_errors
         assert ctr.ml_bit_errors <= ctr.bit_errors

@@ -33,11 +33,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from bicmlab.gf2code import get_code  # noqa: E402
 from bicmlab.harness import train_config_from_preset  # noqa: E402
-from bicmlab.neural import (  # noqa: E402
-    build_rnn_estimator,
-    build_transformer_estimator,
-    quadratic_fit_exponent,
-)
+from bicmlab.neural import quadratic_fit_exponent  # noqa: E402
 
 PRESETS = ("desk-rnn", "desk-transformer")
 CODES = ("polar_16_8", "polar_32_16", "polar_64_32", "polar_128_64")
@@ -48,11 +44,7 @@ SEED = 0
 
 def build(preset: str, code_name: str, seed: int):
     cfg = train_config_from_preset(preset, code=code_name)
-    model_cfg = cfg.model_config(get_code(code_name))
-    rng = np.random.default_rng(seed)
-    if cfg.arch == "rnn":
-        return build_rnn_estimator(model_cfg, rng)
-    return build_transformer_estimator(model_cfg, rng)
+    return cfg.build_network(get_code(code_name), np.random.default_rng(seed))
 
 
 def measure(net, stats: np.ndarray) -> tuple[float, int]:
