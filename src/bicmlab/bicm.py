@@ -3,9 +3,9 @@
 The transmit path is encoder -> per-frame random interleaver -> modulator ->
 complex AWGN -> bit-LLR demapper -> deinterleaver.  On top of it sit the
 channel-model checks: per-position crossover estimation, the binary-symmetry
-z-test, the memorylessness (pairwise flip correlation) probe, and a
-semi-analytic crossover oracle computed by Gaussian integration over the
-max-log decision regions.
+z-test, the memorylessness (pairwise flip correlation) probe, and an
+analytic crossover oracle: the Gaussian mass of the max-log decision regions
+in closed form.
 """
 
 from __future__ import annotations
@@ -157,14 +157,13 @@ class ChannelEstimate:
         if self.totals is None:
             self.totals = np.zeros((self.m, 2))
 
-    def accumulate(self, positions: np.ndarray, sent: np.ndarray,
-                   flipped: np.ndarray) -> None:
-        for s in range(self.m):
-            ps = positions == s
-            for c in (0, 1):
-                sel = ps & (sent == c)
-                self.totals[s, c] += np.count_nonzero(sel)
-                self.flips[s, c] += np.count_nonzero(flipped & sel)
+    def accumulate(self, sent: np.ndarray, flipped: np.ndarray) -> None:
+        """Add (symbols, m) boolean arrays of sent bits and of flips."""
+        ones = sent.sum(axis=0)
+        flips_ones = (flipped & sent).sum(axis=0)
+        self.totals += np.column_stack([len(sent) - ones, ones])
+        self.flips += np.column_stack([flipped.sum(axis=0) - flips_ones,
+                                       flips_ones])
 
     def merge(self, other: "ChannelEstimate") -> "ChannelEstimate":
         if other.m != self.m:
@@ -218,20 +217,16 @@ def estimate_channel(
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    n, m = code.n, const.m
-    n_clean = (n // m) * m  # slots in symbols free of padding
-    positions = (np.arange(n_clean) % m).astype(np.int64)
-    est = ChannelEstimate(m=m)
+    n_clean = (code.n // const.m) * const.m  # slots free of padding
+    est = ChannelEstimate(m=const.m)
     done = 0
     while done < frames:
         b = min(chunk, frames - done)
         fb = transmit_batch(code, const, noise, rng, b,
                             demap_kind=demap_kind, pad=pad)
-        c_tilde = fb.c_tilde[:, :n_clean]
-        hard_tilde = (fb.llr_tilde[:, :n_clean] < 0)
-        flipped = hard_tilde ^ c_tilde.astype(bool)
-        pos = np.broadcast_to(positions, c_tilde.shape)
-        est.accumulate(pos.ravel(), c_tilde.ravel(), flipped.ravel())
+        sent = fb.c_tilde[:, :n_clean].astype(bool).reshape(-1, const.m)
+        hard = (fb.llr_tilde[:, :n_clean] < 0).reshape(-1, const.m)
+        est.accumulate(sent, hard ^ sent)
         done += b
     return est
 
@@ -259,26 +254,14 @@ def bsc_symmetry_ztest(est: ChannelEstimate, min_samples: int = 10_000
         raise ValueError(
             f"insufficient samples: need >= {min_samples} per (position, bit)"
         )
-    zs = np.empty(est.m)
-    for s in range(est.m):
-        zs[s] = _two_proportion_z(
-            est.flips[s, 0], est.totals[s, 0],
-            est.flips[s, 1], est.totals[s, 1],
-        )
-    z_pool = _two_proportion_z(
-        est.flips[:, 0].sum(), est.totals[:, 0].sum(),
-        est.flips[:, 1].sum(), est.totals[:, 1].sum(),
-    )
-    return SymmetryResult(z_by_position=zs, z_pooled=float(z_pool))
-
-
-def _two_proportion_z(x0: float, n0: float, x1: float, n1: float) -> float:
-    p0, p1 = x0 / n0, x1 / n1
-    pooled = (x0 + x1) / (n0 + n1)
-    se = math.sqrt(pooled * (1 - pooled) * (1 / n0 + 1 / n1))
-    if se == 0:
-        return 0.0
-    return (p0 - p1) / se
+    # rows: the m positions, then all positions pooled
+    flips = np.vstack([est.flips, est.flips.sum(axis=0)])
+    totals = np.vstack([est.totals, est.totals.sum(axis=0)])
+    p = flips / totals
+    pooled = flips.sum(axis=1) / totals.sum(axis=1)
+    se = np.sqrt(pooled * (1 - pooled) * (1 / totals[:, 0] + 1 / totals[:, 1]))
+    z = np.divide(p[:, 0] - p[:, 1], se, out=np.zeros_like(se), where=se != 0)
+    return SymmetryResult(z_by_position=z[:-1], z_pooled=float(z[-1]))
 
 
 @dataclass(frozen=True)
@@ -329,7 +312,7 @@ def measure_flip_correlation(
 
 
 # ---------------------------------------------------------------------------
-# semi-analytic crossover oracle
+# analytic crossover oracle
 # ---------------------------------------------------------------------------
 
 def _axis_crossover(levels: np.ndarray, labels: np.ndarray, s1d: float
@@ -356,55 +339,41 @@ def _axis_crossover(levels: np.ndarray, labels: np.ndarray, s1d: float
     return per
 
 
-def _gauss_sector_prob(center: complex, sigma2: float,
-                       theta_lo: float, theta_hi: float) -> float:
-    """P(y in sector theta_lo..theta_hi) for y ~ CN(center, sigma2).
+def _psk8_crossover(const: Constellation, s2: float) -> list[float]:
+    """P(1|0) of each Gray 8-PSK bit under the max-log rule, in closed form.
 
-    Plain 2-D quadrature of the Gaussian density in polar coordinates.
+    Bit 1 flips where Im y < 0, bit 2 where Re y < 0, and bit 3 where
+    |Im y| > |Re y|, that is where u and v of u + iv = y e^{-i pi/4} share
+    a sign.  The rotation keeps u and v independent N(., s2/2).
     """
-    from scipy.integrate import dblquad
+    sd = math.sqrt(s2)
 
-    a = abs(center)
-    phi = math.atan2(center.imag, center.real)
-    rmax = a + 10.0 * math.sqrt(sigma2)
+    def above(mean: float) -> float:
+        """P(N(mean, s2/2) > 0), an upper tail where mean < 0."""
+        return 0.5 * math.erfc(-mean / sd)
 
-    def pdf(r: float, theta: float) -> float:
-        d2 = r * r - 2.0 * r * a * math.cos(theta - phi) + a * a
-        return r / (math.pi * sigma2) * math.exp(-d2 / sigma2)
+    def flip(s: int, x: complex) -> float:
+        if s < 3:
+            return above(-(x.imag if s == 1 else x.real))
+        w = x * complex(1, -1) / math.sqrt(2)
+        return above(w.real) * above(w.imag) + above(-w.real) * above(-w.imag)
 
-    val, _ = dblquad(pdf, theta_lo, theta_hi, 0.0, rmax,
-                     epsabs=1e-11, epsrel=1e-11)
-    return val
-
-
-# flip regions of the Gray 8-PSK bits under the max-log rule, as angular
-# sectors: bit 1 flips below the real axis, bit 2 left of the imaginary
-# axis, bit 3 around the diagonals
-_PSK8_FLIP_SECTORS = {
-    1: [(-math.pi, 0.0)],
-    2: [(math.pi / 2, math.pi), (-math.pi, -math.pi / 2)],
-    3: [(math.pi / 4, 3 * math.pi / 4), (-3 * math.pi / 4, -math.pi / 4)],
-}
+    return [float(np.mean([flip(s, complex(x))
+                           for x in const.bit_subset(s, 0)]))
+            for s in (1, 2, 3)]
 
 
 def predicted_crossover(const: Constellation, noise: NoiseConfig
                         ) -> tuple[np.ndarray, float]:
-    """Semi-analytic per-position flip probabilities P(1|0) and pooled q.
+    """Per-position flip probabilities P(1|0) and the pooled q.
 
-    Integrates the complex Gaussian over the max-log decision regions: the
+    The Gaussian mass of the max-log flip regions in closed form: the
     nearest-level intervals of each PAM axis of BPSK, QPSK and 16-QAM, and
-    by 2-D quadrature the angular sectors of 8-PSK.
+    half-planes and quadrant pairs for 8-PSK.
     """
     s2 = noise.sigma2
     if const.name == "psk8":
-        per = np.empty(3)
-        for s in (1, 2, 3):
-            pts = const.bit_subset(s, 0)
-            acc = 0.0
-            for x in pts:
-                for lo, hi in _PSK8_FLIP_SECTORS[s]:
-                    acc += _gauss_sector_prob(complex(x), s2, lo, hi)
-            per[s - 1] = acc / pts.size
+        per = np.array(_psk8_crossover(const, s2))
     else:
         per = np.concatenate([
             _axis_crossover(coords[:, 0], labels, math.sqrt(s2 / 2.0))

@@ -9,6 +9,7 @@ from dataclasses import replace
 from . import harness
 from .gf2code import builtin_code_names, get_code
 from .neural import (
+    CheckpointError,
     RnnConfig,
     TransformerConfig,
     approx_params_rnn,
@@ -145,8 +146,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # bad config values, keys, codes and checkpoints: a usage error
+    except (ValueError, OSError, CheckpointError) as exc:
+        # bad config values, keys, codes, checkpoints and files: a usage error
         parser.exit(2, f"bicmlab: error: {exc}\n")
 
 

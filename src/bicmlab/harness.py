@@ -8,6 +8,7 @@ in chunk order, so the totals are identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -79,6 +80,12 @@ def _check_at_least(cfg, low: int, *names: str) -> None:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_finite(name: str, *values: float) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Stop a grid point after enough errors, or at the frame cap."""
@@ -123,6 +130,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.ebn0_db:
             raise ValueError("Eb/N0 grid is empty")
+        _check_finite("ebn0_db", *self.ebn0_db)
         _check_choice("decoder", self.decoder,
                       ("hard-pinv", "map", "osd", "sbnd"))
         build_constellation(self.constellation)
@@ -459,6 +467,9 @@ class TrainConfig:
         _check_choice("demap", self.demap, _DEMAPPERS)
         _check_at_least(self, 0, "steps", "seed")
         _check_at_least(self, 1, "batch_size", "log_every")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
+        _check_finite("train_ebn0_db", self.train_ebn0_db)
 
     def model_config(self, code: LinearCode):
         if self.arch == "rnn":
@@ -583,8 +594,8 @@ def verify_channel(seed: int = 0, code_name: str = "polar_64_32",
     """Run the binary-channel-model test battery and return one row per check.
 
     Covers: crossover symmetry z-tests and flip-correlation bounds for Gray
-    8-PSK (Es/N0 3 and 6 dB) and Gray 16-QAM (0 and 6 dB), the quadrature
-    crossover oracle for 8-PSK, and the closed-form BPSK crossover at 0 dB.
+    8-PSK (Es/N0 3 and 6 dB) and Gray 16-QAM (0 and 6 dB), and the
+    crossover against the closed form for 8-PSK and for BPSK at 0 dB.
     Hard decisions come from the max-log demapper, whose decision regions are
     the ones the binary channel model is built on.
     """
@@ -616,7 +627,7 @@ def verify_channel(seed: int = 0, code_name: str = "polar_64_32",
                 per, q_ref = predicted_crossover(const, noise)
                 q_hat, se = est.pooled_q(), est.pooled_q_stderr()
                 rows.append(CheckRow(
-                    f"{tag} crossover vs quadrature (|dev|/sigma)",
+                    f"{tag} crossover vs closed form (|dev|/sigma)",
                     abs(q_hat - q_ref) / se, "<= 3",
                     abs(q_hat - q_ref) <= 3 * se))
             corr = measure_flip_correlation(code, const, noise, corr_frames,

@@ -86,13 +86,16 @@ def load_checkpoint(path) -> tuple[object, dict]:
         if fh.read(8) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
         hlen = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad header: {exc}") from None
         data = fh.read()
     if header.get("format") != 1:
         raise CheckpointError(f"unsupported checkpoint format {header.get('format')}")
     sha = hashlib.sha256(data).hexdigest()
-    if sha != header["sha256"]:
-        raise CheckpointError("checkpoint data corrupted (checksum mismatch)")
+    if sha != header.get("sha256"):
+        raise CheckpointError(f"{path}: data corrupted (checksum mismatch)")
 
     rng = np.random.default_rng(0)  # weights are overwritten below
     if header["arch"] == "rnn":

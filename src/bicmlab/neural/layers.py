@@ -131,36 +131,44 @@ class GRULayer:
     def params(self) -> list[Param]:
         return [self.wx, self.wh, self.b]
 
-    def forward(self, xs: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        t_steps, batch, _ = xs.shape
-        hh = self.n_out
+    def forward(self, xs: np.ndarray, tape: dict | None = None,
+                steps: int | None = None) -> np.ndarray:
+        """(T, B, n_out) states of a (T, B, n_in) input, or of a (1, B, n_in)
+        input fed at each of `steps` steps.  The input projection of all
+        steps is one product ahead of the recurrence."""
+        steps = steps or xs.shape[0]
+        batch, hh = xs.shape[1], self.n_out
+        ax = xs @ self.wx.value
+        ax += self.b.value
+        ax = np.broadcast_to(ax, (steps,) + ax.shape[1:])
         h = np.zeros((batch, hh), dtype=xs.dtype)
-        outs = np.empty((t_steps, batch, hh), dtype=xs.dtype)
+        outs = np.empty((steps, batch, hh), dtype=xs.dtype)
+        cache: list = []
         if tape is not None:
-            tape[self] = steps = []
+            tape[self] = (xs, cache)
         wh = self.wh.value
-        for t in range(t_steps):
-            x = xs[t]
-            ax = x @ self.wx.value + self.b.value
-            z = sigmoid(ax[:, :hh] + h @ wh[:, :hh])
-            r = sigmoid(ax[:, hh:2 * hh] + h @ wh[:, hh:2 * hh])
+        for t in range(steps):
+            z = sigmoid(ax[t, :, :hh] + h @ wh[:, :hh])
+            r = sigmoid(ax[t, :, hh:2 * hh] + h @ wh[:, hh:2 * hh])
             rh = r * h
-            c = np.tanh(ax[:, 2 * hh:] + rh @ wh[:, 2 * hh:])
+            c = np.tanh(ax[t, :, 2 * hh:] + rh @ wh[:, 2 * hh:])
             h_new = z * h + (1.0 - z) * c
             if tape is not None:
-                steps.append((x, h, z, r, rh, c))
+                cache.append((h, z, r, rh, c))
             outs[t] = h_new
             h = h_new
         return outs
 
     def backward(self, douts: np.ndarray, tape: dict) -> np.ndarray:
+        """Gradient for the forward input: (T, B, n_in), or (1, B, n_in)
+        summed over the steps for an input fed at each step."""
         hh = self.n_out
         wh = self.wh.value
-        steps = tape[self]
-        dxs = np.empty((len(steps),) + steps[0][0].shape, dtype=douts.dtype)
+        xs, cache = tape[self]
+        das = np.empty(douts.shape[:2] + (3 * hh,), dtype=douts.dtype)
         dh = np.zeros_like(douts[0])
-        for t in range(len(steps) - 1, -1, -1):
-            x, h_prev, z, r, rh, c = steps[t]
+        for t in reversed(range(len(cache))):
+            h_prev, z, r, rh, c = cache[t]
             dh_tot = douts[t] + dh
             dz = dh_tot * (h_prev - c)
             dc = dh_tot * (1.0 - z)
@@ -175,9 +183,11 @@ class GRULayer:
             self.wh.grad[:, :hh] += h_prev.T @ daz
             self.wh.grad[:, hh:2 * hh] += h_prev.T @ dar
             dh_prev = dh_prev + daz @ wh[:, :hh].T + dar @ wh[:, hh:2 * hh].T
-            da = np.concatenate([daz, dar, dac], axis=1)
-            self.wx.grad += x.T @ da
-            self.b.grad += da.sum(axis=0)
-            dxs[t] = da @ self.wx.value.T
+            np.concatenate([daz, dar, dac], axis=1, out=das[t])
             dh = dh_prev
-        return dxs
+        if xs.shape[0] != das.shape[0]:
+            das = das.sum(axis=0, keepdims=True)
+        da2 = das.reshape(-1, 3 * hh)
+        self.wx.grad += xs.reshape(-1, self.n_in).T @ da2
+        self.b.grad += da2.sum(axis=0)
+        return das @ self.wx.value.T

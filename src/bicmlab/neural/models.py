@@ -52,8 +52,9 @@ class RnnConfig:
     def __post_init__(self):
         if self.r < 1 or self.k < 1:
             raise ValueError("r and k must be positive")
-        if self.alpha < 1 or self.time_steps < 1 or self.depth < 1:
-            raise ValueError("alpha, time_steps and depth must be >= 1")
+        for name in ("alpha", "time_steps", "depth"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @classmethod
     def for_code(cls, n: int, k: int, **kw) -> "RnnConfig":
@@ -83,7 +84,9 @@ class TransformerConfig:
             raise ValueError("encoders must be >= 1")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
-        if self.embed_dim < 1 or self.embed_dim % self.heads != 0:
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.embed_dim % self.heads != 0:
             raise ValueError("heads must divide embed_dim")
 
     @classmethod
@@ -148,9 +151,9 @@ class RnnEstimator:
     def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
         """Logits of a (B, r) batch; a training step passes the tape that
         its backward reads (see layers)."""
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        seq = np.broadcast_to(x, (self.cfg.time_steps,) + x.shape).copy()
-        for g in self.grus:
+        seq = np.asarray(x, dtype=self.dtype)[None]
+        seq = self.grus[0].forward(seq, tape, steps=self.cfg.time_steps)
+        for g in self.grus[1:]:
             seq = g.forward(seq, tape)
         return self.head.forward(seq[-1], tape)
 

@@ -165,7 +165,7 @@ def test_criterion_2_crossover_oracles():
         est = estimate_channel(code, psk8, noise, SYMMETRY_FRAMES,
                                _rng(4, int(esn0)), pad=True)
         dev = abs(est.pooled_q() - q_ref) / est.pooled_q_stderr()
-        checks.append((f"psk8@{esn0:g}dB vs quadrature", dev))
+        checks.append((f"psk8@{esn0:g}dB vs closed form", dev))
 
     ok = all(dev <= 3.0 for _, dev in checks)
     report("2 crossover oracles", ok,

@@ -39,6 +39,35 @@ def closed_form_crossover(kind: str, s1d: float) -> list[float]:
     return [p_sign, p_mag, p_sign, p_mag]
 
 
+def sector_quadrature_crossover(const, sigma2: float) -> list[float]:
+    """P(1|0) per Gray 8-PSK bit by 2-D quadrature, in polar coordinates, of
+    CN(x, sigma2) over the angular sectors where the max-log rule flips the
+    bit, averaged over the points x whose bit is 0."""
+    from scipy.integrate import dblquad
+
+    sectors = {
+        1: [(-math.pi, 0.0)],
+        2: [(math.pi / 2, math.pi), (-math.pi, -math.pi / 2)],
+        3: [(math.pi / 4, 3 * math.pi / 4), (-3 * math.pi / 4, -math.pi / 4)],
+    }
+    per = []
+    for s in (1, 2, 3):
+        acc = 0.0
+        pts = const.bit_subset(s, 0)
+        for x in pts:
+            a, phi = abs(x), math.atan2(x.imag, x.real)
+
+            def pdf(r, theta):
+                d2 = r * r - 2.0 * r * a * math.cos(theta - phi) + a * a
+                return r / (math.pi * sigma2) * math.exp(-d2 / sigma2)
+
+            for lo, hi in sectors[s]:
+                acc += dblquad(pdf, lo, hi, 0.0, a + 10.0 * math.sqrt(sigma2),
+                               epsabs=1e-11, epsrel=1e-11)[0]
+        per.append(acc / pts.size)
+    return per
+
+
 class TestInterleaver:
     def test_n1_identity(self):
         assert np.array_equal(draw_interleaver(1, np.random.default_rng(0)), [0])
@@ -159,6 +188,15 @@ class TestChannelEstimate:
         ref = closed_form_crossover(kind, math.sqrt(nc.sigma2 / 2.0))
         np.testing.assert_allclose(per, ref, rtol=1e-12, atol=0)
         assert q_ref == pytest.approx(np.mean(ref), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("esn0", [-3.0, 0.0, 3.0, 6.0, 12.0])
+    def test_psk8_closed_form_matches_sector_quadrature(self, esn0):
+        const = build_constellation("psk8")
+        nc = NoiseConfig.from_esn0_db(esn0)
+        per, q_ref = predicted_crossover(const, nc)
+        ref = sector_quadrature_crossover(const, nc.sigma2)
+        np.testing.assert_allclose(per, ref, rtol=1e-9, atol=0)
+        assert q_ref == pytest.approx(np.mean(ref), rel=1e-9, abs=0)
 
     def test_psk8_matches_quadrature_oracle(self):
         rng = np.random.default_rng(11)

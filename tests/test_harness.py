@@ -1,6 +1,7 @@
 """Experiment runner: determinism, decoder equivalence, CSV schema,
 config parsing, training entry points, and the CLI."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,9 @@ from bicmlab.harness import (
     verify_channel,
     write_csv,
 )
+from bicmlab.bicm import predicted_crossover
 from bicmlab.gf2code import get_code
+from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.neural import (
     RnnConfig,
     RnnEstimator,
@@ -111,19 +114,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             config_kwargs(cls, parse_config_text(text))
 
-    @pytest.mark.parametrize("cls, key, value", [
-        (TrainConfig, "steps", -1),
-        (TrainConfig, "batch_size", 0),
-        (TrainConfig, "log_every", 0),
-        (TrainConfig, "seed", -1),
-        (ExperimentConfig, "seed", -1),
-        (ExperimentConfig, "interleaver_seed", -1),
-        (ExperimentConfig, "workers", 0),
-    ], ids=lambda v: getattr(v, "__name__", str(v)))
-    def test_out_of_range_value_names_its_key(self, cls, key, value):
+    OUT_OF_RANGE = [
+        (TrainConfig, "steps", -1, ">= 0, got -1"),
+        (TrainConfig, "batch_size", 0, ">= 1, got 0"),
+        (TrainConfig, "log_every", 0, ">= 1, got 0"),
+        (TrainConfig, "seed", -1, ">= 0, got -1"),
+        (ExperimentConfig, "seed", -1, ">= 0, got -1"),
+        (ExperimentConfig, "interleaver_seed", -1, ">= 0, got -1"),
+        (ExperimentConfig, "workers", 0, ">= 1, got 0"),
+        (TrainConfig, "lr", 0, "> 0 and finite, got 0.0"),
+        (TrainConfig, "lr", -1, "> 0 and finite, got -1.0"),
+        (TrainConfig, "lr", "inf", "> 0 and finite, got inf"),
+        (TrainConfig, "lr", "nan", "> 0 and finite, got nan"),
+        (TrainConfig, "train_ebn0_db", "nan", "finite, got nan"),
+        (ExperimentConfig, "ebn0_db", "2,nan", "finite, got nan"),
+        (ExperimentConfig, "ebn0_db", "-inf", "finite, got -inf"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, key, value, message", OUT_OF_RANGE,
+        ids=[f"{c.__name__}-{k}-{v}" for c, k, v, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_names_its_key(self, cls, key, value, message):
         kv = parse_config_text(f"{key} = {value}\n")
-        with pytest.raises(ValueError, match=f"^{key} must be >= "
-                                             f"{value + 1}, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{key} must be {message}$"):
             cls(**config_kwargs(cls, kv))
 
     def test_zero_heads_refused(self):
@@ -365,6 +378,18 @@ class TestVerifyChannel:
         bpsk = [r for r in rows if "bpsk" in r.name][0]
         assert bpsk.passed
 
+    def test_battery_runs_without_scipy(self, monkeypatch):
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        for kind in ("bpsk", "qpsk", "psk8", "qam16"):
+            per, _ = predicted_crossover(build_constellation(kind),
+                                         NoiseConfig.from_esn0_db(3.0))
+            assert np.all((per > 0) & (per < 0.5))
+        rows = verify_channel(seed=0, symmetry_bits=120_000, corr_frames=2_000)
+        assert len(rows) == 11
+        assert all(np.isfinite(r.value) for r in rows)
+
 
 class TestCli:
     def test_count_params_output(self, capsys):
@@ -399,6 +424,55 @@ class TestCli:
         assert capsys.readouterr().err == (
             "bicmlab: error: log_every must be >= 1, got 0\n")
         assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+
+    def test_embed_dim_zero_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count-params", "--arch", "transformer", "--code",
+                      "polar_16_8", "--embed-dim", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "bicmlab: error: embed_dim must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("damage", ["missing", "garbage", "flipped-byte",
+                                        "truncated", "no-checksum"])
+    def test_bad_checkpoint_is_one_line(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "est.ckpt"
+        if damage != "missing":
+            net = build_rnn_estimator(RnnConfig.for_code(16, 8, alpha=1,
+                                                         time_steps=1,
+                                                         depth=1),
+                                      np.random.default_rng(0))
+            save_checkpoint(ckpt, net)
+            raw = bytearray(ckpt.read_bytes())
+            if damage == "garbage":
+                raw[:8] = b"garbage!"
+            elif damage == "truncated":
+                raw = raw[:30]
+            elif damage == "no-checksum":
+                header = b'{"format": 1}'
+                raw = raw[:8] + len(header).to_bytes(4, "little") + header
+            else:
+                raw[-1] ^= 1
+            ckpt.write_bytes(bytes(raw))
+        cfgfile = tmp_path / "sbnd.cfg"
+        cfgfile.write_text(f"code = polar_16_8\nconstellation = qam16\n"
+                           f"decoder = sbnd\ncheckpoint = {ckpt}\n"
+                           f"ebn0_db = 6\nmax_frames = 2048\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bicmlab: error: ")
+        assert str(ckpt) in err and err.count("\n") == 1
+
+    def test_missing_config_file_is_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bicmlab: error: ")
+        assert str(missing) in err and err.count("\n") == 1
 
     def test_simulate_from_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

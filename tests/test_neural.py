@@ -105,12 +105,18 @@ class TestCounts:
             assert net.num_params() == count_params_transformer(cfg)
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            RnnConfig(r=0, k=2)
-        with pytest.raises(ValueError):
-            TransformerConfig(r=4, k=2, embed_dim=10, heads=3)
-        with pytest.raises(ValueError):
-            RnnConfig(r=4, k=2, alpha=0)
+        for cls, kw, message in [
+            (RnnConfig, dict(r=0), "r and k must be positive"),
+            (TransformerConfig, dict(embed_dim=10, heads=3),
+             "heads must divide embed_dim"),
+            (TransformerConfig, dict(embed_dim=0),
+             "embed_dim must be >= 1, got 0"),
+            (RnnConfig, dict(alpha=0), "alpha must be >= 1, got 0"),
+            (RnnConfig, dict(time_steps=0), "time_steps must be >= 1, got 0"),
+            (RnnConfig, dict(depth=-1), "depth must be >= 1, got -1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cls(**{"r": 4, "k": 2, **kw})
 
 
 class TestForward:
