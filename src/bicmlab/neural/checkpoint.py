@@ -81,7 +81,10 @@ def save_checkpoint(path, net, *, input_scale: float = 1.0, step: int = 0,
 
 
 def load_checkpoint(path) -> tuple[object, dict]:
-    """Rebuild the network from a checkpoint; returns (net, header)."""
+    """Rebuild the network from a checkpoint; returns (net, header).
+
+    A file that is not a well-formed checkpoint raises CheckpointError
+    naming it."""
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -91,12 +94,26 @@ def load_checkpoint(path) -> tuple[object, dict]:
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad header: {exc}") from None
         data = fh.read()
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: bad header: not a JSON object")
     if header.get("format") != 1:
-        raise CheckpointError(f"unsupported checkpoint format {header.get('format')}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint format {header.get('format')}")
     sha = hashlib.sha256(data).hexdigest()
     if sha != header.get("sha256"):
         raise CheckpointError(f"{path}: data corrupted (checksum mismatch)")
+    # every entry below comes from the file, so a wrong type or a missing
+    # key is a malformed header
+    try:
+        return _rebuild(header, data), header
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: bad header: no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad header: {exc}") from None
 
+
+def _rebuild(header: dict, data: bytes):
+    """The network a format-1 header describes, with its weights from data."""
     rng = np.random.default_rng(0)  # weights are overwritten below
     if header["arch"] == "rnn":
         net = build_rnn_estimator(RnnConfig(**header["config"]), rng)
@@ -104,16 +121,19 @@ def load_checkpoint(path) -> tuple[object, dict]:
         net = build_transformer_estimator(
             TransformerConfig(**header["config"]), rng)
     else:
-        raise CheckpointError(f"unknown architecture {header['arch']!r}")
+        raise ValueError(f"unknown architecture {header['arch']!r}")
 
     by_name = {p.name: p for p in net.params()}
     if set(by_name) != {b["name"] for b in header["params"]}:
-        raise CheckpointError("parameter names do not match architecture")
+        raise ValueError("parameter names do not match architecture")
     for blk in header["params"]:
         p = by_name[blk["name"]]
-        raw = data[blk["offset"]:blk["offset"] + blk["nbytes"]]
-        arr = np.frombuffer(raw, dtype=blk["dtype"]).reshape(blk["shape"])
+        start, end = blk["offset"], blk["offset"] + blk["nbytes"]
+        if not 0 <= start <= end <= len(data):
+            raise ValueError(f"block {blk['name']} runs past the data")
+        arr = np.frombuffer(data[start:end], dtype=blk["dtype"])
+        arr = arr.reshape(blk["shape"])
         if arr.shape != p.value.shape:
-            raise CheckpointError(f"shape mismatch for {blk['name']}")
+            raise ValueError(f"shape mismatch for {blk['name']}")
         p.value = arr.astype(p.value.dtype).copy()
-    return net, header
+    return net

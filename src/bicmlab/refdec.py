@@ -7,15 +7,15 @@ which is the ML statistic for symmetric memoryless LLR channels; ties break
 toward the lexicographically smallest codeword so exhaustive cross-checks
 are exact.  Both decoders return (B, n) codewords and (B,) metrics.
 
-OSD runs the Gauss-Jordan eliminations of all frames in lock-step on
-bit-packed rows, and scores the weight-1 and weight-2 flip patterns from one
-Gram matrix per frame.
+OSD eliminates all frames in lock-step on bit-packed rows, by masked XORs
+without row swaps, scores the weight-1 and weight-2 flip patterns from one
+Gram matrix per frame, and re-encodes by XORs of the packed reduced rows.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -54,12 +54,8 @@ def _frames(code: LinearCode, llr: np.ndarray) -> np.ndarray:
 def _lex_best(codewords: np.ndarray, metrics: np.ndarray) -> tuple[np.ndarray, float]:
     """Highest metric; on exact ties the lexicographically smallest codeword."""
     best = np.max(metrics)
-    idx = np.nonzero(metrics == best)[0]
-    if idx.size > 1:
-        rows = codewords[idx]
-        order = np.lexsort(rows.T[::-1])
-        return rows[order[0]].copy(), float(best)
-    return codewords[idx[0]].copy(), float(best)
+    top = codewords[metrics == best]
+    return top[np.lexsort(top.T[::-1])[0]], float(best)
 
 
 def map_decode(code: LinearCode, llr: np.ndarray
@@ -88,89 +84,94 @@ def osd_decode(code: LinearCode, llr: np.ndarray, order: int
     Sorts positions by decreasing reliability, Gauss-eliminates the generator
     onto the first k independent positions in that ranking (the most reliable
     basis), hard-decides the basis, and keeps the correlation maximizer among
-    the re-encodings of every flip pattern of weight <= order on it.  Returns
-    (B, n) codewords and (B,) metrics.
+    the re-encodings of every flip pattern of weight <= order on it.
     """
     llr = _frames(code, llr)
-    _test_patterns(code.k, order)       # refuses a bad order up front
+    pats = _test_patterns(code.k, order)    # refuses a bad order up front
     ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
     rows, basis = _reduce_on_ranking(code.g, ranking)
-    cw = np.empty(llr.shape, dtype=np.uint8)
-    metric = np.empty(len(llr))
+    cw, metric = np.empty(llr.shape, dtype=np.uint8), np.empty(len(llr))
     for s in range(0, len(llr), _SLICE_FRAMES):
         sl = slice(s, s + _SLICE_FRAMES)
-        cw[sl], metric[sl] = _osd_slice(code, llr[sl], ranking[sl],
-                                        rows[sl], basis[sl], order)
+        part = llr[sl], ranking[sl], rows[sl]
+        # one expression, so that no slice's scores outlive it
+        cw[sl], metric[sl] = _osd_best(
+            *part, pats, *_osd_scores(code, *part, basis[sl], order))
     return cw, metric
 
 
-# frames scored together: bounds the unpacked per-frame matrices and the
-# pattern score table to a few MB at order 2
-_SLICE_FRAMES = 128
+# frames scored together: keeps a slice's unpacked matrices and score table
+# near 2.5 MB (polar_64_32, order 2), which malloc reuses instead of refaulting
+_SLICE_FRAMES = 64
 
 # weight-3+ patterns are re-encoded explicitly, in blocks of about this many
 # codeword bits over the slice
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _osd_slice(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
-               rows: np.ndarray, basis: np.ndarray, order: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Best codewords (B, n) and metrics (B,) of a slice of frames, given
-    their reliability ranking and _reduce_on_ranking's rows and basis.
+def _osd_scores(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
+                rows: np.ndarray, basis: np.ndarray, order: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Hard basis decisions (B, k) and float scores of every flip pattern
+    (B, patterns) of a slice, from _reduce_on_ranking's rows and basis.
 
     In the reliability-permuted domain, with R the reduced generator and c0
     the re-encoded hard basis, the flip pattern e scores
     M0 - 2 sum_{j in supp(e R)} s_j with s = (1 - 2 c0) * l.  Weights 1 and 2
-    read that off d = R s and the Gram matrix R diag(s) R^T.  These float
-    scores only shortlist: every pattern within a rounding tolerance of the
-    best is re-encoded and scored with correlation_metric, and exact ties go
-    to _lex_best, as in map_decode.
+    read that off d = R s and the Gram matrix R diag(s) R^T.
     """
     k = code.k
     l_perm = np.take_along_axis(llr, ranking, axis=1)
     rf = np.unpackbits(rows.view(np.uint8), axis=-1, count=code.n,
                        bitorder="little").astype(np.float64)
     info = (np.take_along_axis(l_perm, basis, axis=1) < 0).astype(np.uint8)
-    c0 = _encode_rows(info, rf)
-    s = (1.0 - 2.0 * c0) * l_perm
+    s = (1.0 - 2.0 * _xor_encode(info, rows, code.n)) * l_perm
     m0 = s.sum(axis=1, keepdims=True)
-
-    pats = _test_patterns(k, order)
     scores = [m0]
     if order >= 1:
         d = (rf @ s[:, :, None])[:, :, 0]
         scores.append(m0 - 2.0 * d)
     if order >= 2:
         gram = (rf * s[:, None, :]) @ rf.transpose(0, 2, 1)
-        iu, ju = np.triu_indices(k, 1)
-        scores.append(m0 - 2.0 * (d[:, iu] + d[:, ju] - 2.0 * gram[:, iu, ju]))
-    high = pats[1 + k + k * (k - 1) // 2:]      # weight >= 3
+        iu, ju, flat = _pair_index(k)
+        pair = (np.take(d, iu, axis=1) + np.take(d, ju, axis=1)
+                - 2.0 * np.take(gram.reshape(len(llr), -1), flat, axis=1))
+        scores.append(m0 - 2.0 * pair)
+    high = _test_patterns(k, order)[1 + k + k * (k - 1) // 2:]  # weight >= 3
     step = max(1, _BLOCK_ENTRIES // (len(llr) * code.n))
     for p in range(0, len(high), step):
         flips = (high[p:p + step].astype(np.float64) @ rf).astype(np.int64) & 1
         scores.append(m0 - 2.0 * (flips @ s[:, :, None])[:, :, 0])
-    scores = np.concatenate(scores, axis=1)
+    return info, np.concatenate(scores, axis=1)
 
-    # the scores' rounding errors are many orders of magnitude below this
-    # tolerance, so every pattern that ties the best in exact arithmetic
-    # makes the shortlist
+
+def _osd_best(llr: np.ndarray, ranking: np.ndarray, rows: np.ndarray,
+              pats: np.ndarray, info: np.ndarray, scores: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Best codewords (B, n) and metrics (B,) of a slice from _osd_scores.
+
+    The scores only shortlist: every pattern within a tolerance of the best,
+    far above the scores' rounding errors so that every exact tie makes it,
+    is re-encoded and rescored exactly, ties going to _lex_best."""
+    n = llr.shape[1]
     tol = 1e-9 * np.abs(llr).sum(axis=1, keepdims=True)
     near = scores >= scores.max(axis=1, keepdims=True) - tol
     first = np.argmax(near, axis=1)
-    cw = _unpermute(_encode_rows(info ^ pats[first], rf), ranking)
+    cw = _unpermute(_xor_encode(info ^ pats[first], rows, n), ranking)
     metric = correlation_metric(cw, llr)
     for i in np.flatnonzero(near.sum(axis=1) > 1):
-        cands = _unpermute(_encode_rows(info[i] ^ pats[near[i]], rf[i]),
+        cands = _unpermute(_xor_encode(info[i] ^ pats[near[i]], rows[i], n),
                            ranking[i])
         cw[i], metric[i] = _lex_best(cands, correlation_metric(cands, llr[i]))
     return cw, metric
 
 
-def _encode_rows(info: np.ndarray, rf: np.ndarray) -> np.ndarray:
-    """info @ R over GF(2): (B, k) with (B, k, n), or (P, k) with (k, n)."""
-    prod = (info.astype(np.float64)[..., None, :] @ rf)[..., 0, :]
-    return (prod.astype(np.int64) & 1).astype(np.uint8)
+def _xor_encode(info: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """info @ R over GF(2), (..., n) bits: the XOR of the packed rows of R
+    (..., k, words) that info (..., k) selects; the two broadcast."""
+    words = np.bitwise_xor.reduce(info[..., None] * rows, axis=-2)
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=-1, count=n, bitorder="little")
 
 
 def _unpermute(cw_perm: np.ndarray, ranking: np.ndarray) -> np.ndarray:
@@ -184,46 +185,54 @@ def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan of G[:, ranking[b]] for every frame b in lock-step.
 
-    Rows are packed into ceil(n/64) uint64 words.  Columns are scanned in
-    reliability order; a frame pivots on the first row at or below its
-    pivot count that has a 1, and skips dependent columns, so its k pivot
-    columns form the most reliable basis.  Returns the reduced rows, packed
-    (B, k, words), in the permuted domain, row i having its pivot at column
-    basis[b, i], and the pivot columns (B, k).
+    Rows are packed into ceil(n/64) uint64 words, bit j of a row in bit
+    j % 64 of word j // 64, and never swapped.  Each column, in reliability
+    order, is a few masked steps over all frames: a frame XORs its first
+    free (not yet pivot) row with a 1 there into every other row with a 1
+    there and marks it used, or skips the column as dependent, so its k
+    pivot columns form the most reliable basis.  Returns the reduced rows
+    (a unique form), packed (B, k, words), permuted and in pivot order, row
+    i pivoting at column basis[b, i], and the pivot columns (B, k).
     """
-    k, n = g.shape
-    nb = len(ranking)
-    words = -(-n // 64)
+    (k, n), nb = g.shape, len(ranking)
     gt = np.ascontiguousarray(g.T)
-    packed = np.zeros((nb, k, 8 * words), dtype=np.uint8)
+    # word-major, so that a column's bits and each word's XOR are contiguous
+    rows = np.empty((nb, -(-n // 64), k), dtype="<u8")
     for s in range(0, nb, _SLICE_FRAMES):
         # packbits is several times faster on contiguous rows
-        part = np.ascontiguousarray(
-            gt[ranking[s:s + _SLICE_FRAMES]].transpose(0, 2, 1))
-        packed[s:s + _SLICE_FRAMES, :, :-(-n // 8)] = np.packbits(
-            part, axis=-1, bitorder="little")
-    rows = packed.view("<u8")      # bit j of a row is bit j % 64 of word j // 64
-    pivots = np.zeros(nb, dtype=np.intp)
-    basis = np.zeros((nb, k), dtype=np.intp)
-    row_ids = np.arange(k)
+        part = gt[ranking[s:s + _SLICE_FRAMES]].transpose(0, 2, 1)
+        bits = np.zeros(part.shape[:2] + (64 * rows.shape[1],), np.uint8)
+        bits[:, :, :n] = part
+        rows[s:s + _SLICE_FRAMES] = np.packbits(
+            bits, axis=-1, bitorder="little").view("<u8").transpose(0, 2, 1)
+    free = np.ones((nb, k), dtype=bool)
+    pivcol = np.zeros((nb, k), dtype=np.intp)
+    fr = np.arange(nb)
     for col in range(n):
-        if pivots.min() == k:
+        if not free.any():
             break
         w, b = divmod(col, 64)
-        hit = ((rows[:, :, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
-        hit &= row_ids >= pivots[:, None]
-        f = np.flatnonzero(hit.any(axis=1))
-        p, r0 = hit[f].argmax(axis=1), pivots[f]
-        piv = rows[f, p]
-        rows[f, p] = rows[f, r0]
-        rows[f, r0] = piv
-        # every other row with a 1 in this column, pivot rows included
-        clear = ((rows[f, :, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
-        clear[np.arange(len(f)), r0] = False
-        rows[f] ^= np.where(clear[:, :, None], piv[:, None, :], np.uint64(0))
-        basis[f, r0] = col
-        pivots[f] += 1
-    return rows, basis
+        hit = (rows[:, w] & np.uint64(1 << b)) != 0
+        cand = hit & free
+        p = cand.argmax(axis=1)
+        has = cand[fr, p]               # False: the column is dependent
+        piv = rows[fr, :, p] * has[:, None]
+        hit[fr, p] = False
+        rows ^= hit[:, None, :] * piv[:, :, None]
+        free[fr, p] &= ~has
+        pivcol[fr, p] += has * col
+    order = np.argsort(pivcol, axis=1)
+    rows = np.take_along_axis(rows.transpose(0, 2, 1), order[:, :, None], 1)
+    return rows, np.take_along_axis(pivcol, order, axis=1)
+
+
+@functools.cache
+def _pair_index(k: int) -> np.ndarray:
+    """(3, pairs): i, j and i k + j of each pair i < j, in weight-2 order."""
+    iu, ju = np.triu_indices(k, 1)
+    index = np.stack([iu, ju, iu * k + ju])
+    index.setflags(write=False)
+    return index
 
 
 @functools.cache
@@ -231,15 +240,10 @@ def _test_patterns(k: int, order: int) -> np.ndarray:
     """All binary k-vectors of weight <= order, weight-major; cached."""
     if not 0 <= order <= k:
         raise ValueError(f"OSD order {order} is not in [0, {k}]")
-    rows, cols = [], []
-    count = 1
-    for w in range(1, order + 1):
-        for combo in combinations(range(k), w):
-            rows.extend([count] * w)
-            cols.extend(combo)
-            count += 1
-    pats = np.zeros((count, k), dtype=np.uint8)
-    pats[rows, cols] = 1
+    supports = [c for w in range(order + 1) for c in combinations(range(k), w)]
+    pats = np.zeros((len(supports), k), dtype=np.uint8)
+    for i, support in enumerate(supports):
+        pats[i, list(support)] = 1
     pats.setflags(write=False)
     return pats
 
@@ -256,11 +260,8 @@ class ErrorCounter:
     ml_frame_errors: int = 0
 
     def merge(self, other: "ErrorCounter") -> "ErrorCounter":
-        self.frames += other.frames
-        self.bit_errors += other.bit_errors
-        self.frame_errors += other.frame_errors
-        self.ml_bit_errors += other.ml_bit_errors
-        self.ml_frame_errors += other.ml_frame_errors
+        for name in (f.name for f in fields(self)):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
 

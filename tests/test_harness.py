@@ -434,7 +434,8 @@ class TestCli:
             "bicmlab: error: embed_dim must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("damage", ["missing", "garbage", "flipped-byte",
-                                        "truncated", "no-checksum"])
+                                        "truncated", "no-checksum",
+                                        "list-header"])
     def test_bad_checkpoint_is_one_line(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "est.ckpt"
         if damage != "missing":
@@ -448,8 +449,9 @@ class TestCli:
                 raw[:8] = b"garbage!"
             elif damage == "truncated":
                 raw = raw[:30]
-            elif damage == "no-checksum":
-                header = b'{"format": 1}'
+            elif damage in ("no-checksum", "list-header"):
+                header = (b'{"format": 1}' if damage == "no-checksum"
+                          else b'[1]')
                 raw = raw[:8] + len(header).to_bytes(4, "little") + header
             else:
                 raw[-1] ^= 1

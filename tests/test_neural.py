@@ -1,6 +1,7 @@
 """Weight-count fidelity, gradient correctness, the inference pass,
 training behaviour, checkpoints, and the attention cost model."""
 
+import json
 import sys
 import threading
 import tracemalloc
@@ -451,6 +452,54 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\0" * 16)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    HEADER_DEFECTS = {
+        "list": "not a JSON object",
+        "format": "unsupported checkpoint format 2",
+        "no-arch": "no 'arch' entry",
+        "config-key": "unexpected keyword argument 'bogus'",
+        "params-int": "'int' object is not iterable",
+        "no-offset": "no 'offset' entry",
+        "dtype": "float99",
+        "past-data": "block gru0.wx runs past the data",
+    }
+
+    @pytest.mark.parametrize("defect", HEADER_DEFECTS)
+    def test_malformed_header_names_the_file(self, tmp_path, defect):
+        """A header that parses but does not describe a checkpoint raises
+        CheckpointError naming the file, never a bare KeyError, TypeError,
+        AttributeError or ValueError."""
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, build_rnn_estimator(
+            RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1),
+            np.random.default_rng(16)))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        first = header["params"][0]
+        if defect == "list":
+            header = [header]
+        elif defect == "format":
+            header["format"] = 2
+        elif defect == "no-arch":
+            del header["arch"]
+        elif defect == "config-key":
+            header["config"]["bogus"] = 1
+        elif defect == "params-int":
+            header["params"] = 7
+        elif defect == "no-offset":
+            del first["offset"]
+        elif defect == "dtype":
+            first["dtype"] = "float99"
+        else:
+            first["offset"] = len(raw) - 12 - hlen - first["nbytes"] + 4
+        hbytes = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(hbytes).to_bytes(4, "little") + hbytes
+                         + raw[12 + hlen:])
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert self.HEADER_DEFECTS[defect] in str(exc.value)
 
 
 class TestFlops:

@@ -10,6 +10,8 @@ from bicmlab.gf2code import get_code, gf2_matmul, gf2_rank, gf2_rref, hamming_7_
 from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.refdec import (
     ErrorCounter,
+    _reduce_on_ranking,
+    _xor_encode,
     correlation_metric,
     map_decode,
     ml_bound_update,
@@ -160,7 +162,7 @@ class TestOsdBatch:
             assert metric[i] == pytest.approx(ref_metric, abs=1e-9)
 
     def test_batch_equals_single_rows(self):
-        # 300 frames span three decoding slices
+        # 300 frames span several decoding slices
         code = get_code("polar_64_32")
         llr = noisy_frames(code, 300, ebn0_db=2.0, seed=22, kind="qpsk").llr
         llr[:100] = np.round(llr[:100] / 4.0)   # frames with exact ties
@@ -170,6 +172,72 @@ class TestOsdBatch:
             one_cw, one_metric = osd_decode(code, llr[i:i + 1], order=2)
             assert np.array_equal(one_cw[0], cw[i])
             assert one_metric[0] == metric[i]
+
+
+def unpack_rows(rows, n):
+    """Packed (..., words) rows as (..., n) bits."""
+    return np.unpackbits(rows.view(np.uint8), axis=-1, count=n,
+                         bitorder="little")
+
+
+def pack_rows(bits):
+    """(..., n) bits as (..., ceil(n/64)) little-endian uint64 words, bit j
+    in bit j % 64 of word j // 64."""
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (64 * -(-n // 64),), dtype=np.uint8)
+    padded[..., :n] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("kind", ["continuous", "integer",
+                                      "dependent-lead"])
+    @pytest.mark.parametrize("name", ["polar_64_32", "polar_128_64"])
+    def test_elimination_matches_per_frame_rref(self, name, kind):
+        # polar_64_32 packs a row into one word, polar_128_64 into two
+        code = get_code(name)
+        rng = np.random.default_rng(30)
+        llr = noisy_frames(code, 40, ebn0_db=1.0, seed=31, kind="qpsk").llr
+        if kind == "integer":
+            # ties, ranked by the same stable sort as osd_decode
+            llr = rng.integers(-2, 3, size=llr.shape).astype(np.float64)
+        ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
+        if kind == "dependent-lead":
+            # every other frame leads with the support of a lightest parity
+            # check, whose last column is the sum of the others, so frames
+            # skip a column at different steps of the lock-step scan
+            lead = np.flatnonzero(code.h[np.argmin(code.h.sum(axis=1))])
+            rest = np.setdiff1d(np.arange(code.n), lead)
+            for b in range(0, len(llr), 2):
+                ranking[b] = np.concatenate([lead, rng.permutation(rest)])
+        rows, basis = _reduce_on_ranking(code.g, ranking)
+        assert rows.shape == (len(llr), code.k, -(-code.n // 64))
+        bits = unpack_rows(rows, code.n)
+        for b in range(len(llr)):
+            rref, pivots = gf2_rref(code.g[:, ranking[b]])
+            assert np.array_equal(bits[b], rref)
+            assert basis[b].tolist() == pivots
+        if kind == "dependent-lead":
+            assert not np.any(basis[::2] == len(lead) - 1)
+            assert np.all(basis[::2, :len(lead) - 1]
+                          == np.arange(len(lead) - 1))
+
+    @pytest.mark.parametrize("n", [7, 16, 64, 128])
+    def test_xor_encode_matches_gf2_matmul(self, n):
+        # n = 7 leaves most of the one word unused, 128 needs two words
+        rng = np.random.default_rng(n)
+        k, frames = 5, 30
+        r = rng.integers(0, 2, size=(frames, k, n), dtype=np.uint8)
+        info = rng.integers(0, 2, size=(frames, k), dtype=np.uint8)
+        packed = pack_rows(r)
+        assert np.array_equal(unpack_rows(packed, n), r)
+        # one info row per frame, each with its own rows
+        got = _xor_encode(info, packed, n)
+        assert np.array_equal(got, np.array([gf2_matmul(info[b], r[b])
+                                             for b in range(frames)]))
+        # many info rows against one frame's rows
+        assert np.array_equal(_xor_encode(info, packed[0], n),
+                              gf2_matmul(info, r[0]))
 
 
 def _ml_cases(code):
