@@ -10,7 +10,6 @@ in closed form.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -52,7 +51,9 @@ def draw_interleaver(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def interleave(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Row-wise permutation: row i of the result is v[i, perms[i]]."""
-    return np.take_along_axis(v, perms, axis=-1)
+    n = perms.shape[-1]
+    starts = np.arange(0, perms.size, n).reshape(perms.shape[:-1] + (1,))
+    return np.take(v, perms + starts)
 
 
 def deinterleave(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -184,16 +185,6 @@ class ChannelEstimate:
         p = self.flips[:, 0] / self.totals[:, 0]
         var = p * (1 - p) / self.totals[:, 0]
         return float(np.sqrt(np.sum(var)) / self.m)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("s,c,flips,total,p_hat\n")
-        for s in range(self.m):
-            for c in (0, 1):
-                t = self.totals[s, c]
-                p = self.flips[s, c] / t if t else float("nan")
-                out.write(f"{s + 1},{c},{int(self.flips[s, c])},{int(t)},{p:.8g}\n")
-        return out.getvalue()
 
 
 def estimate_channel(

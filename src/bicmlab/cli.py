@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 from dataclasses import replace
 
@@ -19,6 +21,38 @@ from .neural import (
 )
 
 
+def _openblas(stem: str):
+    """OpenBLAS's function `stem` (such as "set_num_threads") in the library
+    numpy loaded, or None where no such library or symbol is found."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_",
+                    f"openblas_{stem}"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _limit_blas_threads(workers: int) -> None:
+    """Give BLAS max(1, cores // workers) threads, so that the harness's
+    worker threads and BLAS's own do not oversubscribe the cores."""
+    fn = _openblas("set_num_threads")
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(max(1, len(os.sched_getaffinity(0)) // workers))
+
+
 def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         kv = harness.parse_config_text(fh.read())
@@ -30,6 +64,7 @@ def _cmd_simulate(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
+    _limit_blas_threads(cfg.workers)
     records = harness.run_sweep(cfg)
     print(harness.CSV_HEADER)
     for r in records:

@@ -48,10 +48,22 @@ def _as_bits(a) -> np.ndarray:
     return a
 
 
+# a float32 sum of 0/1 products is an exact integer up to 2^24 terms
+_GF2_MATMUL_MAX_INNER = 1 << 24
+
+
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2). Exact because n <= a few hundred << 2^24."""
-    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return (prod.astype(np.int64) & 1).astype(np.uint8)
+    """Matrix product over GF(2) of 0/1 arrays, through a float32 product.
+
+    Exact while the inner dimension is at most 2^24; a longer one raises.
+    """
+    inner = np.shape(a)[-1]
+    if inner > _GF2_MATMUL_MAX_INNER:
+        raise ValueError(f"gf2_matmul: inner dimension {inner} exceeds "
+                         f"2^24 = {_GF2_MATMUL_MAX_INNER}, past which float32 "
+                         f"sums are not exact")
+    prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    return prod.astype(np.int32).astype(np.uint8) & 1
 
 
 def gf2_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:

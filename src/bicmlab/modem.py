@@ -48,7 +48,9 @@ class Constellation:
     takes one point of each factor, the first factor varying slowest; its
     coordinates and its label are the factors' in order.  `points` (M,)
     complex128 and `labels` (M, m) uint8 are read-only fields derived from
-    the product; they must be unit average energy and a bijection.  Two
+    the product; they must be unit average energy and a bijection.
+    `point_of_label` (M,) complex128, also read-only, is the point that
+    carries each label integer (see `label_ints`).  Two
     constellations are equal, and hash alike, when their names and the
     bytes of their tables are.
     """
@@ -57,6 +59,7 @@ class Constellation:
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     points: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
+    point_of_label: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple((np.array(c, dtype=np.float64),
@@ -82,8 +85,13 @@ class Constellation:
         object.__setattr__(self, "labels", lab)
         if abs(np.mean(np.abs(pts) ** 2) - 1.0) > 1e-12:
             raise ValueError(f"{self.name}: average energy != 1")
-        if np.unique(self.label_ints()).size != pts.size:
+        ints = self.label_ints()
+        if np.unique(ints).size != pts.size:
             raise ValueError(f"{self.name}: labels are not a bijection")
+        by_label = np.empty_like(pts)
+        by_label[ints] = pts
+        by_label.setflags(write=False)
+        object.__setattr__(self, "point_of_label", by_label)
 
     def _key(self) -> tuple[str, bytes, bytes]:
         return self.name, self.points.tobytes(), self.labels.tobytes()
@@ -108,12 +116,6 @@ class Constellation:
         """Label of each point packed as an integer, MSB = bit position 1."""
         weights = 1 << np.arange(self.m - 1, -1, -1, dtype=np.int64)
         return self.labels.astype(np.int64) @ weights
-
-    def point_index_of_label(self) -> np.ndarray:
-        """Inverse map: label integer -> point index."""
-        inv = np.empty(self.M, dtype=np.int64)
-        inv[self.label_ints()] = np.arange(self.M)
-        return inv
 
     def bit_subset(self, s: int, c: int) -> np.ndarray:
         """Points whose bit position s (1-based) equals c."""
@@ -194,10 +196,12 @@ def modulate(const: Constellation, bits: np.ndarray) -> np.ndarray:
     nbits = bits.shape[-1]
     if nbits % m != 0:
         raise ValueError(f"{nbits} bits not divisible by m = {m}")
-    groups = bits.reshape(bits.shape[:-1] + (nbits // m, m)).astype(np.int64)
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    idx = const.point_index_of_label()[groups @ weights]
-    return const.points[idx]
+    groups = bits.reshape(bits.shape[:-1] + (nbits // m, m))
+    label = groups[..., 0].astype(np.min_scalar_type(const.M - 1))
+    for j in range(1, m):
+        label <<= 1
+        label |= groups[..., j]
+    return const.point_of_label.take(label)
 
 
 def awgn(symbols: np.ndarray, noise: NoiseConfig,
@@ -205,8 +209,40 @@ def awgn(symbols: np.ndarray, noise: NoiseConfig,
     """y = x + w with w circular complex Gaussian of total variance sigma2."""
     std = np.sqrt(noise.sigma2 / 2.0)
     shape = np.shape(symbols)
-    w = rng.normal(0.0, std, shape) + 1j * rng.normal(0.0, std, shape)
-    return symbols + w
+    y = np.empty(shape, dtype=np.complex128)
+    y.real = rng.normal(0.0, std, shape)
+    y.imag = rng.normal(0.0, std, shape)
+    y += symbols
+    return y
+
+
+def _reduce(z: np.ndarray, kind: str) -> np.ndarray:
+    """Max ("maxlog") or log-sum-exp ("exact") over the rows (axis -2) of
+    the (..., K, N) point scores of label subsets.
+
+    The log-sum-exp is shifted by the max and sums the exp terms in row
+    order.  Two rows need one exp: the max's term is exp(0) = 1 and the
+    other's exp(min - max).
+    """
+    rows = [z[..., j, :] for j in range(z.shape[-2])]
+    if len(rows) == 1:
+        return rows[0]
+    r = np.maximum(rows[0], rows[1])
+    for row in rows[2:]:
+        np.maximum(r, row, out=r)
+    if kind == "maxlog":
+        return r
+    if len(rows) == 2:
+        t = np.minimum(rows[0], rows[1])
+        t -= r
+        np.exp(t, out=t)
+        t += 1.0
+    else:
+        t = np.exp(rows[0] - r)
+        for row in rows[1:]:
+            t += np.exp(row - r)
+    r += np.log(t, out=t)
+    return r
 
 
 def demap(const: Constellation, y: np.ndarray, noise: NoiseConfig,
@@ -214,11 +250,14 @@ def demap(const: Constellation, y: np.ndarray, noise: NoiseConfig,
     """Bit-LLRs log P(y|bit=0) - log P(y|bit=1) of a (..., n_sym) symbol array.
 
     |y - x|^2 is a sum over the factors, so each factor's bits are demapped
-    from its own (..., d) slice of (Re y, Im y) and its own L points.  Point
-    x of a factor scores z = (2 <y, x> - |x|^2) / sigma2, which is
+    from its own dimensions of (Re y, Im y) and its own L points.  Point x
+    of a factor scores z = (2 <y, x> - |x|^2) / sigma2, which is
     -|y - x|^2 / sigma2 without the |y|^2 term that cancels in every LLR.
-    Each bit reduces its two label subsets of z with max; "exact" adds the
-    max-shifted log-sum-exp remainder, "maxlog" stops at the max.
+    A slice of N symbols at a time, the scores sit in an (L, N) array, one
+    row per point: an outer product for a 1-D factor, the transpose of the
+    (N, d) @ (d, L) product for a 2-D one.  Each bit's two label subsets
+    are reduced row by row, elementwise: "maxlog" by np.maximum, "exact" by
+    the max plus the log of the in-order sum of exp(z - max).
     Output: the per-frame flat LLR vector, shape (..., n_sym * m).
     """
     if kind not in ("exact", "maxlog"):
@@ -228,22 +267,29 @@ def demap(const: Constellation, y: np.ndarray, noise: NoiseConfig,
     out = np.empty((y.size, const.m), dtype=np.float64)
     dim = bit = 0
     for coords, labels in const.factors:
-        d = coords.shape[1]
-        z = yr[:, dim:dim + d] @ (coords.T * (2.0 / noise.sigma2))
-        z -= np.sum(coords ** 2, axis=1) / noise.sigma2
-        for col in labels.T:
-            reduced = []
-            for subset in (np.flatnonzero(col == 0), np.flatnonzero(col)):
-                zs = z[:, subset]
-                r = zs.max(axis=1)
-                if kind == "exact":
-                    zs -= r[:, None]
-                    r += np.log(np.exp(zs, out=zs).sum(axis=1))
-                reduced.append(r)
-            out[:, bit] = reduced[0] - reduced[1]
-            bit += 1
+        d, b = coords.shape[1], labels.shape[1]
+        w = coords.T * (2.0 / noise.sigma2)
+        e = (np.sum(coords ** 2, axis=1) / noise.sigma2)[:, None]
+        # (b, 2, L/2): per bit, the points whose bit is 0, then those with 1
+        subsets = np.array([[np.flatnonzero(col == c) for c in (0, 1)]
+                            for col in labels.T])
+        for s in range(0, len(yr), _SLICE_SYMBOLS):
+            ys = yr[s:s + _SLICE_SYMBOLS, dim:dim + d]
+            z = np.multiply.outer(w[0], ys[:, 0]) if d == 1 else (ys @ w).T
+            z -= e
+            r = _reduce(z[subsets], kind)
+            np.subtract(r[:, 0], r[:, 1],
+                        out=out[s:s + _SLICE_SYMBOLS, bit:bit + b].T)
         dim += d
+        bit += b
     return out.reshape(y.shape[:-1] + (-1,))
+
+
+# symbols demapped together: a slice's scores and temporaries stay small
+# enough that malloc reuses them instead of refaulting fresh pages (exact
+# demap of a 2048-frame polar_128_64 16-QAM chunk: about 2.6k minor faults
+# and 16 ms unsliced, 26 faults and 6 ms sliced, one thread)
+_SLICE_SYMBOLS = 4096
 
 
 def hard_split(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,57 @@
+"""Reference computations that only the tests read."""
+
+import io
+
+import numpy as np
+
+from bicmlab.bicm import ChannelEstimate
+from bicmlab.gf2code import LinearCode
+
+
+def map_noise_equivalence(code: LinearCode, q: float, hard: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive message-side and noise-side MAP under a BSC(q) surrogate.
+
+    Message side: argmax_u P(l^b | encode(u)), i.e. the codeword nearest to
+    the hard decisions for q < 0.5.  Noise side: the flip pattern w maximizing
+    P(W_u = w | l^b) over the syndrome coset, applied to p_inv(l^b).  Ties go
+    to the lexicographically smallest candidate on each side.  Returns both
+    message estimates so callers can assert they coincide.
+    """
+    if code.k > 16:
+        raise ValueError("exhaustive equivalence limited to k <= 16")
+    if not 0 < q < 0.5:
+        raise ValueError("q must be in (0, 0.5)")
+    hard = np.asarray(hard, dtype=np.uint8)
+    msgs = code.messages()
+    cws = code.codebook()
+
+    # message side: minimize Hamming distance, lexicographically first winner
+    dists = np.count_nonzero(cws ^ hard, axis=1)
+    u_message = msgs[int(np.argmin(dists))]
+
+    # noise side: walk the coset l^b xor C; each member maps to a distinct
+    # candidate w = A (l^b xor c), with likelihood q^|w^b| (1-q)^(n-|w^b|)
+    coset = hard ^ cws
+    weights = np.count_nonzero(coset, axis=1)
+    w_candidates = code.p_inv_apply(coset)
+    best = None
+    for i in range(coset.shape[0]):
+        key = (weights[i], tuple(w_candidates[i].tolist()))
+        if best is None or key < best[0]:
+            best = (key, i)
+    w_star = w_candidates[best[1]]
+    u_noise = code.p_inv_apply(hard) ^ w_star
+    return u_message, u_noise
+
+
+def channel_csv(est: ChannelEstimate) -> str:
+    """The flip counts of est as CSV rows (s, c, flips, total, p_hat)."""
+    out = io.StringIO()
+    out.write("s,c,flips,total,p_hat\n")
+    for s in range(est.m):
+        for c in (0, 1):
+            t = est.totals[s, c]
+            p = est.flips[s, c] / t if t else float("nan")
+            out.write(f"{s + 1},{c},{int(est.flips[s, c])},{int(t)},{p:.8g}\n")
+    return out.getvalue()

@@ -46,7 +46,7 @@ from bicmlab.neural import (
     gradient_check,
 )
 from bicmlab.refdec import map_decode, ml_bound_update, osd_decode
-from bicmlab.sbnd import map_noise_equivalence
+from oracles import map_noise_equivalence
 
 MASTER_SEED = 20240
 

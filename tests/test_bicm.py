@@ -1,5 +1,6 @@
 """Interleaving, the end-to-end chain, and the binary channel model checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bicmlab.bicm import (
     ChannelEstimate,
+    FrameBatch,
     deinterleave,
     draw_interleaver,
     estimate_channel,
@@ -16,8 +18,10 @@ from bicmlab.bicm import (
     bsc_symmetry_ztest,
     transmit_batch,
 )
+from bicmlab import modem
 from bicmlab.gf2code import get_code, hamming_7_4
-from bicmlab.modem import NoiseConfig, build_constellation
+from bicmlab.modem import NoiseConfig, build_constellation, clamp_llrs, hard_split
+from oracles import channel_csv
 
 
 def q_func(x: float) -> float:
@@ -66,6 +70,56 @@ def sector_quadrature_crossover(const, sigma2: float) -> list[float]:
                                epsabs=1e-11, epsrel=1e-11)[0]
         per.append(acc / pts.size)
     return per
+
+
+def parent_transmit_batch(code, const, noise, rng, n_frames, *, demap_kind,
+                          interleaver, pad):
+    """transmit_batch as the float64 GF(2) product, int64 label weights,
+    take_along_axis interleaver and row-max demapper computed it before the
+    chain was rewritten for speed; the reference for bit identity."""
+    def matmul(a, b):
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return (prod.astype(np.int64) & 1).astype(np.uint8)
+
+    n, m, s2 = code.n, const.m, noise.sigma2
+    u = rng.integers(0, 2, size=(n_frames, code.k), dtype=np.uint8)
+    c = matmul(u, code.g)
+    perms = (np.argsort(rng.random((n_frames, n)), axis=1)
+             if interleaver is None
+             else np.broadcast_to(interleaver, (n_frames, n)))
+    c_tilde = np.take_along_axis(c, perms, axis=-1)
+    tx = np.concatenate([c_tilde, np.zeros((n_frames, -n % m), np.uint8)],
+                        axis=1) if pad else c_tilde
+    groups = tx.reshape(n_frames, -1, m).astype(np.int64)
+    inv = np.empty(const.M, dtype=np.int64)
+    inv[const.label_ints()] = np.arange(const.M)
+    x = const.points[inv[groups @ (1 << np.arange(m - 1, -1, -1))]]
+    std = np.sqrt(s2 / 2.0)
+    y = x + (rng.normal(0.0, std, x.shape) + 1j * rng.normal(0.0, std, x.shape))
+    yr = y.view(np.float64).reshape(-1, 2)
+    raw = np.empty((y.size, m))
+    dim = bit = 0
+    for coords, labels in const.factors:
+        d = coords.shape[1]
+        z = yr[:, dim:dim + d] @ (coords.T * (2.0 / s2))
+        z -= np.sum(coords ** 2, axis=1) / s2
+        for col in labels.T:
+            reduced = []
+            for subset in (np.flatnonzero(col == 0), np.flatnonzero(col)):
+                zs = z[:, subset]
+                r = zs.max(axis=1)
+                if demap_kind == "exact":
+                    zs -= r[:, None]
+                    r += np.log(np.exp(zs, out=zs).sum(axis=1))
+                reduced.append(r)
+            raw[:, bit] = reduced[0] - reduced[1]
+            bit += 1
+        dim += d
+    llr_tilde = clamp_llrs(raw.reshape(n_frames, -1))[:, :n]
+    llr = np.empty_like(llr_tilde)
+    np.put_along_axis(llr, perms, llr_tilde, axis=-1)
+    return FrameBatch(u=u, c=c, c_tilde=c_tilde, perms=perms,
+                      llr_tilde=llr_tilde, llr=llr, hard=hard_split(llr)[0])
 
 
 class TestInterleaver:
@@ -164,6 +218,39 @@ class TestTransmit:
         assert np.array_equal(a.llr, b.llr)
 
 
+class TestBitIdentity:
+    """The rewritten chain gives the bits the reference gives: every field,
+    and the syndromes and pseudo-inverses of the hard decisions.  Enough
+    frames of at least two symbols that every demap runs over more than
+    one symbol slice."""
+
+    FRAMES = modem._SLICE_SYMBOLS // 2 + 3
+
+    @pytest.mark.parametrize("interleaver", ["fresh", "pinned"])
+    @pytest.mark.parametrize("demap_kind", ["exact", "maxlog"])
+    @pytest.mark.parametrize("kind", ["bpsk", "qpsk", "psk8", "qam16"])
+    def test_chain_matches_reference(self, kind, demap_kind, interleaver):
+        const = build_constellation(kind)
+        for code in (hamming_7_4(), get_code("polar_16_8")):
+            pinned = (draw_interleaver(code.n, np.random.default_rng(1))
+                      if interleaver == "pinned" else None)
+            pad = code.n % const.m != 0
+            for ebn0 in (0.0, 6.0):
+                nc = NoiseConfig.from_ebn0_db(ebn0, code.rate, const.m)
+                got, want = (
+                    chain(code, const, nc, np.random.default_rng(21),
+                          self.FRAMES, demap_kind=demap_kind,
+                          interleaver=pinned, pad=pad)
+                    for chain in (transmit_batch, parent_transmit_batch))
+                for f in dataclasses.fields(FrameBatch):
+                    assert np.array_equal(getattr(got, f.name),
+                                          getattr(want, f.name)), f.name
+                for bits, mat in ((code.syndrome(got.hard), code.h),
+                                  (code.p_inv_apply(got.hard), code.a)):
+                    want_bits = (want.hard.astype(np.int64) @ mat.T) & 1
+                    assert np.array_equal(bits, want_bits)
+
+
 class TestChannelEstimate:
     def test_zero_noise_zero_flip_rates(self):
         rng = np.random.default_rng(9)
@@ -260,7 +347,7 @@ class TestChannelEstimate:
         est = estimate_channel(get_code("polar_16_8"),
                                build_constellation("qam16"),
                                NoiseConfig.from_esn0_db(3.0), 200, rng)
-        lines = est.to_csv().strip().splitlines()
+        lines = channel_csv(est).strip().splitlines()
         assert lines[0] == "s,c,flips,total,p_hat"
         assert len(lines) == 1 + 4 * 2
 

@@ -81,6 +81,25 @@ class TestRank:
             assert gf2_rank(m) == rank_by_rowspace(m)
 
 
+class TestMatmul:
+    def test_matches_int64_product_at_long_inner_dimension(self):
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 2, size=(6, 5000), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(5000, 9), dtype=np.uint8)
+        want = (a.astype(np.int64) @ b.astype(np.int64)) & 1
+        got = gf2_matmul(a, b)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert np.array_equal(gf2_matmul(a[0], b), want[0])
+
+    def test_inner_dimension_past_2_24_raises(self):
+        inner = (1 << 24) + 1
+        a = np.broadcast_to(np.uint8(1), (1, inner))
+        b = np.broadcast_to(np.uint8(1), (inner, 1))
+        with pytest.raises(ValueError, match=f"inner dimension {inner}"):
+            gf2_matmul(a, b)
+
+
 class TestAlist:
     def test_hamming_round_trip_bitwise(self):
         h = hamming_7_4().h

@@ -1,6 +1,8 @@
 """Experiment runner: determinism, decoder equivalence, CSV schema,
 config parsing, training entry points, and the CLI."""
 
+import ctypes
+import os
 import sys
 from dataclasses import replace
 
@@ -485,6 +487,34 @@ class TestCli:
         rc = cli.main(["simulate", "--config", str(cfgfile), "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_counts_match_run_point(self, tmp_path, capsys, workers):
+        # simulate gives BLAS cores // workers threads; counts must not move
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "code = polar_16_8\nconstellation = qam16\nebn0_db = 1, 3\n"
+            "min_frame_errors = 0\nmax_frames = 6144\nseed = 4\n")
+        get = cli._openblas("get_num_threads")
+        before = get() if get else None
+        try:
+            assert cli.main(["simulate", "--config", str(cfgfile),
+                             "--workers", str(workers)]) == 0
+            if get:
+                assert get() == max(1, len(os.sched_getaffinity(0)) // workers)
+        finally:
+            if before is not None:
+                cli._openblas("set_num_threads")(ctypes.c_int(before))
+        rows = capsys.readouterr().out.splitlines()[1:]
+        cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
+                               ebn0_db=(1.0, 3.0), seed=4,
+                               stop=StopRule(min_frame_errors=0,
+                                             max_frames=6144))
+        for row, ebn0 in zip(rows, cfg.ebn0_db, strict=True):
+            rec = run_point(cfg, ebn0)
+            assert row.split(",")[1:4] == [str(rec.frames),
+                                           str(rec.bit_errors),
+                                           str(rec.frame_errors)]
 
     def test_config_error_is_one_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"

@@ -212,6 +212,14 @@ class TestModulate:
         hard, _ = hard_split(llr)
         assert np.array_equal(hard, bits)
 
+    def test_labels_wider_than_a_byte(self):
+        # 1024 points: two 32-level axes of 5 natural-binary bits each
+        lv = np.arange(32) * 2.0 - 31.0
+        axis = (lv[:, None] / np.sqrt(2 * np.mean(lv ** 2)),
+                (np.arange(32)[:, None] >> np.arange(4, -1, -1)) & 1)
+        c = Constellation("qam1024", (axis, axis))
+        assert np.array_equal(modulate(c, c.labels.reshape(-1)), c.points)
+
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="divisible"):
             modulate(build_constellation("qam16"), np.zeros(7, dtype=np.uint8))

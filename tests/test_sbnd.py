@@ -7,12 +7,8 @@ import pytest
 from bicmlab.bicm import transmit_batch
 from bicmlab.gf2code import all_messages, get_code, hamming_7_4, repetition_2_1
 from bicmlab.modem import NoiseConfig, build_constellation
-from bicmlab.sbnd import (
-    decode_batch,
-    make_training_batch,
-    map_noise_equivalence,
-    statistic_batch,
-)
+from bicmlab.sbnd import decode_batch, make_training_batch, statistic_batch
+from oracles import map_noise_equivalence
 
 
 class ZeroEstimator:

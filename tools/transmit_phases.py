@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Time per stage of a 2048-frame BICM transmit chunk.
+
+For the chains of the `pinv-qam16` and `osd2-qpsk` benchmark workloads and
+an 8-PSK exact chain, simulates a seeded 2048-frame chunk REPEATS times
+through the stages of `bicm.transmit_batch` (fresh interleaver), timing
+each:
+
+    draw          the uniform messages
+    encode        `LinearCode.encode`
+    keys+argsort  the interleaver keys and their argsort
+    interleave    `bicm.interleave`, plus the zero padding when m does not
+                  divide n
+    modulate      `modem.modulate`
+    awgn          `modem.awgn`
+    demap         `modem.demap`
+    clamp         `modem.clamp_llrs`, and the pad LLRs stripped
+    deinterleave  `bicm.deinterleave`
+    hard          `modem.hard_split`
+
+and prints the median ms per chunk of each stage and of their sum.  Every
+pass is checked field by field against one `transmit_batch` call from the
+same seed, so the stages are the chain's own.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
+
+    python3 tools/transmit_phases.py
+    python3 tools/transmit_phases.py --runs pinv-qam16 --repeats 21
+"""
+
+import argparse
+import dataclasses
+import os
+import pathlib
+import sys
+import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from bicmlab import bicm  # noqa: E402
+from bicmlab.gf2code import get_code  # noqa: E402
+from bicmlab.modem import (  # noqa: E402
+    NoiseConfig,
+    awgn,
+    build_constellation,
+    clamp_llrs,
+    demap,
+    hard_split,
+    modulate,
+)
+
+# name: (code, constellation, demap, Eb/N0 dB); the first two are the
+# benchmark workloads' points
+RUNS = {
+    "pinv-qam16": ("polar_128_64", "qam16", "exact", 4.0),
+    "osd2-qpsk": ("polar_64_32", "qpsk", "maxlog", 3.0),
+    "psk8-exact": ("polar_128_64", "psk8", "exact", 4.0),
+}
+STAGES = ("draw", "encode", "keys+argsort", "interleave", "modulate", "awgn",
+          "demap", "clamp", "deinterleave", "hard")
+FRAMES = 2048
+REPEATS = 9
+SEED = 0
+
+
+def transmit_in_stages(code, const, noise, rng, demap_kind: str
+                       ) -> tuple[list[float], bicm.FrameBatch]:
+    """transmit_batch's steps with a fresh interleaver, each timed:
+    (seconds per stage, the frame batch)."""
+    n, k = code.n, code.k
+    n_pad = bicm._padded_length(n, const.m)
+    t = [time.perf_counter()]
+    u = rng.integers(0, 2, size=(FRAMES, k), dtype=np.uint8)
+    t.append(time.perf_counter())
+    c = code.encode(u)
+    t.append(time.perf_counter())
+    perms = np.argsort(rng.random((FRAMES, n)), axis=1)
+    t.append(time.perf_counter())
+    c_tilde = tx_bits = bicm.interleave(c, perms)
+    if n_pad != n:
+        zeros = np.zeros((FRAMES, n_pad - n), dtype=np.uint8)
+        tx_bits = np.concatenate([c_tilde, zeros], axis=1)
+    t.append(time.perf_counter())
+    x = modulate(const, tx_bits)
+    t.append(time.perf_counter())
+    y = awgn(x, noise, rng)
+    t.append(time.perf_counter())
+    raw = demap(const, y, noise, kind=demap_kind)
+    t.append(time.perf_counter())
+    llr_tilde = clamp_llrs(raw)[:, :n]
+    t.append(time.perf_counter())
+    llr = bicm.deinterleave(llr_tilde, perms)
+    t.append(time.perf_counter())
+    hard, _ = hard_split(llr)
+    t.append(time.perf_counter())
+    fb = bicm.FrameBatch(u=u, c=c, c_tilde=c_tilde, perms=perms,
+                         llr_tilde=llr_tilde, llr=llr, hard=hard)
+    return list(np.diff(t)), fb
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--runs", nargs="+", default=list(RUNS), choices=RUNS,
+                    help="chains to time (default: all)")
+    ap.add_argument("--repeats", type=int, default=REPEATS)
+    ap.add_argument("--seed", type=int, default=SEED)
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+
+    print(f"{FRAMES}-frame chunk, fresh interleaver, "
+          f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, "
+          f"seed {args.seed}, median of {args.repeats}; ms per chunk")
+    print(f"{'run':11s} " + " ".join(f"{s:>8.8s}" for s in STAGES)
+          + f" {'total':>7s}")
+    for run in args.runs:
+        code_name, const_name, demap_kind, ebn0_db = RUNS[run]
+        code = get_code(code_name)
+        const = build_constellation(const_name)
+        noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
+        pad = code.n % const.m != 0
+        want = bicm.transmit_batch(code, const, noise,
+                                   np.random.default_rng(args.seed), FRAMES,
+                                   demap_kind=demap_kind, pad=pad)
+        times = []
+        for _ in range(args.repeats):
+            secs, fb = transmit_in_stages(code, const, noise,
+                                          np.random.default_rng(args.seed),
+                                          demap_kind)
+            for f in dataclasses.fields(fb):
+                if not np.array_equal(getattr(fb, f.name),
+                                      getattr(want, f.name)):
+                    raise SystemExit(f"{run}: {f.name} disagrees with "
+                                     f"transmit_batch")
+            times.append(secs)
+        med = 1e3 * np.median(times, axis=0)
+        total = 1e3 * np.median(np.sum(times, axis=1))
+        print(f"{run:11s} " + " ".join(f"{m:8.2f}" for m in med)
+              + f" {total:7.1f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
