@@ -8,6 +8,7 @@ magnitude faster than integer matmul for the Monte-Carlo loops.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from importlib import resources
@@ -327,8 +328,11 @@ class LinearCode:
             raise ValueError(f"codebook of 2^{self.k} codewords is too large")
         if "cw" not in self._codebook:
             msgs = all_messages(self.k)
+            cw = self.encode(msgs)
+            for m in (msgs, cw):
+                m.setflags(write=False)
             self._codebook["msgs"] = msgs
-            self._codebook["cw"] = self.encode(msgs)
+            self._codebook["cw"] = cw
         return self._codebook["cw"]
 
     def messages(self) -> np.ndarray:
@@ -399,10 +403,16 @@ def builtin_code_names() -> list[str]:
     return list(_BUILTINS)
 
 
+@functools.cache
+def _builtin_code(name: str) -> LinearCode:
+    return _BUILTINS[name]()
+
+
 def get_code(name: str) -> LinearCode:
-    """Built-in code by name, or a code loaded from an alist file path."""
+    """Built-in code by name, built once and shared (it is read-only), or a
+    code loaded from an alist file path, read on every call."""
     if name in _BUILTINS:
-        return _BUILTINS[name]()
+        return _builtin_code(name)
     try:
         return LinearCode.from_alist_file(name)
     except OSError:

@@ -8,8 +8,11 @@ toward the lexicographically smallest codeword so exhaustive cross-checks
 are exact.  Both decoders return (B, n) codewords and (B,) metrics.
 
 OSD eliminates all frames in lock-step on bit-packed rows, by masked XORs
-without row swaps, scores the weight-1 and weight-2 flip patterns from one
-Gram matrix per frame, and re-encodes by XORs of the packed reduced rows.
+without row swaps, and scores every flip pattern in float32, weights 1 and
+2 from one Gram matrix per frame.  The float32 scores only shortlist: every
+pattern within a proven bound on their rounding error of the best is
+re-encoded by XORs of the packed reduced rows and rescored exactly in
+float64, so codewords and metrics are those of an all-float64 decoder.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def osd_decode(code: LinearCode, llr: np.ndarray, order: int
 
 
 # frames scored together: keeps a slice's unpacked matrices and score table
-# near 2.5 MB (polar_64_32, order 2), which malloc reuses instead of refaulting
+# near 1.7 MB (polar_64_32, order 2), which malloc reuses instead of refaulting
 _SLICE_FRAMES = 64
 
 # weight-3+ patterns are re-encoded explicitly, in blocks of about this many
@@ -112,37 +115,84 @@ _BLOCK_ENTRIES = 1 << 20
 def _osd_scores(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
                 rows: np.ndarray, basis: np.ndarray, order: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hard basis decisions (B, k) and float scores of every flip pattern
+    """Hard basis decisions (B, k) and float32 scores of every flip pattern
     (B, patterns) of a slice, from _reduce_on_ranking's rows and basis.
 
     In the reliability-permuted domain, with R the reduced generator and c0
     the re-encoded hard basis, the flip pattern e scores
-    M0 - 2 sum_{j in supp(e R)} s_j with s = (1 - 2 c0) * l.  Weights 1 and 2
-    read that off d = R s and the Gram matrix R diag(s) R^T.
+    M0 - 2 sum_{j in supp(e R)} s_j with s = (1 - 2 c0) * l.  Weight 1 reads
+    that off d = R s, weight 2 off the Gram matrix R diag(s) R^T, whose
+    diagonal is d because R is 0/1.  All of it runs in float32; _osd_best's
+    tolerance bounds the rounding.
     """
     k = code.k
     l_perm = np.take_along_axis(llr, ranking, axis=1)
     rf = np.unpackbits(rows.view(np.uint8), axis=-1, count=code.n,
-                       bitorder="little").astype(np.float64)
+                       bitorder="little").astype(np.float32)
     info = (np.take_along_axis(l_perm, basis, axis=1) < 0).astype(np.uint8)
-    s = (1.0 - 2.0 * _xor_encode(info, rows, code.n)) * l_perm
+    c0 = _xor_encode(info, rows, code.n)
+    s = (1.0 - 2.0 * c0.astype(np.float32)) * l_perm.astype(np.float32)
     m0 = s.sum(axis=1, keepdims=True)
     scores = [m0]
-    if order >= 1:
+    if order == 1:
         d = (rf @ s[:, :, None])[:, :, 0]
         scores.append(m0 - 2.0 * d)
-    if order >= 2:
+    elif order >= 2:
         gram = (rf * s[:, None, :]) @ rf.transpose(0, 2, 1)
-        iu, ju, flat = _pair_index(k)
-        pair = (np.take(d, iu, axis=1) + np.take(d, ju, axis=1)
-                - 2.0 * np.take(gram.reshape(len(llr), -1), flat, axis=1))
+        # copied: the diagonal is a view of gram, overwritten below
+        d = np.diagonal(gram, axis1=1, axis2=2).copy()
+        scores.append(m0 - 2.0 * d)
+        # d_i + d_j - 2 G_ij in place, then the pairs i < j in one gather
+        gram *= -2.0
+        gram += d[:, :, None]
+        gram += d[:, None, :]
+        pair = np.take(gram.reshape(len(llr), -1), _pair_index(k), axis=1)
         scores.append(m0 - 2.0 * pair)
     high = _test_patterns(k, order)[1 + k + k * (k - 1) // 2:]  # weight >= 3
     step = max(1, _BLOCK_ENTRIES // (len(llr) * code.n))
     for p in range(0, len(high), step):
-        flips = (high[p:p + step].astype(np.float64) @ rf).astype(np.int64) & 1
+        # sums of at most k ones: exact in float32, and so is their parity
+        flips = np.fmod(high[p:p + step].astype(np.float32) @ rf, 2.0)
         scores.append(m0 - 2.0 * (flips @ s[:, :, None])[:, :, 0])
     return info, np.concatenate(scores, axis=1)
+
+
+# The shortlist tolerance of _osd_best, as a multiple of gamma_n L, where
+# L = sum_i |l_i|, u = 2^-24 is float32's unit roundoff and
+# gamma_n = n u / (1 - n u) >= u bounds the relative error of a float32 sum
+# of n terms taken in any order, with or without FMA (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1).  Against its
+# exact value M0 - 2 P, with P the sum of the float64 s over supp(e R), a
+# weight-2 score m0 - 2 (d_i + d_j - 2 G_ij) of _osd_scores errs by at most
+#   u L          the float32 cast of s: any signed sum of s moves <= u L
+#   gamma_n L    m0, a sum of n terms whose magnitudes sum to L
+#   4 gamma_n L  d_i and d_j, sums of <= n such terms, doubled by "- 2 P"
+#   4 gamma_n L  G_ij, a sum of <= n such terms, twice in P, doubled
+#   4 u L        the two roundings inside P, of partial sums <= L, doubled
+#   u L          the rounding of m0 - 2 P, <= L (the factor 2 is exact)
+# which is 9 gamma_n + 6 u <= 15 gamma_n.  Weight 1 and weights >= 3 (one
+# sum of <= n terms, doubled) err by at most 3 gamma_n + 2 u.  One more
+# gamma_n covers the second-order terms and the float64 rescoring
+# (n 2^-53 L) while n u <= 1/100.  The best float32 score and the exact
+# winner's may each be off by that much, in opposite directions, so the
+# tolerance counts it twice.
+_TOL_GAMMAS = 2 * 16
+
+
+def _score_tolerance(llr: np.ndarray) -> np.ndarray:
+    """(B, 1) shortlist tolerance _TOL_GAMMAS gamma_n sum_i |l_i| of a
+    slice: no pattern that exactly ties or beats all others has a float32
+    score further than this below the frame's best one."""
+    nu = llr.shape[1] * 2.0 ** -24
+    return _TOL_GAMMAS * nu / (1.0 - nu) * np.abs(llr).sum(axis=1,
+                                                        keepdims=True)
+
+
+def _shortlist(llr: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(B, patterns) mask of the patterns within _score_tolerance of each
+    frame's best float32 score; it holds every exact winner."""
+    best = scores.max(axis=1, keepdims=True).astype(np.float64)
+    return scores >= best - _score_tolerance(llr)
 
 
 def _osd_best(llr: np.ndarray, ranking: np.ndarray, rows: np.ndarray,
@@ -150,12 +200,12 @@ def _osd_best(llr: np.ndarray, ranking: np.ndarray, rows: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
     """Best codewords (B, n) and metrics (B,) of a slice from _osd_scores.
 
-    The scores only shortlist: every pattern within a tolerance of the best,
-    far above the scores' rounding errors so that every exact tie makes it,
-    is re-encoded and rescored exactly, ties going to _lex_best."""
+    The float32 scores only shortlist (_shortlist): every pattern within
+    _score_tolerance of the best, a proven bound on their rounding error
+    that every exact winner and tie makes, is re-encoded and rescored
+    exactly in float64, ties going to _lex_best."""
     n = llr.shape[1]
-    tol = 1e-9 * np.abs(llr).sum(axis=1, keepdims=True)
-    near = scores >= scores.max(axis=1, keepdims=True) - tol
+    near = _shortlist(llr, scores)
     first = np.argmax(near, axis=1)
     cw = _unpermute(_xor_encode(info ^ pats[first], rows, n), ranking)
     metric = correlation_metric(cw, llr)
@@ -228,9 +278,10 @@ def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray
 
 @functools.cache
 def _pair_index(k: int) -> np.ndarray:
-    """(3, pairs): i, j and i k + j of each pair i < j, in weight-2 order."""
+    """(pairs,): the flat index i k + j of each pair i < j of a (k, k)
+    matrix, in weight-2 order."""
     iu, ju = np.triu_indices(k, 1)
-    index = np.stack([iu, ju, iu * k + ju])
+    index = iu * k + ju
     index.setflags(write=False)
     return index
 

@@ -265,3 +265,21 @@ class TestLinearCode:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown code"):
             get_code("no_such_code")
+
+    @pytest.mark.parametrize("name", ["hamming_7_4", "polar_16_8",
+                                      "polar_128_64"])
+    def test_builtin_built_once_and_read_only(self, name):
+        code = get_code(name)
+        assert get_code(name) is code
+        shared = [code.h, code.g, code.a]
+        if code.k <= 20:
+            shared += [code.codebook(), code.messages()]
+        for m in shared:
+            assert not m.flags.writeable
+
+    def test_alist_path_read_on_every_call(self, tmp_path):
+        path = tmp_path / "code.alist"
+        path.write_text(dump_alist(hamming_7_4().h), encoding="ascii")
+        first = get_code(str(path))
+        path.write_text(dump_alist(ext_hamming_8_4().h), encoding="ascii")
+        assert first.n == 7 and get_code(str(path)).n == 8

@@ -7,10 +7,13 @@ import pytest
 
 from bicmlab.bicm import transmit_batch
 from bicmlab.gf2code import get_code, gf2_matmul, gf2_rank, gf2_rref, hamming_7_4
-from bicmlab.modem import NoiseConfig, build_constellation
+from bicmlab.modem import LLR_CLAMP, NoiseConfig, build_constellation
 from bicmlab.refdec import (
     ErrorCounter,
+    _osd_scores,
     _reduce_on_ranking,
+    _score_tolerance,
+    _test_patterns,
     _xor_encode,
     correlation_metric,
     map_decode,
@@ -139,22 +142,30 @@ class TestOsd:
             decode(hamming_7_4(), np.zeros(shape))
 
 
+def osd_llrs(code, frames, kind):
+    """(frames, n) LLRs: continuous QPSK ones at 1 dB; integers in -2..2,
+    which force exact ties between candidates; or the continuous ones
+    scaled by 40 and clamped, most of them to +-LLR_CLAMP."""
+    llr = noisy_frames(code, frames, ebn0_db=1.0, seed=20, kind="qpsk").llr
+    if kind == "integer":
+        rng = np.random.default_rng(21)
+        llr = rng.integers(-2, 3, size=llr.shape).astype(np.float64)
+    elif kind == "clamped":
+        llr = np.clip(40.0 * llr, -LLR_CLAMP, LLR_CLAMP)
+        assert np.mean(np.abs(llr) == LLR_CLAMP) > 0.5
+    return llr
+
+
 class TestOsdBatch:
-    @pytest.mark.parametrize("integer", [False, True],
-                             ids=["continuous", "integer"])
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "clamped"])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    @pytest.mark.parametrize("name,frames",
-                             [("polar_32_16", 40), ("polar_128_64", 6)])
-    def test_matches_enumerating_reference(self, name, frames, order,
-                                           integer):
-        # integer LLRs in -2..2 force exact ties between candidates;
+    @pytest.mark.parametrize("name,frames", [("polar_32_16", 40),
+                                             ("polar_64_32", 12),
+                                             ("polar_128_64", 6)])
+    def test_matches_enumerating_reference(self, name, frames, order, kind):
         # polar_128_64 packs each generator row into two 64-bit words
         code = get_code(name)
-        llr = noisy_frames(code, frames, ebn0_db=1.0, seed=20,
-                           kind="qpsk").llr
-        if integer:
-            rng = np.random.default_rng(21)
-            llr = rng.integers(-2, 3, size=llr.shape).astype(np.float64)
+        llr = osd_llrs(code, frames, kind)
         cw, metric = osd_decode(code, llr, order)
         for i in range(frames):
             ref_cw, ref_metric = osd_reference(code, llr[i], order)
@@ -172,6 +183,37 @@ class TestOsdBatch:
             one_cw, one_metric = osd_decode(code, llr[i:i + 1], order=2)
             assert np.array_equal(one_cw[0], cw[i])
             assert one_metric[0] == metric[i]
+
+
+def float64_scores(rows, info, pats, l_perm):
+    """Every flip pattern's correlation metric in float64, for one frame in
+    the reliability-permuted domain: info ^ pats re-encoded on the packed
+    rows, 4096 patterns at a time."""
+    n = len(l_perm)
+    return np.concatenate([
+        (1.0 - 2.0 * _xor_encode(info ^ pats[p:p + 4096], rows, n)) @ l_perm
+        for p in range(0, len(pats), 4096)])
+
+
+class TestFloat32Scores:
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "clamped"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("name,frames",
+                             [("polar_64_32", 12), ("polar_128_64", 3)])
+    def test_within_half_tolerance(self, name, frames, order, kind):
+        # then no pattern that exactly ties or beats the rest can fall out
+        # of the shortlist; TestOsdBatch checks the winners themselves
+        code = get_code(name)
+        llr = osd_llrs(code, frames, kind)
+        ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
+        rows, basis = _reduce_on_ranking(code.g, ranking)
+        info, scores = _osd_scores(code, llr, ranking, rows, basis, order)
+        assert scores.dtype == np.float32
+        pats = _test_patterns(code.k, order)
+        half_tol = _score_tolerance(llr)[:, 0] / 2.0
+        for i in range(frames):
+            want = float64_scores(rows[i], info[i], pats, llr[i, ranking[i]])
+            assert np.max(np.abs(scores[i] - want)) <= half_tol[i]
 
 
 def unpack_rows(rows, n):

@@ -8,12 +8,14 @@ phases of `refdec.osd_decode`, timing each:
 
     sort        the stable reliability argsort
     eliminate   `_reduce_on_ranking`, the lock-step Gauss-Jordan
-    score       `_osd_scores` over all slices: c0, d, the Gram matrix
+    score       `_osd_scores` over all slices: c0, d, the float32 Gram matrix
     re-encode   `_osd_best` over all slices: pick, re-encode, exact rescore
 
-and prints the median ms per chunk of each phase and of their sum.  Every
-pass is checked against one `osd_decode` call of the same chunk, so the
-phases are the decoder's own.
+and prints the median ms per chunk of each phase and of their sum, and the
+tie frames: the frames of the chunk whose float32 shortlist holds more than
+one pattern, so that `_osd_best` re-encodes and rescores them one by one in
+its per-frame `_lex_best` loop.  Every pass is checked against one
+`osd_decode` call of the same chunk, so the phases are the decoder's own.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
 
@@ -57,9 +59,9 @@ def chunk(code_name: str, seed: int) -> tuple[object, np.ndarray]:
 
 
 def decode_in_phases(code, llr: np.ndarray, order: int
-                     ) -> tuple[dict, np.ndarray, np.ndarray]:
-    """osd_decode's steps, each timed: (seconds per phase, codewords,
-    metrics)."""
+                     ) -> tuple[dict, int, np.ndarray, np.ndarray]:
+    """osd_decode's steps, each timed: (seconds per phase, tie frames,
+    codewords, metrics)."""
     secs = dict.fromkeys(PHASES, 0.0)
     pats = refdec._test_patterns(code.k, order)
     t0 = time.perf_counter()
@@ -70,6 +72,7 @@ def decode_in_phases(code, llr: np.ndarray, order: int
     secs["sort"], secs["eliminate"] = t1 - t0, t2 - t1
     cw = np.empty(llr.shape, dtype=np.uint8)
     metric = np.empty(len(llr))
+    ties = 0
     for s in range(0, len(llr), refdec._SLICE_FRAMES):
         sl = slice(s, s + refdec._SLICE_FRAMES)
         t0 = time.perf_counter()
@@ -81,7 +84,9 @@ def decode_in_phases(code, llr: np.ndarray, order: int
         t2 = time.perf_counter()
         secs["score"] += t1 - t0
         secs["re-encode"] += t2 - t1
-    return secs, cw, metric
+        near = refdec._shortlist(llr[sl], scores)
+        ties += int(np.count_nonzero(near.sum(axis=1) > 1))
+    return secs, ties, cw, metric
 
 
 def main(argv=None) -> int:
@@ -98,7 +103,8 @@ def main(argv=None) -> int:
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, "
           f"seed {args.seed}, median of {args.repeats}; ms per chunk")
     print(f"{'code':14s} {'order':>5s} "
-          + " ".join(f"{p:>10s}" for p in PHASES) + f" {'total':>8s}")
+          + " ".join(f"{p:>10s}" for p in PHASES) + f" {'total':>8s}"
+          + f" {'tie frames':>10s}")
     for run in args.runs:
         code_name, _, order = run.partition(":")
         code, llr = chunk(code_name, args.seed)
@@ -106,7 +112,7 @@ def main(argv=None) -> int:
         want_cw, want_metric = refdec.osd_decode(code, llr, order)
         times = []
         for _ in range(args.repeats):
-            secs, cw, metric = decode_in_phases(code, llr, order)
+            secs, ties, cw, metric = decode_in_phases(code, llr, order)
             if not (np.array_equal(cw, want_cw)
                     and np.array_equal(metric, want_metric)):
                 raise SystemExit(f"{run}: phases disagree with osd_decode")
@@ -114,8 +120,8 @@ def main(argv=None) -> int:
         med = 1e3 * np.median(times, axis=0)
         total = 1e3 * np.median(np.sum(times, axis=1))
         print(f"{code_name:14s} {order:5d} "
-              + " ".join(f"{m:10.1f}" for m in med) + f" {total:8.1f}",
-              flush=True)
+              + " ".join(f"{m:10.1f}" for m in med) + f" {total:8.1f}"
+              + f" {ties:10d}", flush=True)
     return 0
 
 
