@@ -83,15 +83,6 @@ class FrameBatch:
         return self.u.shape[0]
 
 
-def check_fit(code: LinearCode, const: Constellation, pad: bool) -> None:
-    """Refuse an unpadded constellation whose m does not divide n."""
-    if code.n % const.m and not pad:
-        raise ValueError(f"constellation {const.name} has m = {const.m} bits "
-                         f"per symbol, which does not divide n = {code.n} of "
-                         f"{code.name}, and pad = false; set pad = true for "
-                         f"zero padding")
-
-
 def transmit_batch(
     code: LinearCode,
     const: Constellation,
@@ -101,16 +92,14 @@ def transmit_batch(
     *,
     demap_kind: str = "exact",
     interleaver: np.ndarray | None = None,
-    pad: bool = False,
 ) -> FrameBatch:
     """Simulate n_frames full chains with i.i.d. uniform messages.
 
     interleaver=None draws a fresh uniform permutation per frame; passing a
     fixed permutation pins it for every frame.  When the symbol width m does
-    not divide n, pad=True appends known zero bits after the interleaver and
-    strips their LLRs at the receiver; otherwise this is an error.
+    not divide n, known zero bits are appended after the interleaver and
+    their LLRs stripped at the receiver.
     """
-    check_fit(code, const, pad)
     n, k, m = code.n, code.k, const.m
     n_pad = _padded_length(n, m)
 
@@ -142,11 +131,7 @@ def transmit_batch(
 @dataclass
 class ChannelEstimate:
     """Flip counts of hard decisions vs transmitted bits, per constellation
-    bit position s in [1..m] and per transmitted value c in {0, 1}.
-
-    Counts are plain sums, so shards from concurrent workers merge by
-    addition.
-    """
+    bit position s in [1..m] and per transmitted value c in {0, 1}."""
 
     m: int
     flips: np.ndarray | None = None   # (m, 2) float64 counts
@@ -165,13 +150,6 @@ class ChannelEstimate:
         self.totals += np.column_stack([len(sent) - ones, ones])
         self.flips += np.column_stack([flipped.sum(axis=0) - flips_ones,
                                        flips_ones])
-
-    def merge(self, other: "ChannelEstimate") -> "ChannelEstimate":
-        if other.m != self.m:
-            raise ValueError("position counts differ")
-        self.flips += other.flips
-        self.totals += other.totals
-        return self
 
     def p_hat(self, s: int, c: int) -> float:
         """Estimated flip probability at 1-based position s given sent c."""
@@ -193,12 +171,10 @@ def estimate_channel(
     noise: NoiseConfig,
     frames: int,
     rng: np.random.Generator,
-    *,
-    demap_kind: str = "maxlog",
-    pad: bool = False,
-    chunk: int = 8192,
 ) -> ChannelEstimate:
-    """Accumulate hard-decision flip statistics over `frames` transmissions.
+    """Accumulate hard-decision flip statistics over `frames` max-log
+    transmissions, drawn in chunks of 8192 frames (the chunks order the RNG
+    draws, so they fix the counts).
 
     Statistics live in the interleaved (constellation) domain: slot j of a
     frame occupies bit position (j mod m) + 1 of symbol j // m.  Pad slots
@@ -212,9 +188,8 @@ def estimate_channel(
     est = ChannelEstimate(m=const.m)
     done = 0
     while done < frames:
-        b = min(chunk, frames - done)
-        fb = transmit_batch(code, const, noise, rng, b,
-                            demap_kind=demap_kind, pad=pad)
+        b = min(8192, frames - done)
+        fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog")
         sent = fb.c_tilde[:, :n_clean].astype(bool).reshape(-1, const.m)
         hard = (fb.llr_tilde[:, :n_clean] < 0).reshape(-1, const.m)
         est.accumulate(sent, hard ^ sent)
@@ -234,16 +209,15 @@ class SymmetryResult:
                          abs(self.z_pooled)))
 
 
-def bsc_symmetry_ztest(est: ChannelEstimate, min_samples: int = 10_000
-                      ) -> SymmetryResult:
+def bsc_symmetry_ztest(est: ChannelEstimate) -> SymmetryResult:
     """Two-proportion z-test of the crossover symmetry per bit position.
 
     z = (p_hat(1|0) - p_hat(0|1)) / stderr with the pooled binomial stderr.
-    Requires at least min_samples observations of each conditional.
+    Requires at least 10000 observations of each conditional.
     """
-    if np.any(est.totals < min_samples):
+    if np.any(est.totals < 10_000):
         raise ValueError(
-            f"insufficient samples: need >= {min_samples} per (position, bit)"
+            "insufficient samples: need >= 10000 per (position, bit)"
         )
     # rows: the m positions, then all positions pooled
     flips = np.vstack([est.flips, est.flips.sum(axis=0)])
@@ -271,12 +245,11 @@ def measure_flip_correlation(
     frames: int,
     rng: np.random.Generator,
     *,
-    demap_kind: str = "maxlog",
     interleaver: np.ndarray | None = None,
-    pad: bool = False,
-    chunk: int = 16384,
 ) -> MemorylessnessResult:
-    """Empirical pairwise correlation of flip indicators across code positions.
+    """Empirical pairwise correlation of flip indicators across code positions,
+    over max-log transmissions drawn in chunks of 16384 frames (the chunks
+    order the RNG draws, so they fix the result).
 
     With a fresh interleaver per frame the flips should be indistinguishable
     from independent; a pinned interleaver exposes the same-symbol coupling.
@@ -286,10 +259,9 @@ def measure_flip_correlation(
     s2 = np.zeros((n, n))
     done = 0
     while done < frames:
-        b = min(chunk, frames - done)
-        fb = transmit_batch(code, const, noise, rng, b,
-                            demap_kind=demap_kind, interleaver=interleaver,
-                            pad=pad)
+        b = min(16384, frames - done)
+        fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog",
+                            interleaver=interleaver)
         w = (fb.c ^ fb.hard).astype(np.float64)
         s1 += w.sum(axis=0)
         s2 += w.T @ w

@@ -22,7 +22,6 @@ __all__ = [
     "gf2_rank",
     "gf2_rref",
     "load_alist",
-    "load_alist_file",
     "dump_alist",
     "derive_generator",
     "build_pseudo_inverse",
@@ -161,11 +160,6 @@ def load_alist(text: str) -> np.ndarray:
     return mat
 
 
-def load_alist_file(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_alist(fh.read())
-
-
 def dump_alist(mat: np.ndarray) -> str:
     """Serialize a binary matrix to alist text (entries padded with zeros)."""
     mat = _as_bits(mat)
@@ -295,12 +289,6 @@ class LinearCode:
     def from_alist(cls, text: str, name: str = "alist") -> "LinearCode":
         return cls.from_parity_check(load_alist(text), name=name)
 
-    @classmethod
-    def from_alist_file(cls, path, name: str | None = None) -> "LinearCode":
-        return cls.from_parity_check(
-            load_alist_file(path), name=name or str(path)
-        )
-
     def encode(self, u: np.ndarray) -> np.ndarray:
         """c = u @ G over GF(2); u may be (k,) or a (..., k) batch."""
         u = _as_bits(u)
@@ -414,8 +402,10 @@ def get_code(name: str) -> LinearCode:
     if name in _BUILTINS:
         return _builtin_code(name)
     try:
-        return LinearCode.from_alist_file(name)
+        with open(name, encoding="ascii") as fh:
+            text = fh.read()
     except OSError:
         raise ValueError(
             f"unknown code {name!r}; built-ins: {', '.join(_BUILTINS)}"
         ) from None
+    return LinearCode.from_alist(text, name=name)

@@ -20,7 +20,6 @@ from . import refdec
 from .bicm import (
     FrameBatch,
     bsc_symmetry_ztest,
-    check_fit,
     draw_interleaver,
     estimate_channel,
     measure_flip_correlation,
@@ -121,7 +120,6 @@ class ExperimentConfig:
     demap: str = "exact"                 # exact | maxlog
     interleaver: str = "fresh"           # fresh | pinned
     interleaver_seed: int = 0
-    pad: bool = False
     stop: StopRule = field(default_factory=StopRule)
     seed: int = 0
     workers: int = 1
@@ -165,19 +163,13 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-_BOOLS = {"true": True, "yes": True, "1": True,
-          "false": False, "no": False, "0": False}
-
-
 def _typed(key: str, text: str, default):
     """text as the type of default; a value that does not parse names key."""
     try:
-        if isinstance(default, bool):
-            return _BOOLS[text.lower()]
         if isinstance(default, tuple):
             return tuple(float(t) for t in text.replace(",", " ").split())
         return type(default)(text)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ValueError(f"config key {key!r}: bad {type(default).__name__} "
                          f"value {text!r}") from None
 
@@ -187,10 +179,9 @@ def config_kwargs(cls, kv: dict[str, str]) -> dict:
     string values of parse_config_text.
 
     Each value is converted to the type of its field's default; the grid
-    ebn0_db is a comma or space separated list and a boolean is one of
-    true/false/yes/no/1/0.  StopRule's fields are flat keys of an experiment
-    config.  An unknown key, or a value that does not parse, raises a
-    ValueError naming the key.
+    ebn0_db is a comma or space separated list.  StopRule's fields are flat
+    keys of an experiment config.  An unknown key, or a value that does not
+    parse, raises a ValueError naming the key.
     """
     defaults = cls()
     known = {f.name for f in fields(cls)} - {"stop"}
@@ -343,7 +334,6 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         point_index = cfg.ebn0_db.index(ebn0_db)
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
-    check_fit(code, const, cfg.pad)
     noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
     decoder = make_decoder(cfg, code)
     pinned = (
@@ -355,7 +345,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         rng = _chunk_rng(cfg.seed, point_index, chunk_index)
         fb = transmit_batch(
             code, const, noise, rng, CHUNK_FRAMES,
-            demap_kind=cfg.demap, interleaver=pinned, pad=cfg.pad,
+            demap_kind=cfg.demap, interleaver=pinned,
         )
         return decoder.decode_chunk(fb)
 
@@ -428,9 +418,14 @@ def write_csv(path, cfg: ExperimentConfig, records: list[BerRecord]) -> None:
             f"{r.ebn0_db:g},{r.frames},{r.bit_errors},{r.frame_errors},"
             f"{r.ber:.8g},{r.fer:.8g},{ml},{r.seconds:.3f}"
         )
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write text through a temporary file, so path is never half written."""
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -454,7 +449,6 @@ class TrainConfig:
     lr: float = 1e-3
     train_ebn0_db: float = 5.0
     demap: str = "exact"
-    pad: bool = False
     seed: int = 0
     out: str = "estimator.ckpt"
     curve: str = ""
@@ -522,7 +516,6 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     """
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
-    check_fit(code, const, cfg.pad)
     noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
@@ -534,7 +527,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     else:
         net = cfg.build_network(code, rng)
         calib = transmit_batch(code, const, noise, rng, 4096,
-                               demap_kind=cfg.demap, pad=cfg.pad)
+                               demap_kind=cfg.demap)
         input_scale = 1.0 / float(np.mean(np.abs(calib.llr)))
     if verbose:
         print(f"model: {cfg.arch} with {net.num_params()} parameters")
@@ -548,7 +541,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, step))
             )
             fb = transmit_batch(code, const, noise, batch_rng, cfg.batch_size,
-                                demap_kind=cfg.demap, pad=cfg.pad)
+                                demap_kind=cfg.demap)
             x, t = make_training_batch(fb, code)
             x[:, :code.n] *= input_scale
             loss = train_step(net, x.astype(np.float32),
@@ -567,12 +560,8 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     save_checkpoint(cfg.out, net, input_scale=input_scale,
                     step=start_step + cfg.steps, seed=cfg.seed)
     if cfg.curve:
-        tmp = str(cfg.curve) + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("step,loss\n")
-            for s, l in curve:
-                fh.write(f"{s},{l:.6f}\n")
-        os.replace(tmp, cfg.curve)
+        _write_text(cfg.curve, "step,loss\n" + "".join(
+            f"{s},{l:.6f}\n" for s, l in curve))
     return cfg.out
 
 
@@ -588,10 +577,10 @@ class CheckRow:
     passed: bool
 
 
-def verify_channel(seed: int = 0, code_name: str = "polar_64_32",
-                   symmetry_bits: int = 1_000_000,
+def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
                    corr_frames: int = 150_000) -> list[CheckRow]:
-    """Run the binary-channel-model test battery and return one row per check.
+    """Run the binary-channel-model test battery on polar_64_32 and return
+    one row per check.
 
     Covers: crossover symmetry z-tests and flip-correlation bounds for Gray
     8-PSK (Es/N0 3 and 6 dB) and Gray 16-QAM (0 and 6 dB), and the
@@ -600,7 +589,7 @@ def verify_channel(seed: int = 0, code_name: str = "polar_64_32",
     the ones the binary channel model is built on.
     """
     rows: list[CheckRow] = []
-    code = get_code(code_name)
+    code = get_code("polar_64_32")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(99,)))
     frames_sym = -(-symmetry_bits // code.n)
@@ -615,11 +604,10 @@ def verify_channel(seed: int = 0, code_name: str = "polar_64_32",
 
     for kind, esn0_list in (("psk8", (3.0, 6.0)), ("qam16", (0.0, 6.0))):
         const = build_constellation(kind)
-        pad = code.n % const.m != 0
         for esn0 in esn0_list:
             noise = NoiseConfig.from_esn0_db(esn0)
             tag = f"{kind}@{esn0:g}dB"
-            est = estimate_channel(code, const, noise, frames_sym, rng, pad=pad)
+            est = estimate_channel(code, const, noise, frames_sym, rng)
             z = bsc_symmetry_ztest(est)
             rows.append(CheckRow(f"{tag} symmetry max |z|", z.max_abs_z(),
                                  "<= 4", z.max_abs_z() <= 4.0))
@@ -631,7 +619,7 @@ def verify_channel(seed: int = 0, code_name: str = "polar_64_32",
                     abs(q_hat - q_ref) / se, "<= 3",
                     abs(q_hat - q_ref) <= 3 * se))
             corr = measure_flip_correlation(code, const, noise, corr_frames,
-                                            rng, pad=pad)
+                                            rng)
             rows.append(CheckRow(f"{tag} flip correlation max |corr|",
                                  corr.max_abs_corr, "<= 0.02",
                                  corr.max_abs_corr <= 0.02))

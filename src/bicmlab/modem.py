@@ -50,9 +50,7 @@ class Constellation:
     complex128 and `labels` (M, m) uint8 are read-only fields derived from
     the product; they must be unit average energy and a bijection.
     `point_of_label` (M,) complex128, also read-only, is the point that
-    carries each label integer (see `label_ints`).  Two
-    constellations are equal, and hash alike, when their names and the
-    bytes of their tables are.
+    carries each label integer (see `label_ints`).
     """
 
     name: str
@@ -92,17 +90,6 @@ class Constellation:
         by_label[ints] = pts
         by_label.setflags(write=False)
         object.__setattr__(self, "point_of_label", by_label)
-
-    def _key(self) -> tuple[str, bytes, bytes]:
-        return self.name, self.points.tobytes(), self.labels.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Constellation):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def M(self) -> int:

@@ -40,7 +40,7 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, net, *, input_scale: float = 1.0, step: int = 0,
-                    seed: int | None = None, extra: dict | None = None) -> None:
+                    seed: int | None = None) -> None:
     params = net.params()
     blocks = []
     offset = 0
@@ -65,7 +65,6 @@ def save_checkpoint(path, net, *, input_scale: float = 1.0, step: int = 0,
         "input_scale": float(input_scale),
         "step": int(step),
         "seed": seed,
-        "extra": extra or {},
         "params": blocks,
         "sha256": sha.hexdigest(),
     }

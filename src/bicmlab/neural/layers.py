@@ -74,10 +74,11 @@ class Dense:
 class LayerNorm:
     """Normalization over the last axis with learned scale and shift."""
 
-    def __init__(self, name: str, dim: int, dtype=np.float32, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, name: str, dim: int, dtype=np.float32):
         self.gamma = Param(f"{name}.gamma", np.ones(dim, dtype=dtype))
         self.beta = Param(f"{name}.beta", np.zeros(dim, dtype=dtype))
-        self.eps = eps
 
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]

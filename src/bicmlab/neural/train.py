@@ -22,13 +22,14 @@ class TrainingDiverged(RuntimeError):
 
 
 class Adam:
-    """Adam over a fixed parameter list (mu = 1e-3, beta1 = 0.9,
-    beta2 = 0.999, eps = 1e-8 unless overridden)."""
+    """Adam over a fixed parameter list (mu = 1e-3 unless overridden,
+    beta1 = 0.9, beta2 = 0.999, eps = 1e-8)."""
 
-    def __init__(self, params: list[Param], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Param], lr: float = 1e-3):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
@@ -96,13 +97,14 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam) -> float:
 
 
 def gradient_check(net, x: np.ndarray, targets: np.ndarray,
-                   rng: np.random.Generator, samples_per_block: int = 12,
-                   step: float = 1e-4) -> float:
+                   rng: np.random.Generator) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Samples indices from every parameter block.  The net must be built in
-    float64 for the comparison to be meaningful.
+    Samples up to 12 indices from every parameter block and steps each by
+    1e-4.  The net must be built in float64 for the comparison to be
+    meaningful.
     """
+    samples_per_block, step = 12, 1e-4
     params = net.params()
     if any(p.value.dtype != np.float64 for p in params):
         raise ValueError("gradient_check requires a float64 network")

@@ -105,17 +105,16 @@ def _channel_setup(kind, esn0_db):
     code = get_code("polar_64_32")
     const = build_constellation(kind)
     noise = NoiseConfig.from_esn0_db(esn0_db)
-    pad = code.n % const.m != 0
-    return code, const, noise, pad
+    return code, const, noise
 
 
 @pytest.mark.parametrize("kind,esn0_db", [
     ("psk8", 3.0), ("psk8", 6.0), ("qam16", 6.0),
 ])
 def test_criterion_2_symmetry(kind, esn0_db):
-    code, const, noise, pad = _channel_setup(kind, esn0_db)
+    code, const, noise = _channel_setup(kind, esn0_db)
     est = estimate_channel(code, const, noise, SYMMETRY_FRAMES,
-                           _rng(2, int(esn0_db), const.m), pad=pad)
+                           _rng(2, int(esn0_db), const.m))
     z = bsc_symmetry_ztest(est).max_abs_z()
     ok = z <= 4.0
     report(f"2 symmetry {kind}@{esn0_db:g}dB", ok, f"max |z| = {z:.2f} <= 4")
@@ -125,9 +124,9 @@ def test_criterion_2_symmetry(kind, esn0_db):
 def test_criterion_2_symmetry_qam16_at_0db():
     # Known red: the magnitude-bit asymmetry at Es/N0 = 0 dB is ~0.10, i.e.
     # dozens of sigma at 1e6 bits.  Asserted as specified, fails honestly.
-    code, const, noise, pad = _channel_setup("qam16", 0.0)
+    code, const, noise = _channel_setup("qam16", 0.0)
     est = estimate_channel(code, const, noise, SYMMETRY_FRAMES,
-                           _rng(2, 0, const.m), pad=pad)
+                           _rng(2, 0, const.m))
     z = bsc_symmetry_ztest(est).max_abs_z()
     ok = z <= 4.0
     report("2 symmetry qam16@0dB", ok, f"max |z| = {z:.2f} <= 4")
@@ -138,9 +137,9 @@ def test_criterion_2_symmetry_qam16_at_0db():
     ("psk8", 3.0), ("psk8", 6.0), ("qam16", 0.0), ("qam16", 6.0),
 ])
 def test_criterion_2_memorylessness(kind, esn0_db):
-    code, const, noise, pad = _channel_setup(kind, esn0_db)
+    code, const, noise = _channel_setup(kind, esn0_db)
     res = measure_flip_correlation(code, const, noise, CORR_FRAMES,
-                                   _rng(3, int(esn0_db), const.m), pad=pad)
+                                   _rng(3, int(esn0_db), const.m))
     ok = res.max_abs_corr <= 0.02
     report(f"2 memorylessness {kind}@{esn0_db:g}dB", ok,
            f"max |corr| = {res.max_abs_corr:.4f} <= 0.02")
@@ -163,7 +162,7 @@ def test_criterion_2_crossover_oracles():
         noise = NoiseConfig.from_esn0_db(esn0)
         _, q_ref = predicted_crossover(psk8, noise)
         est = estimate_channel(code, psk8, noise, SYMMETRY_FRAMES,
-                               _rng(4, int(esn0)), pad=True)
+                               _rng(4, int(esn0)))
         dev = abs(est.pooled_q() - q_ref) / est.pooled_q_stderr()
         checks.append((f"psk8@{esn0:g}dB vs closed form", dev))
 
@@ -322,8 +321,7 @@ def test_criterion_8_zero_noise_exactness():
         code = get_code(name)
         for kind in ("bpsk", "qpsk", "psk8", "qam16"):
             const = build_constellation(kind)
-            pad = code.n % const.m != 0
-            fb = transmit_batch(code, const, tiny, rng, 200, pad=pad)
+            fb = transmit_batch(code, const, tiny, rng, 200)
             ok &= not np.any(fb.c ^ fb.hard)
             ok &= np.array_equal(code.p_inv_apply(fb.hard), fb.u)
     report("8a zero-noise exactness", ok,

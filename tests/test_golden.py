@@ -22,10 +22,10 @@ GOLDEN = {
     # one hard-pinv point per (constellation, demap) pair the others lack;
     # n = 16 is no multiple of m = 3, so 8-PSK pads
     "hard-pinv-psk8-exact": (dict(HARD_PINV, constellation="psk8",
-                                  demap="exact", pad=True),
+                                  demap="exact"),
                              (2048, 4792, 1216, None)),
     "hard-pinv-psk8-maxlog": (dict(HARD_PINV, constellation="psk8",
-                                   demap="maxlog", pad=True),
+                                   demap="maxlog"),
                               (2048, 4792, 1216, None)),
     "hard-pinv-qam16-maxlog": (dict(HARD_PINV, demap="maxlog"),
                                (2048, 5293, 1318, None)),

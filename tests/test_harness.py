@@ -5,6 +5,7 @@ import ctypes
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,12 +46,11 @@ class TestConfig:
     def test_parse_key_values(self):
         kv = parse_config_text(
             "# comment\ncode = hamming_7_4\nebn0_db = 1, 2,3\nworkers=2\n"
-            "max_frames = 4096\npad = yes\n")
+            "max_frames = 4096\n")
         cfg = ExperimentConfig(**config_kwargs(ExperimentConfig, kv))
         assert cfg.code == "hamming_7_4"
         assert cfg.ebn0_db == (1.0, 2.0, 3.0)
         assert cfg.workers == 2
-        assert cfg.pad is True
         assert cfg.stop == StopRule(max_frames=4096)
 
     def test_train_keys_typed(self):
@@ -60,8 +60,20 @@ class TestConfig:
 
     @pytest.mark.parametrize("cls", [ExperimentConfig, TrainConfig])
     def test_unknown_key_rejected(self, cls):
-        with pytest.raises(ValueError, match="osd_ordr"):
-            config_kwargs(cls, {"osd_ordr": "5"})
+        # pad is no key: padding follows from n and m
+        for line in ("osd_ordr = 5", "pad = true"):
+            key = line.split()[0]
+            with pytest.raises(ValueError,
+                               match=f"^unknown config key '{key}'$"):
+                config_kwargs(cls, parse_config_text(line))
+
+    def test_readme_example_config_parses(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        section = readme.read_text().split("### Experiment config format")[1]
+        block = section.split("```")[1]
+        cfg = ExperimentConfig(**config_kwargs(ExperimentConfig,
+                                               parse_config_text(block)))
+        assert (cfg.code, cfg.decoder, cfg.workers) == ("polar_64_32", "osd", 4)
 
     def test_stop_keys_only_for_experiments(self):
         with pytest.raises(ValueError, match="max_frames"):
@@ -103,15 +115,12 @@ class TestConfig:
             parse_config_text("a = 1\nbroken-line\n")
 
     @pytest.mark.parametrize("cls, text, match", [
-        (ExperimentConfig, "pad = ture", "'pad': bad bool value 'ture'"),
-        (TrainConfig, "pad = on", "'pad': bad bool value 'on'"),
         (ExperimentConfig, "osd_order = two", "'osd_order': bad int"),
         (ExperimentConfig, "max_frames = lots", "'max_frames': bad int"),
         (ExperimentConfig, "ebn0_db = 1, x", "'ebn0_db': bad tuple"),
         (TrainConfig, "lr = fast", "'lr': bad float"),
         (ExperimentConfig, "seed = 1\nseed = 2", "line 2: duplicate key 'seed'"),
-    ], ids=["pad-ture", "train-pad-on", "osd_order", "max_frames", "ebn0_db",
-            "lr", "duplicate"])
+    ], ids=["osd_order", "max_frames", "ebn0_db", "lr", "duplicate"])
     def test_bad_value_names_its_key(self, cls, text, match):
         with pytest.raises(ValueError, match=match):
             config_kwargs(cls, parse_config_text(text))
@@ -211,22 +220,6 @@ class TestRunPoint:
                                stop=quick_stop(chunks * harness.CHUNK_FRAMES))
         assert run_point(cfg, 2.0).frames == chunks * harness.CHUNK_FRAMES
         assert transmits == [harness.CHUNK_FRAMES] * chunks
-
-    def test_unpadded_misfit_refused_before_any_chunk(self, monkeypatch):
-        transmits = []
-        monkeypatch.setattr(harness, "transmit_batch",
-                            lambda *a, **k: transmits.append(a))
-        cfg = ExperimentConfig(code="polar_16_8", constellation="psk8",
-                               ebn0_db=(2.0,), workers=2,
-                               stop=quick_stop(2048))
-        with pytest.raises(ValueError, match=r"psk8 has m = 3 .* n = 16 "
-                                             r".*pad = false"):
-            run_point(cfg, 2.0)
-        train = TrainConfig(code="polar_16_8", constellation="psk8",
-                            steps=1, batch_size=8)
-        with pytest.raises(ValueError, match="pad = false"):
-            train_estimator(train)
-        assert transmits == []
 
     def test_osd_order_refused_before_any_chunk(self, monkeypatch):
         transmits = []
@@ -341,6 +334,12 @@ class TestTraining:
         cfg0 = replace(cfg, resume=str(ckpt), steps=0)
         train_estimator(cfg0)
         assert ckpt.read_bytes() == before
+
+        # 3 bits per symbol do not divide n = 16: the chain pads itself
+        padded = replace(cfg, constellation="psk8", steps=2,
+                         out=str(tmp_path / "psk8.ckpt"), curve="")
+        _, header = load_checkpoint(train_estimator(padded))
+        assert header["step"] == 2
 
     def test_sbnd_decoder_runs_from_checkpoint(self, tmp_path):
         ckpt = tmp_path / "est.ckpt"
@@ -524,16 +523,6 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err == "bicmlab: error: unknown config key 'osd_ordr'\n"
-
-    def test_unpadded_misfit_is_a_usage_error(self, tmp_path, capsys):
-        cfgfile = tmp_path / "psk8.cfg"
-        cfgfile.write_text("code = polar_16_8\nconstellation = psk8\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--config", str(cfgfile)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("bicmlab: error: constellation psk8 has m = 3")
-        assert err.count("\n") == 1
 
     def test_train_cli_writes_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "t.ckpt"

@@ -160,22 +160,6 @@ class TestConstellations:
         with pytest.raises(ValueError, match="a factor needs"):
             Constellation("bad", ((coords, labels),))
 
-    def test_equal_tables_compare_equal(self):
-        assert build_constellation("qpsk") == build_constellation("qpsk")
-        assert build_constellation("qpsk") != build_constellation("qam16")
-        assert build_constellation("qpsk") != "qpsk"
-
-    def test_name_is_part_of_equality(self):
-        c = build_constellation("qpsk")
-        assert Constellation("qpsk-copy", c.factors) != c
-
-    def test_hash_agrees_with_equality(self):
-        a, b = build_constellation("psk8"), build_constellation("psk8")
-        assert hash(a) == hash(b)
-        table = {a: "psk8", build_constellation("qam16"): "qam16"}
-        assert table[b] == "psk8"
-        assert len({build_constellation(k) for k in ALL_KINDS * 2}) == 4
-
 
 class TestNoiseConfig:
     def test_esn0(self):

@@ -90,7 +90,7 @@ class TestDecode:
         const = build_constellation("psk8")
         nc = NoiseConfig.from_ebn0_db(0.0, code.rate, const.m)
         rng = np.random.default_rng(4)
-        fb = transmit_batch(code, const, nc, rng, 300, pad=True)
+        fb = transmit_batch(code, const, nc, rng, 300)
         got = decode_batch(code, fb.llr,
                            OracleEstimator(code.p_inv_apply(fb.c ^ fb.hard)))
         assert np.array_equal(got, fb.u)

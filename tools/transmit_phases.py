@@ -122,10 +122,9 @@ def main(argv=None) -> int:
         code = get_code(code_name)
         const = build_constellation(const_name)
         noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
-        pad = code.n % const.m != 0
         want = bicm.transmit_batch(code, const, noise,
                                    np.random.default_rng(args.seed), FRAMES,
-                                   demap_kind=demap_kind, pad=pad)
+                                   demap_kind=demap_kind)
         times = []
         for _ in range(args.repeats):
             secs, fb = transmit_in_stages(code, const, noise,
