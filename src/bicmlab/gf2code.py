@@ -398,14 +398,22 @@ def _builtin_code(name: str) -> LinearCode:
 
 def get_code(name: str) -> LinearCode:
     """Built-in code by name, built once and shared (it is read-only), or a
-    code loaded from an alist file path, read on every call."""
+    code loaded from an alist file path, read on every call.  A file that is
+    not an ascii alist of a valid code raises a ValueError naming it."""
     if name in _BUILTINS:
         return _builtin_code(name)
     try:
-        with open(name, encoding="ascii") as fh:
-            text = fh.read()
+        with open(name, "rb") as fh:
+            data = fh.read()
     except OSError:
         raise ValueError(
             f"unknown code {name!r}; built-ins: {', '.join(_BUILTINS)}"
         ) from None
-    return LinearCode.from_alist(text, name=name)
+    try:
+        return LinearCode.from_alist(data.decode("ascii"), name=name)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"alist file {name!r} is not ascii: byte "
+                         f"{data[exc.start]:#04x} at offset {exc.start}"
+                         ) from None
+    except ValueError as exc:       # an AlistError's message has its line
+        raise ValueError(f"alist file {name!r}: {exc}") from exc

@@ -7,12 +7,13 @@ which is the ML statistic for symmetric memoryless LLR channels; ties break
 toward the lexicographically smallest codeword so exhaustive cross-checks
 are exact.  Both decoders return (B, n) codewords and (B,) metrics.
 
-OSD eliminates all frames in lock-step on bit-packed rows, by masked XORs
-without row swaps, and scores every flip pattern in float32, weights 1 and
-2 from one Gram matrix per frame.  The float32 scores only shortlist: every
-pattern within a proven bound on their rounding error of the best is
-re-encoded by XORs of the packed reduced rows and rescored exactly in
-float64, so codewords and metrics are those of an all-float64 decoder.
+OSD holds each generator column as one k-bit integer (64-bit words past
+k = 64), eliminates all frames in lock-step by XORs of column words without
+row swaps, and scores every flip pattern in float32, weights 1 and 2 from
+one Gram matrix per frame.  The float32 scores only shortlist: every pattern
+within a proven bound on their rounding error of the best is re-encoded by
+popcount parities and rescored exactly in float64, so codewords and metrics
+are those of an all-float64 decoder.
 """
 
 from __future__ import annotations
@@ -92,19 +93,19 @@ def osd_decode(code: LinearCode, llr: np.ndarray, order: int
     llr = _frames(code, llr)
     pats = _test_patterns(code.k, order)    # refuses a bad order up front
     ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
-    rows, basis = _reduce_on_ranking(code.g, ranking)
+    cols, info = _reduce_on_ranking(code.g, ranking, llr < 0)
     cw, metric = np.empty(llr.shape, dtype=np.uint8), np.empty(len(llr))
     for s in range(0, len(llr), _SLICE_FRAMES):
         sl = slice(s, s + _SLICE_FRAMES)
-        part = llr[sl], ranking[sl], rows[sl]
+        part = llr[sl], cols[sl], info[sl]
         # one expression, so that no slice's scores outlive it
-        cw[sl], metric[sl] = _osd_best(
-            *part, pats, *_osd_scores(code, *part, basis[sl], order))
+        cw[sl], metric[sl] = _osd_best(*part, pats,
+                                       _osd_scores(code, *part, order))
     return cw, metric
 
 
-# frames scored together: keeps a slice's unpacked matrices and score table
-# near 1.7 MB (polar_64_32, order 2), which malloc reuses instead of refaulting
+# frames scored together: a slice's R^T, its s-weighted copy and its Gram
+# matrices stay near 1.5 MB (polar_64_32, order 2), which malloc reuses
 _SLICE_FRAMES = 64
 
 # weight-3+ patterns are re-encoded explicitly, in blocks of about this many
@@ -112,33 +113,28 @@ _SLICE_FRAMES = 64
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _osd_scores(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
-                rows: np.ndarray, basis: np.ndarray, order: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Hard basis decisions (B, k) and float32 scores of every flip pattern
-    (B, patterns) of a slice, from _reduce_on_ranking's rows and basis.
+def _osd_scores(code: LinearCode, llr: np.ndarray, cols: np.ndarray,
+                info: np.ndarray, order: int) -> np.ndarray:
+    """float32 scores of every flip pattern (B, patterns) of a slice, from
+    _reduce_on_ranking's columns and info words.
 
-    In the reliability-permuted domain, with R the reduced generator and c0
-    the re-encoded hard basis, the flip pattern e scores
+    With R the reduced generator and c0 the re-encoded hard basis, both in
+    transmission order, the flip pattern e scores
     M0 - 2 sum_{j in supp(e R)} s_j with s = (1 - 2 c0) * l.  Weight 1 reads
     that off d = R s, weight 2 off the Gram matrix R diag(s) R^T, whose
     diagonal is d because R is 0/1.  All of it runs in float32; _osd_best's
     tolerance bounds the rounding.
     """
-    k = code.k
-    l_perm = np.take_along_axis(llr, ranking, axis=1)
-    rf = np.unpackbits(rows.view(np.uint8), axis=-1, count=code.n,
-                       bitorder="little").astype(np.float32)
-    info = (np.take_along_axis(l_perm, basis, axis=1) < 0).astype(np.uint8)
-    c0 = _xor_encode(info, rows, code.n)
-    s = (1.0 - 2.0 * c0.astype(np.float32)) * l_perm.astype(np.float32)
+    nb, k = len(llr), code.k
+    s = llr.astype(np.float32) * (1 - 2 * _encode(cols, info).view(np.int8))
+    rt = _unpack(cols, k).astype(np.float32)                  # R^T, (B, n, k)
     m0 = s.sum(axis=1, keepdims=True)
     scores = [m0]
     if order == 1:
-        d = (rf @ s[:, :, None])[:, :, 0]
+        d = (s[:, None, :] @ rt)[:, 0, :]
         scores.append(m0 - 2.0 * d)
     elif order >= 2:
-        gram = (rf * s[:, None, :]) @ rf.transpose(0, 2, 1)
+        gram = (rt * s[:, :, None]).transpose(0, 2, 1) @ rt
         # copied: the diagonal is a view of gram, overwritten below
         d = np.diagonal(gram, axis1=1, axis2=2).copy()
         scores.append(m0 - 2.0 * d)
@@ -146,15 +142,16 @@ def _osd_scores(code: LinearCode, llr: np.ndarray, ranking: np.ndarray,
         gram *= -2.0
         gram += d[:, :, None]
         gram += d[:, None, :]
-        pair = np.take(gram.reshape(len(llr), -1), _pair_index(k), axis=1)
+        pair = np.take(gram.reshape(nb, -1), _pair_index(k), axis=1)
         scores.append(m0 - 2.0 * pair)
     high = _test_patterns(k, order)[1 + k + k * (k - 1) // 2:]  # weight >= 3
-    step = max(1, _BLOCK_ENTRIES // (len(llr) * code.n))
+    step = max(1, _BLOCK_ENTRIES // (nb * llr.shape[1]))
     for p in range(0, len(high), step):
         # sums of at most k ones: exact in float32, and so is their parity
-        flips = np.fmod(high[p:p + step].astype(np.float32) @ rf, 2.0)
-        scores.append(m0 - 2.0 * (flips @ s[:, :, None])[:, :, 0])
-    return info, np.concatenate(scores, axis=1)
+        e = _unpack(high[p:p + step], k).T.astype(np.float32)
+        flips = np.fmod(rt @ e, 2.0)
+        scores.append(m0 - 2.0 * (s[:, None, :] @ flips)[:, 0, :])
+    return np.concatenate(scores, axis=1)
 
 
 # The shortlist tolerance of _osd_best, as a multiple of gamma_n L, where
@@ -195,8 +192,8 @@ def _shortlist(llr: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return scores >= best - _score_tolerance(llr)
 
 
-def _osd_best(llr: np.ndarray, ranking: np.ndarray, rows: np.ndarray,
-              pats: np.ndarray, info: np.ndarray, scores: np.ndarray
+def _osd_best(llr: np.ndarray, cols: np.ndarray, info: np.ndarray,
+              pats: np.ndarray, scores: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Best codewords (B, n) and metrics (B,) of a slice from _osd_scores.
 
@@ -204,76 +201,76 @@ def _osd_best(llr: np.ndarray, ranking: np.ndarray, rows: np.ndarray,
     _score_tolerance of the best, a proven bound on their rounding error
     that every exact winner and tie makes, is re-encoded and rescored
     exactly in float64, ties going to _lex_best."""
-    n = llr.shape[1]
     near = _shortlist(llr, scores)
-    first = np.argmax(near, axis=1)
-    cw = _unpermute(_xor_encode(info ^ pats[first], rows, n), ranking)
+    cw = _encode(cols, info ^ pats[np.argmax(near, axis=1)])
     metric = correlation_metric(cw, llr)
     for i in np.flatnonzero(near.sum(axis=1) > 1):
-        cands = _unpermute(_xor_encode(info[i] ^ pats[near[i]], rows[i], n),
-                           ranking[i])
+        cands = _encode(cols[i], info[i] ^ pats[near[i]])
         cw[i], metric[i] = _lex_best(cands, correlation_metric(cands, llr[i]))
     return cw, metric
 
 
-def _xor_encode(info: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """info @ R over GF(2), (..., n) bits: the XOR of the packed rows of R
-    (..., k, words) that info (..., k) selects; the two broadcast."""
-    words = np.bitwise_xor.reduce(info[..., None] * rows, axis=-2)
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                         axis=-1, count=n, bitorder="little")
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., k) bits as (..., words) little-endian unsigned words of the
+    fewest w >= min(k, 64) bits, bit i in bit i % w of word i // w."""
+    k = bits.shape[-1]
+    w = min(b for b in (8, 16, 32, 64) if b >= min(k, 64))
+    padded = np.zeros(bits.shape[:-1] + (w * -(-k // w),), dtype=np.uint8)
+    padded[..., :k] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view(f"<u{w // 8}")
 
 
-def _unpermute(cw_perm: np.ndarray, ranking: np.ndarray) -> np.ndarray:
-    """Codewords in transmission order from the reliability-permuted ones."""
-    cw = np.empty_like(cw_perm)
-    np.put_along_axis(cw, np.broadcast_to(ranking, cw.shape), cw_perm, axis=-1)
-    return cw
+def _unpack(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k bits (..., k) of _pack's contiguous words (..., words)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=k,
+                         bitorder="little")
 
 
-def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray
+def _encode(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """words @ R over GF(2), (..., n) bits: the parity of each column word
+    of R (..., n, words) masked by words (..., words); the two broadcast."""
+    masked = np.bitwise_xor.reduce(cols & words[..., None, :], axis=-1)
+    return np.bitwise_count(masked) & 1
+
+
+def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray, hard: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan of G[:, ranking[b]] for every frame b in lock-step.
 
-    Rows are packed into ceil(n/64) uint64 words, bit j of a row in bit
-    j % 64 of word j // 64, and never swapped.  Each column, in reliability
-    order, is a few masked steps over all frames: a frame XORs its first
-    free (not yet pivot) row with a 1 there into every other row with a 1
-    there and marks it used, or skips the column as dependent, so its k
-    pivot columns form the most reliable basis.  Returns the reduced rows
-    (a unique form), packed (B, k, words), permuted and in pivot order, row
-    i pivoting at column basis[b, i], and the pivot columns (B, k).
+    Columns are words of _pack, row i in bit i; rows are never swapped.  At
+    each column in reliability order a frame pivots on the lowest free (not
+    yet pivot) row with a 1 there and XORs the column's other bits into
+    every column with a 1 in that row, itself included, or skips the column
+    as dependent, so its k pivots form the most reliable basis.  Returns the
+    reduced columns (B, n, words) in transmission order, a row permutation
+    of the unique reduced echelon form, and the info words (B, words) whose
+    bit i is the hard decision hard (B, n) at row i's pivot.
     """
     (k, n), nb = g.shape, len(ranking)
-    gt = np.ascontiguousarray(g.T)
-    # word-major, so that a column's bits and each word's XOR are contiguous
-    rows = np.empty((nb, -(-n // 64), k), dtype="<u8")
-    for s in range(0, nb, _SLICE_FRAMES):
-        # packbits is several times faster on contiguous rows
-        part = gt[ranking[s:s + _SLICE_FRAMES]].transpose(0, 2, 1)
-        bits = np.zeros(part.shape[:2] + (64 * rows.shape[1],), np.uint8)
-        bits[:, :, :n] = part
-        rows[s:s + _SLICE_FRAMES] = np.packbits(
-            bits, axis=-1, bitorder="little").view("<u8").transpose(0, 2, 1)
-    free = np.ones((nb, k), dtype=bool)
-    pivcol = np.zeros((nb, k), dtype=np.intp)
-    fr = np.arange(nb)
+    table = _pack(g.T)                                        # (n, words)
+    # (n, words, B): a column's words, and every tail of columns, contiguous
+    cols = np.ascontiguousarray(table[ranking].transpose(1, 2, 0))
+    scratch = np.empty_like(cols)
+    hard = np.take_along_axis(hard, ranking, axis=1)
+    free = np.repeat(_pack(np.ones(k, np.uint8))[:, None], nb, axis=1)
+    info = np.zeros_like(free)
     for col in range(n):
         if not free.any():
             break
-        w, b = divmod(col, 64)
-        hit = (rows[:, w] & np.uint64(1 << b)) != 0
-        cand = hit & free
-        p = cand.argmax(axis=1)
-        has = cand[fr, p]               # False: the column is dependent
-        piv = rows[fr, :, p] * has[:, None]
-        hit[fr, p] = False
-        rows ^= hit[:, None, :] * piv[:, :, None]
-        free[fr, p] &= ~has
-        pivcol[fr, p] += has * col
-    order = np.argsort(pivcol, axis=1)
-    rows = np.take_along_axis(rows.transpose(0, 2, 1), order[:, :, None], 1)
-    return rows, np.take_along_axis(pivcol, order, axis=1)
+        cand = cols[col] & free
+        piv = cand & -cand                  # lowest set bit of each word
+        for w in range(1, len(piv)):        # only the first word's pivots
+            piv[w] *= ~cand[:w].any(axis=0)
+        free ^= piv
+        info |= piv * hard[:, col]
+        # the column's other bits into every column with a 1 in the pivot row
+        tail, buf = cols[col:], scratch[col:]
+        hit = np.bitwise_and(tail, piv, out=buf).any(axis=1, keepdims=True)
+        tail ^= np.multiply(hit, cols[col] ^ piv, out=buf)
+    # frame b's column j goes to position ranking[b, j], in the scratch
+    reduced = scratch.reshape(nb, n, -1)
+    np.put_along_axis(reduced, ranking[:, :, None], cols.transpose(2, 0, 1), 1)
+    return reduced, np.ascontiguousarray(info.T)
 
 
 @functools.cache
@@ -288,15 +285,17 @@ def _pair_index(k: int) -> np.ndarray:
 
 @functools.cache
 def _test_patterns(k: int, order: int) -> np.ndarray:
-    """All binary k-vectors of weight <= order, weight-major; cached."""
+    """All binary k-vectors of weight <= order, weight-major, as
+    (patterns, words) words of _pack; cached."""
     if not 0 <= order <= k:
         raise ValueError(f"OSD order {order} is not in [0, {k}]")
     supports = [c for w in range(order + 1) for c in combinations(range(k), w)]
     pats = np.zeros((len(supports), k), dtype=np.uint8)
     for i, support in enumerate(supports):
         pats[i, list(support)] = 1
-    pats.setflags(write=False)
-    return pats
+    words = _pack(pats)
+    words.setflags(write=False)
+    return words
 
 
 @dataclass

@@ -283,3 +283,16 @@ class TestLinearCode:
         first = get_code(str(path))
         path.write_text(dump_alist(ext_hamming_8_4().h), encoding="ascii")
         assert first.n == 7 and get_code(str(path)).n == 8
+
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe7 3\n",
+         "alist file {!r} is not ascii: byte 0xff at offset 0"),
+        (b"7 3\n", "alist file {!r}: line 2: unexpected end of file"),
+        (b"banana\n", "alist file {!r}: line 1: non-integer token"),
+    ], ids=["not-ascii", "truncated", "not-an-alist"])
+    def test_bad_alist_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "bad.alist"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            get_code(str(path))
+        assert str(exc.value) == message.format(str(path))

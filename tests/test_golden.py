@@ -44,7 +44,11 @@ GOLDEN = {
     "osd2": (dict(code="polar_32_16", constellation="qpsk", decoder="osd",
                   osd_order=2, demap="maxlog", ebn0_db=(3.0,)),
              (2048, 168, 59, 168)),
-    # n = 128: two 64-bit words per packed row in the OSD elimination
+    # the configuration of the osd2-qpsk benchmark workload
+    "osd2-64": (dict(code="polar_64_32", constellation="qpsk", decoder="osd",
+                     osd_order=2, demap="maxlog", ebn0_db=(3.0,)),
+                (2048, 148, 33, 148)),
+    # k = 64: one 64-bit word per generator column in the OSD elimination
     "osd1": (dict(code="polar_128_64", constellation="qam16", decoder="osd",
                   osd_order=1, demap="exact", ebn0_db=(4.0,)),
              (2048, 5066, 636, 1240)),

@@ -434,6 +434,20 @@ class TestCli:
         assert capsys.readouterr().err == (
             "bicmlab: error: embed_dim must be >= 1, got 0\n")
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe7 3\n", b"7 3\n"],
+                             ids=["not-ascii", "truncated"])
+    def test_bad_alist_code_is_one_line(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.alist"
+        path.write_bytes(content)
+        cfgfile = tmp_path / "osd.cfg"
+        cfgfile.write_text(f"code = {path}\ndecoder = osd\nebn0_db = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bicmlab: error: alist file {str(path)!r}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("damage", ["missing", "garbage", "flipped-byte",
                                         "truncated", "no-checksum",
                                         "list-header"])

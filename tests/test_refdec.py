@@ -1,25 +1,47 @@
 """Exhaustive MAP, ordered statistics decoding, and ML-bound bookkeeping."""
 
+import functools
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from bicmlab.bicm import transmit_batch
-from bicmlab.gf2code import get_code, gf2_matmul, gf2_rank, gf2_rref, hamming_7_4
+from bicmlab.gf2code import (
+    LinearCode,
+    get_code,
+    gf2_matmul,
+    gf2_rank,
+    gf2_rref,
+    hamming_7_4,
+)
 from bicmlab.modem import LLR_CLAMP, NoiseConfig, build_constellation
 from bicmlab.refdec import (
     ErrorCounter,
+    _encode,
     _osd_scores,
+    _pack,
     _reduce_on_ranking,
     _score_tolerance,
     _test_patterns,
-    _xor_encode,
+    _unpack,
     correlation_metric,
     map_decode,
     ml_bound_update,
     osd_decode,
 )
+
+
+@functools.cache
+def random_84_72():
+    """A seeded random (84, 72) code: k > 64 needs two 64-bit words per
+    column of the generator in the OSD."""
+    h = np.random.default_rng(84).integers(0, 2, size=(12, 84), dtype=np.uint8)
+    return LinearCode.from_parity_check(h, name="random_84_72")
+
+
+def code_named(name):
+    return random_84_72() if name == "random_84_72" else get_code(name)
 
 
 def noisy_frames(code, n_frames, ebn0_db=1.0, seed=0, kind="bpsk"):
@@ -158,13 +180,17 @@ def osd_llrs(code, frames, kind):
 
 class TestOsdBatch:
     @pytest.mark.parametrize("kind", ["continuous", "integer", "clamped"])
-    @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    @pytest.mark.parametrize("name,frames", [("polar_32_16", 40),
-                                             ("polar_64_32", 12),
-                                             ("polar_128_64", 6)])
+    @pytest.mark.parametrize("name,frames,order", [
+        (name, frames, order)
+        for name, frames, orders in [("polar_32_16", 40, range(4)),
+                                     ("polar_64_32", 12, range(4)),
+                                     ("polar_128_64", 6, range(4)),
+                                     ("random_84_72", 4, range(3))]
+        for order in orders])
     def test_matches_enumerating_reference(self, name, frames, order, kind):
-        # polar_128_64 packs each generator row into two 64-bit words
-        code = get_code(name)
+        # a generator column is one 16-, 32- or 64-bit word, and two 64-bit
+        # words for random_84_72
+        code = code_named(name)
         llr = osd_llrs(code, frames, kind)
         cw, metric = osd_decode(code, llr, order)
         for i in range(frames):
@@ -185,13 +211,12 @@ class TestOsdBatch:
             assert one_metric[0] == metric[i]
 
 
-def float64_scores(rows, info, pats, l_perm):
-    """Every flip pattern's correlation metric in float64, for one frame in
-    the reliability-permuted domain: info ^ pats re-encoded on the packed
-    rows, 4096 patterns at a time."""
-    n = len(l_perm)
+def float64_scores(cols, info, pats, llr):
+    """Every flip pattern's correlation metric in float64, for one frame:
+    the info word ^ pattern words re-encoded on its reduced columns, 4096
+    patterns at a time."""
     return np.concatenate([
-        (1.0 - 2.0 * _xor_encode(info ^ pats[p:p + 4096], rows, n)) @ l_perm
+        (1.0 - 2.0 * _encode(cols, info ^ pats[p:p + 4096])) @ llr
         for p in range(0, len(pats), 4096)])
 
 
@@ -206,38 +231,26 @@ class TestFloat32Scores:
         code = get_code(name)
         llr = osd_llrs(code, frames, kind)
         ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
-        rows, basis = _reduce_on_ranking(code.g, ranking)
-        info, scores = _osd_scores(code, llr, ranking, rows, basis, order)
+        cols, info = _reduce_on_ranking(code.g, ranking, llr < 0)
+        scores = _osd_scores(code, llr, cols, info, order)
         assert scores.dtype == np.float32
         pats = _test_patterns(code.k, order)
         half_tol = _score_tolerance(llr)[:, 0] / 2.0
         for i in range(frames):
-            want = float64_scores(rows[i], info[i], pats, llr[i, ranking[i]])
+            want = float64_scores(cols[i], info[i], pats, llr[i])
             assert np.max(np.abs(scores[i] - want)) <= half_tol[i]
 
 
-def unpack_rows(rows, n):
-    """Packed (..., words) rows as (..., n) bits."""
-    return np.unpackbits(rows.view(np.uint8), axis=-1, count=n,
-                         bitorder="little")
-
-
-def pack_rows(bits):
-    """(..., n) bits as (..., ceil(n/64)) little-endian uint64 words, bit j
-    in bit j % 64 of word j // 64."""
-    n = bits.shape[-1]
-    padded = np.zeros(bits.shape[:-1] + (64 * -(-n // 64),), dtype=np.uint8)
-    padded[..., :n] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
-
-
 class TestPackedRows:
+    """The generator's rows packed as bits of column words."""
+
     @pytest.mark.parametrize("kind", ["continuous", "integer",
                                       "dependent-lead"])
-    @pytest.mark.parametrize("name", ["polar_64_32", "polar_128_64"])
+    @pytest.mark.parametrize("name", ["polar_16_8", "polar_64_32",
+                                      "polar_128_64", "random_84_72"])
     def test_elimination_matches_per_frame_rref(self, name, kind):
-        # polar_64_32 packs a row into one word, polar_128_64 into two
-        code = get_code(name)
+        # a column is one 8-, 32- or 64-bit word, or two 64-bit words
+        code = code_named(name)
         rng = np.random.default_rng(30)
         llr = noisy_frames(code, 40, ebn0_db=1.0, seed=31, kind="qpsk").llr
         if kind == "integer":
@@ -252,34 +265,47 @@ class TestPackedRows:
             rest = np.setdiff1d(np.arange(code.n), lead)
             for b in range(0, len(llr), 2):
                 ranking[b] = np.concatenate([lead, rng.permutation(rest)])
-        rows, basis = _reduce_on_ranking(code.g, ranking)
-        assert rows.shape == (len(llr), code.k, -(-code.n // 64))
-        bits = unpack_rows(rows, code.n)
+        hard = rng.integers(0, 2, size=llr.shape).astype(bool)
+        cols, info = _reduce_on_ranking(code.g, ranking, hard)
+        table = _pack(code.g.T)
+        assert table.shape[1] == -(-code.k // 64) and table.dtype.kind == "u"
+        assert cols.shape == (len(llr),) + table.shape
+        assert cols.dtype == info.dtype == table.dtype
+        # (B, k, n) bits in reliability order
+        bits = np.take_along_axis(_unpack(cols, code.k).transpose(0, 2, 1),
+                                  ranking[:, None, :], axis=2)
+        info = _unpack(info, code.k)
+        # rows are never swapped: a row pivots at its leading 1
+        pivot = np.argmax(bits, axis=2)
         for b in range(len(llr)):
-            rref, pivots = gf2_rref(code.g[:, ranking[b]])
-            assert np.array_equal(bits[b], rref)
-            assert basis[b].tolist() == pivots
+            rref, basis = gf2_rref(code.g[:, ranking[b]])
+            assert sorted(pivot[b]) == basis
+            assert np.array_equal(bits[b][np.argsort(pivot[b])], rref)
+            assert np.array_equal(info[b], hard[b, ranking[b, pivot[b]]])
         if kind == "dependent-lead":
-            assert not np.any(basis[::2] == len(lead) - 1)
-            assert np.all(basis[::2, :len(lead) - 1]
+            assert not np.any(pivot[::2] == len(lead) - 1)
+            assert np.all(np.sort(pivot[::2], axis=1)[:, :len(lead) - 1]
                           == np.arange(len(lead) - 1))
 
-    @pytest.mark.parametrize("n", [7, 16, 64, 128])
-    def test_xor_encode_matches_gf2_matmul(self, n):
-        # n = 7 leaves most of the one word unused, 128 needs two words
+    @pytest.mark.parametrize("n,k,size", [(7, 4, 1), (16, 9, 2), (64, 64, 8),
+                                          (128, 72, 8)],
+                             ids=["7", "16", "64", "128"])
+    def test_xor_encode_matches_gf2_matmul(self, n, k, size):
+        # one 8-, 16- or 64-bit word per column, and two 64-bit words
         rng = np.random.default_rng(n)
-        k, frames = 5, 30
+        frames = 30
         r = rng.integers(0, 2, size=(frames, k, n), dtype=np.uint8)
         info = rng.integers(0, 2, size=(frames, k), dtype=np.uint8)
-        packed = pack_rows(r)
-        assert np.array_equal(unpack_rows(packed, n), r)
-        # one info row per frame, each with its own rows
-        got = _xor_encode(info, packed, n)
+        cols = _pack(r.transpose(0, 2, 1))
+        words = _pack(info)
+        assert cols.dtype.itemsize == words.dtype.itemsize == size
+        assert np.array_equal(_unpack(cols, k).transpose(0, 2, 1), r)
+        # one info word per frame, each with its own columns
+        got = _encode(cols, words)
         assert np.array_equal(got, np.array([gf2_matmul(info[b], r[b])
                                              for b in range(frames)]))
-        # many info rows against one frame's rows
-        assert np.array_equal(_xor_encode(info, packed[0], n),
-                              gf2_matmul(info, r[0]))
+        # many info words against one frame's columns
+        assert np.array_equal(_encode(cols[0], words), gf2_matmul(info, r[0]))
 
 
 def _ml_cases(code):

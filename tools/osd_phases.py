@@ -7,9 +7,13 @@ seeded 2048-frame chunk (QPSK, max-log demap, Eb/N0 3 dB: the point of the
 phases of `refdec.osd_decode`, timing each:
 
     sort        the stable reliability argsort
-    eliminate   `_reduce_on_ranking`, the lock-step Gauss-Jordan
-    score       `_osd_scores` over all slices: c0, d, the float32 Gram matrix
-    re-encode   `_osd_best` over all slices: pick, re-encode, exact rescore
+    eliminate   `_reduce_on_ranking`: the gather of the generator's column
+                words, the lock-step Gauss-Jordan with the info words, and
+                the un-permute of the reduced columns to transmission order
+    score       `_osd_scores` over all slices: c0 by popcount parity, d and
+                the float32 Gram matrix of R unpacked from the column words
+    re-encode   `_osd_best` over all slices: pick, re-encode by popcount
+                parity, exact rescore
 
 and prints the median ms per chunk of each phase and of their sum, and the
 tie frames: the frames of the chunk whose float32 shortlist holds more than
@@ -67,7 +71,7 @@ def decode_in_phases(code, llr: np.ndarray, order: int
     t0 = time.perf_counter()
     ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
     t1 = time.perf_counter()
-    rows, basis = refdec._reduce_on_ranking(code.g, ranking)
+    cols, info = refdec._reduce_on_ranking(code.g, ranking, llr < 0)
     t2 = time.perf_counter()
     secs["sort"], secs["eliminate"] = t1 - t0, t2 - t1
     cw = np.empty(llr.shape, dtype=np.uint8)
@@ -76,11 +80,10 @@ def decode_in_phases(code, llr: np.ndarray, order: int
     for s in range(0, len(llr), refdec._SLICE_FRAMES):
         sl = slice(s, s + refdec._SLICE_FRAMES)
         t0 = time.perf_counter()
-        info, scores = refdec._osd_scores(code, llr[sl], ranking[sl],
-                                          rows[sl], basis[sl], order)
+        part = llr[sl], cols[sl], info[sl]
+        scores = refdec._osd_scores(code, *part, order)
         t1 = time.perf_counter()
-        cw[sl], metric[sl] = refdec._osd_best(llr[sl], ranking[sl], rows[sl],
-                                              pats, info, scores)
+        cw[sl], metric[sl] = refdec._osd_best(*part, pats, scores)
         t2 = time.perf_counter()
         secs["score"] += t1 - t0
         secs["re-encode"] += t2 - t1
