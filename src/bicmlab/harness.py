@@ -8,6 +8,7 @@ in chunk order, so the totals are identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -58,10 +59,26 @@ __all__ = [
     "NeuralEstimator",
     "make_decoder",
     "verify_channel",
+    "set_allocator_policy",
     "CHUNK_FRAMES",
 ]
 
 CHUNK_FRAMES = 2048
+
+# glibc mallopt parameters (malloc.h) and the values set_allocator_policy
+# sets.  One arena holds one working set for all workers.  The mmap
+# threshold sits above the largest per-chunk array (2048 x 128 float64 is
+# 2 MiB), so chunk arrays come from the heap; the trim threshold sits above
+# two workers' chunk working sets, so a freed chunk stays mapped for the
+# next one.
+# Setting both thresholds also turns off glibc's dynamic mmap threshold,
+# which would otherwise stay at its 128 KiB start once the trim threshold
+# is set.
+_ALLOCATOR_POLICY = (
+    (-8, 1),            # M_ARENA_MAX
+    (-3, 4 << 20),      # M_MMAP_THRESHOLD
+    (-1, 32 << 20),     # M_TRIM_THRESHOLD
+)
 
 _DEMAPPERS = ("exact", "maxlog")
 
@@ -215,6 +232,27 @@ class BerRecord:
     decoder_id: str
 
 
+def set_allocator_policy() -> bool:
+    """Make glibc keep freed chunk memory mapped, process-wide.
+
+    Without it, glibc trims each worker thread's heap once a chunk's arrays
+    are freed, and the next chunk faults the same pages back in.
+    run_point, train_estimator and verify_channel call this before any pool
+    thread starts; a thread that already holds an arena of its own keeps
+    it.  No numerics change.  Returns whether every setting took; where the
+    C library has no mallopt (a libc other than glibc), it does nothing and
+    returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1
+                for param, value in _ALLOCATOR_POLICY])
+
+
 # ---------------------------------------------------------------------------
 # decoders operating on simulated chunks
 # ---------------------------------------------------------------------------
@@ -332,6 +370,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
             raise ValueError(f"Eb/N0 {ebn0_db:g} dB is not on the grid "
                              f"{cfg.ebn0_db}; pass point_index")
         point_index = cfg.ebn0_db.index(ebn0_db)
+    set_allocator_policy()
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
     noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
@@ -514,6 +553,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     measured once on a calibration draw at the training SNR and frozen into
     the checkpoint; inference applies the same constant.
     """
+    set_allocator_policy()
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
     noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
@@ -588,6 +628,7 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
     Hard decisions come from the max-log demapper, whose decision regions are
     the ones the binary channel model is built on.
     """
+    set_allocator_policy()
     rows: list[CheckRow] = []
     code = get_code("polar_64_32")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,

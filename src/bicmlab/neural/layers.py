@@ -142,13 +142,20 @@ class GRULayer:
         ax = xs @ self.wx.value
         ax += self.b.value
         ax = np.broadcast_to(ax, (steps,) + ax.shape[1:])
-        h = np.zeros((batch, hh), dtype=xs.dtype)
         outs = np.empty((steps, batch, hh), dtype=xs.dtype)
         cache: list = []
         if tape is not None:
             tape[self] = (xs, cache)
         wh = self.wh.value
-        for t in range(steps):
+        # h0 = 0: the first step's recurrent products are zero and r has no
+        # effect, so it is computed from ax alone
+        z = sigmoid(ax[0, :, :hh])
+        c = np.tanh(ax[0, :, 2 * hh:])
+        h = (1.0 - z) * c
+        if tape is not None:
+            cache.append((None, z, None, None, c))
+        outs[0] = h
+        for t in range(1, steps):
             z = sigmoid(ax[t, :, :hh] + h @ wh[:, :hh])
             r = sigmoid(ax[t, :, hh:2 * hh] + h @ wh[:, hh:2 * hh])
             rh = r * h
@@ -160,15 +167,17 @@ class GRULayer:
             h = h_new
         return outs
 
-    def backward(self, douts: np.ndarray, tape: dict) -> np.ndarray:
+    def backward(self, douts: np.ndarray, tape: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Gradient for the forward input: (T, B, n_in), or (1, B, n_in)
-        summed over the steps for an input fed at each step."""
+        summed over the steps for an input fed at each step; None when
+        input_grad is false, for a layer whose input needs no gradient."""
         hh = self.n_out
         wh = self.wh.value
         xs, cache = tape[self]
         das = np.empty(douts.shape[:2] + (3 * hh,), dtype=douts.dtype)
         dh = np.zeros_like(douts[0])
-        for t in reversed(range(len(cache))):
+        for t in range(len(cache) - 1, 0, -1):
             h_prev, z, r, rh, c = cache[t]
             dh_tot = douts[t] + dh
             dz = dh_tot * (h_prev - c)
@@ -186,9 +195,16 @@ class GRULayer:
             dh_prev = dh_prev + daz @ wh[:, :hh].T + dar @ wh[:, hh:2 * hh].T
             np.concatenate([daz, dar, dac], axis=1, out=das[t])
             dh = dh_prev
+        # from h0 = 0: the step adds nothing to the recurrent weights' grad,
+        # r has no effect, and nothing reads the gradient of h0
+        _, z, _, _, c = cache[0]
+        dh_tot = douts[0] + dh
+        das[0, :, :hh] = dh_tot * -c * z * (1.0 - z)
+        das[0, :, hh:2 * hh] = 0.0
+        das[0, :, 2 * hh:] = dh_tot * (1.0 - z) * (1.0 - c * c)
         if xs.shape[0] != das.shape[0]:
             das = das.sum(axis=0, keepdims=True)
         da2 = das.reshape(-1, 3 * hh)
         self.wx.grad += xs.reshape(-1, self.n_in).T @ da2
         self.b.grad += da2.sum(axis=0)
-        return das @ self.wx.value.T
+        return das @ self.wx.value.T if input_grad else None

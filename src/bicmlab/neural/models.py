@@ -162,8 +162,9 @@ class RnnEstimator:
         dseq = np.zeros(
             (self.cfg.time_steps,) + dh.shape, dtype=dh.dtype)
         dseq[-1] = dh
-        for g in reversed(self.grus):
+        for g in reversed(self.grus[1:]):
             dseq = g.backward(dseq, tape)
+        self.grus[0].backward(dseq, tape, input_grad=False)
 
     def predict(self, stats: np.ndarray) -> np.ndarray:
         return self.forward(stats)

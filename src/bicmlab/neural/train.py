@@ -42,14 +42,24 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        # in place, in the operation order of
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        #   value -= lr (m / b1c) / (sqrt(v / b2c) + eps)
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
-            mhat = self.m[i] / b1c
-            vhat = self.v[i] / b2c
-            p.value -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                p.value.dtype)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            g2 = g * g
+            g2 *= 1 - self.beta2
+            v *= self.beta2
+            v += g2
+            step = m / b1c
+            step *= self.lr
+            den = np.divide(v, b2c, out=g2)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            p.value -= step
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray

@@ -1,6 +1,7 @@
 """Weight-count fidelity, gradient correctness, the inference pass,
 training behaviour, checkpoints, and the attention cost model."""
 
+import copy
 import json
 import sys
 import threading
@@ -12,9 +13,11 @@ import pytest
 
 from bicmlab.harness import NeuralEstimator
 from bicmlab.neural import models
+from bicmlab.neural.layers import sigmoid
 from bicmlab.neural import (
     Adam,
     CheckpointError,
+    GRULayer,
     RnnConfig,
     TrainingDiverged,
     TransformerConfig,
@@ -407,6 +410,118 @@ class TestTraining:
         a, b = run(), run()
         for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)
+
+
+class ParentGRULayer(GRULayer):
+    """GRULayer's passes as they were before the step from h0 = 0 skipped
+    its recurrent products and the first layer skipped its input gradient;
+    the reference for bit identity."""
+
+    def forward(self, xs, tape=None, steps=None):
+        steps = steps or xs.shape[0]
+        batch, hh = xs.shape[1], self.n_out
+        ax = xs @ self.wx.value
+        ax += self.b.value
+        ax = np.broadcast_to(ax, (steps,) + ax.shape[1:])
+        h = np.zeros((batch, hh), dtype=xs.dtype)
+        outs = np.empty((steps, batch, hh), dtype=xs.dtype)
+        cache = []
+        if tape is not None:
+            tape[self] = (xs, cache)
+        wh = self.wh.value
+        for t in range(steps):
+            z = sigmoid(ax[t, :, :hh] + h @ wh[:, :hh])
+            r = sigmoid(ax[t, :, hh:2 * hh] + h @ wh[:, hh:2 * hh])
+            rh = r * h
+            c = np.tanh(ax[t, :, 2 * hh:] + rh @ wh[:, 2 * hh:])
+            h_new = z * h + (1.0 - z) * c
+            if tape is not None:
+                cache.append((h, z, r, rh, c))
+            outs[t] = h_new
+            h = h_new
+        return outs
+
+    def backward(self, douts, tape, input_grad=True):
+        hh = self.n_out
+        wh = self.wh.value
+        xs, cache = tape[self]
+        das = np.empty(douts.shape[:2] + (3 * hh,), dtype=douts.dtype)
+        dh = np.zeros_like(douts[0])
+        for t in reversed(range(len(cache))):
+            h_prev, z, r, rh, c = cache[t]
+            dh_tot = douts[t] + dh
+            dz = dh_tot * (h_prev - c)
+            dc = dh_tot * (1.0 - z)
+            dh_prev = dh_tot * z
+            dac = dc * (1.0 - c * c)
+            self.wh.grad[:, 2 * hh:] += rh.T @ dac
+            drh = dac @ wh[:, 2 * hh:].T
+            dr = drh * h_prev
+            dh_prev = dh_prev + drh * r
+            daz = dz * z * (1.0 - z)
+            dar = dr * r * (1.0 - r)
+            self.wh.grad[:, :hh] += h_prev.T @ daz
+            self.wh.grad[:, hh:2 * hh] += h_prev.T @ dar
+            dh_prev = dh_prev + daz @ wh[:, :hh].T + dar @ wh[:, hh:2 * hh].T
+            np.concatenate([daz, dar, dac], axis=1, out=das[t])
+            dh = dh_prev
+        if xs.shape[0] != das.shape[0]:
+            das = das.sum(axis=0, keepdims=True)
+        da2 = das.reshape(-1, 3 * hh)
+        self.wx.grad += xs.reshape(-1, self.n_in).T @ da2
+        self.b.grad += da2.sum(axis=0)
+        return das @ self.wx.value.T
+
+
+class ParentAdam(Adam):
+    """Adam.step as it was before it updated m and v in place."""
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
+            mhat = self.m[i] / b1c
+            vhat = self.v[i] / b2c
+            p.value -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
+                p.value.dtype)
+
+
+class TestBitIdentity:
+    """The GRU and Adam give the bits their reference copies give: the
+    forward pass, every gradient, and three training steps."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("time_steps, depth", [(3, 2), (1, 1), (2, 3)])
+    def test_rnn_matches_reference(self, time_steps, depth, dtype):
+        rng = np.random.default_rng(13)
+        net = build_rnn_estimator(
+            RnnConfig(r=24, k=8, alpha=2, time_steps=time_steps, depth=depth),
+            rng, dtype=dtype)
+        ref = copy.deepcopy(net)
+        for g in ref.grus:
+            g.__class__ = ParentGRULayer
+        x = rng.normal(size=(64, 24)).astype(dtype)
+        t = (rng.random((64, 8)) < 0.2).astype(dtype)
+
+        assert np.array_equal(net.forward(x), ref.forward(x))
+        for model in (net, ref):
+            tape = {}
+            _, dz = bce_with_logits(model.forward(x, tape), t)
+            model.backward(dz, tape)
+        for p, q in zip(net.params(), ref.params()):
+            assert np.array_equal(p.grad, q.grad), p.name
+
+        opt, ref_opt = Adam(net.params()), ParentAdam(ref.params())
+        for _ in range(3):
+            assert train_step(net, x, t, opt) == train_step(ref, x, t, ref_opt)
+        for p, q in zip(net.params(), ref.params()):
+            assert np.array_equal(p.value, q.value), p.name
+        for got, want in zip(opt.m + opt.v, ref_opt.m + ref_opt.v):
+            assert np.array_equal(got, want)
 
 
 class TestCheckpoint:

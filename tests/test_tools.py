@@ -42,5 +42,8 @@ def test_osd_phases(load_tool, capsys):
 def test_transmit_phases(load_tool, capsys):
     tool = load_tool("transmit_phases")
     assert tool.main(["--runs", "osd2-qpsk", "--repeats", "1"]) == 0
-    row = capsys.readouterr().out.splitlines()[-1].split()
-    assert row[0] == "osd2-qpsk" and len(row) == 1 + len(tool.STAGES) + 1
+    header, row = (line.split()
+                   for line in capsys.readouterr().out.splitlines()[-2:])
+    assert header[-2:] == ["total", "faults"]
+    assert row[0] == "osd2-qpsk" and len(row) == 1 + len(tool.STAGES) + 2
+    assert int(row[-1]) >= 0

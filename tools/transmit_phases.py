@@ -18,9 +18,12 @@ each:
     deinterleave  `bicm.deinterleave`
     hard          `modem.hard_split`
 
-and prints the median ms per chunk of each stage and of their sum.  Every
-pass is checked field by field against one `transmit_batch` call from the
-same seed, so the stages are the chain's own.
+and prints the median ms per chunk of each stage and of their sum, and the
+median minor page faults per chunk.  Every pass is checked field by field
+against one `transmit_batch` call from the same seed, so the stages are the
+chain's own.  The allocator runs under the policy `harness.run_point` sets
+(`harness.set_allocator_policy`), so the faults are those of a chunk in a
+sweep.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
 
@@ -32,6 +35,7 @@ import argparse
 import dataclasses
 import os
 import pathlib
+import resource
 import sys
 import time
 
@@ -41,7 +45,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from bicmlab import bicm  # noqa: E402
+from bicmlab import bicm, harness  # noqa: E402
 from bicmlab.gf2code import get_code  # noqa: E402
 from bicmlab.modem import (  # noqa: E402
     NoiseConfig,
@@ -112,11 +116,13 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
 
+    harness.set_allocator_policy()
     print(f"{FRAMES}-frame chunk, fresh interleaver, "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, "
-          f"seed {args.seed}, median of {args.repeats}; ms per chunk")
+          f"seed {args.seed}, median of {args.repeats}; ms and minor "
+          f"faults per chunk")
     print(f"{'run':11s} " + " ".join(f"{s:>8.8s}" for s in STAGES)
-          + f" {'total':>7s}")
+          + f" {'total':>7s} {'faults':>7s}")
     for run in args.runs:
         code_name, const_name, demap_kind, ebn0_db = RUNS[run]
         code = get_code(code_name)
@@ -125,11 +131,14 @@ def main(argv=None) -> int:
         want = bicm.transmit_batch(code, const, noise,
                                    np.random.default_rng(args.seed), FRAMES,
                                    demap_kind=demap_kind)
-        times = []
+        times, faults = [], []
         for _ in range(args.repeats):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             secs, fb = transmit_in_stages(code, const, noise,
                                           np.random.default_rng(args.seed),
                                           demap_kind)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
             for f in dataclasses.fields(fb):
                 if not np.array_equal(getattr(fb, f.name),
                                       getattr(want, f.name)):
@@ -139,7 +148,7 @@ def main(argv=None) -> int:
         med = 1e3 * np.median(times, axis=0)
         total = 1e3 * np.median(np.sum(times, axis=1))
         print(f"{run:11s} " + " ".join(f"{m:8.2f}" for m in med)
-              + f" {total:7.1f}", flush=True)
+              + f" {total:7.1f} {np.median(faults):7.0f}", flush=True)
     return 0
 
 
