@@ -6,14 +6,11 @@ import argparse
 import ctypes
 import os
 import sys
-from dataclasses import replace
 
 from . import harness
-from .gf2code import builtin_code_names, get_code
+from .gf2code import get_code
 from .neural import (
     CheckpointError,
-    RnnConfig,
-    TransformerConfig,
     approx_params_rnn,
     approx_params_transformer,
     count_params_rnn,
@@ -53,44 +50,37 @@ def _limit_blas_threads(workers: int) -> None:
         fn(max(1, len(os.sched_getaffinity(0)) // workers))
 
 
+def _config(args):
+    """The command's config: its preset, then the --config file's keys, then
+    the KEY=VALUE arguments, each overriding the one before.  Both kinds of
+    keys go through the config-file parser, so they are typed and checked
+    alike."""
+    kv = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            kv = harness.parse_config_text(fh.read())
+    for arg in args.settings:
+        if "=" not in arg:
+            raise ValueError(f"expected KEY=VALUE, got {arg!r}")
+        kv.update(harness.parse_config_text(arg))
+    kw = harness.config_kwargs(args.cls, kv)
+    if args.preset:
+        return harness.train_config_from_preset(args.preset, **kw)
+    return args.cls(**kw)
+
+
 def _cmd_simulate(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        kv = harness.parse_config_text(fh.read())
-    cfg = harness.ExperimentConfig(
-        **harness.config_kwargs(harness.ExperimentConfig, kv))
-    if args.out:
-        cfg = replace(cfg, out=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
+    cfg = _config(args)
     _limit_blas_threads(cfg.workers)
     records = harness.run_sweep(cfg)
-    print(harness.CSV_HEADER)
-    for r in records:
-        ml = "" if r.ml_bound_ber is None else f"{r.ml_bound_ber:.4g}"
-        print(f"{r.ebn0_db:g},{r.frames},{r.bit_errors},{r.frame_errors},"
-              f"{r.ber:.4g},{r.fer:.4g},{ml},{r.seconds:.1f}")
+    print("\n".join(harness.csv_rows(records)))
     if cfg.out:
         print(f"wrote {cfg.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            kv = harness.parse_config_text(fh.read())
-        overrides = harness.config_kwargs(harness.TrainConfig, kv)
-    for key in ("code", "steps", "seed", "out", "curve"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    if args.preset:
-        cfg = harness.train_config_from_preset(args.preset, **overrides)
-    else:
-        cfg = harness.TrainConfig(**overrides)
-    path = harness.train_estimator(cfg, verbose=True)
+    path = harness.train_estimator(_config(args), verbose=True)
     print(f"wrote {path}")
     return 0
 
@@ -113,26 +103,34 @@ def _cmd_verify_channel(args) -> int:
 
 
 def _cmd_count_params(args) -> int:
-    code = get_code(args.code)
-    n, k = code.n, code.k
-    if args.arch == "rnn":
-        cfg = RnnConfig.for_code(n, k, alpha=args.alpha,
-                                 time_steps=args.time_steps, depth=args.depth)
-        exact, approx = count_params_rnn(cfg), approx_params_rnn(cfg)
+    cfg = _config(args)
+    code = get_code(cfg.code)
+    model = cfg.model_config(code)
+    if cfg.arch == "rnn":
+        exact, approx = count_params_rnn(model), approx_params_rnn(model)
     else:
-        cfg = TransformerConfig.for_code(n, k, embed_dim=args.embed_dim,
-                                         heads=args.heads,
-                                         encoders=args.encoders)
-        exact = count_params_transformer(cfg)
-        approx = approx_params_transformer(cfg)
+        exact = count_params_transformer(model)
+        approx = approx_params_transformer(model)
     rel = abs(exact - approx) / exact
-    print(f"code ({n},{k}), input r = {2 * n - k}")
+    print(f"code ({code.n},{code.k}), input r = {model.r}")
     print(f"exact weights:       {exact}")
     print(f"approximate weights: {approx}  (relative error {100 * rel:.3f}%)")
     return 0
 
 
-def main(argv=None) -> int:
+def _add_config_command(sub, name: str, help: str, func, cls) -> None:
+    """Subcommand `name`, which runs func on the cls that _config reads."""
+    p = sub.add_parser(name, help=help)
+    if cls is harness.TrainConfig:
+        p.add_argument("--preset", choices=sorted(harness.TRAIN_PRESETS))
+    p.add_argument("--config", metavar="FILE",
+                   help="a file of 'key = value' lines")
+    p.add_argument("settings", nargs="*", metavar="KEY=VALUE",
+                   help="config keys, which override the file's")
+    p.set_defaults(func=func, cls=cls, preset=None)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicmlab",
         description="BICM Monte-Carlo laboratory with syndrome-based "
@@ -140,22 +138,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a BER/FER sweep from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("train", help="train a bit-flip estimator")
-    p.add_argument("--preset", choices=sorted(harness.TRAIN_PRESETS), default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--code", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--curve", default=None)
-    p.set_defaults(func=_cmd_train)
+    _add_config_command(sub, "simulate", "run a BER/FER sweep",
+                        _cmd_simulate, harness.ExperimentConfig)
+    _add_config_command(sub, "train", "train a bit-flip estimator",
+                        _cmd_train, harness.TrainConfig)
+    _add_config_command(sub, "count-params",
+                        "exact and approximate weight counts of the "
+                        "estimator that train builds",
+                        _cmd_count_params, harness.TrainConfig)
 
     p = sub.add_parser("verify-channel",
                        help="run the binary-channel model test battery")
@@ -163,21 +153,11 @@ def main(argv=None) -> int:
                    help="reduced sample sizes (looser statistics)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_channel)
+    return parser
 
-    p = sub.add_parser("count-params",
-                       help="exact and approximate estimator weight counts")
-    p.add_argument("--arch", choices=("rnn", "transformer"), required=True)
-    p.add_argument("--code", required=True,
-                   help=f"built-in ({', '.join(builtin_code_names())}) "
-                        f"or alist path")
-    p.add_argument("--alpha", type=int, default=5)
-    p.add_argument("--time-steps", type=int, default=5)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--embed-dim", type=int, default=128)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--encoders", type=int, default=10)
-    p.set_defaults(func=_cmd_count_params)
 
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

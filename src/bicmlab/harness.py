@@ -53,6 +53,7 @@ __all__ = [
     "run_point",
     "run_sweep",
     "write_csv",
+    "csv_rows",
     "TrainConfig",
     "TRAIN_PRESETS",
     "train_estimator",
@@ -228,8 +229,6 @@ class BerRecord:
     fer: float
     ml_bound_ber: float | None
     seconds: float
-    seed: int
-    decoder_id: str
 
 
 def set_allocator_policy() -> bool:
@@ -423,8 +422,6 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         ml_bound_ber=(total.ml_bit_errors / (total.frames * k)
                       if cfg.decoder == "osd" else None),
         seconds=time.perf_counter() - t0,
-        seed=cfg.seed,
-        decoder_id=cfg.decoder_id(),
     )
 
 
@@ -449,15 +446,20 @@ def write_csv(path, cfg: ExperimentConfig, records: list[BerRecord]) -> None:
         f"# interleaver={cfg.interleaver}",
         f"# seed={cfg.seed}",
         f"# stop=min_fe:{cfg.stop.min_frame_errors},min_be:{cfg.stop.min_bit_errors},max_frames:{cfg.stop.max_frames}",
-        CSV_HEADER,
+        *csv_rows(records),
     ]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def csv_rows(records: list[BerRecord]) -> list[str]:
+    """CSV_HEADER, then one row per record: the table of write_csv, which
+    `bicmlab simulate` also prints."""
+    rows = [CSV_HEADER]
     for r in records:
         ml = "" if r.ml_bound_ber is None else f"{r.ml_bound_ber:.8g}"
-        lines.append(
-            f"{r.ebn0_db:g},{r.frames},{r.bit_errors},{r.frame_errors},"
-            f"{r.ber:.8g},{r.fer:.8g},{ml},{r.seconds:.3f}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+        rows.append(f"{r.ebn0_db:g},{r.frames},{r.bit_errors},{r.frame_errors},"
+                    f"{r.ber:.8g},{r.fer:.8g},{ml},{r.seconds:.3f}")
+    return rows
 
 
 def _write_text(path, text: str) -> None:
@@ -471,6 +473,10 @@ def _write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # estimator training
 # ---------------------------------------------------------------------------
+
+_ARCH_KEYS = {"rnn": ("alpha", "time_steps", "depth"),
+              "transformer": ("embed_dim", "heads", "encoders")}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -495,7 +501,15 @@ class TrainConfig:
     resume: str = ""
 
     def __post_init__(self):
-        _check_choice("arch", self.arch, ("rnn", "transformer"))
+        _check_choice("arch", self.arch, tuple(_ARCH_KEYS))
+        # a key only the other arch reads must keep its default, so that a
+        # setting never goes silently unused
+        for key in (key for arch, keys in _ARCH_KEYS.items()
+                    if arch != self.arch for key in keys):
+            value = getattr(self, key)
+            if value != self.__dataclass_fields__[key].default:
+                raise ValueError(f"{key} = {value} is not read by arch "
+                                 f"{self.arch!r}")
         build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
         _check_at_least(self, 0, "steps", "seed")
@@ -505,14 +519,9 @@ class TrainConfig:
         _check_finite("train_ebn0_db", self.train_ebn0_db)
 
     def model_config(self, code: LinearCode):
-        if self.arch == "rnn":
-            return RnnConfig.for_code(code.n, code.k, alpha=self.alpha,
-                                      time_steps=self.time_steps,
-                                      depth=self.depth)
-        return TransformerConfig.for_code(code.n, code.k,
-                                          embed_dim=self.embed_dim,
-                                          heads=self.heads,
-                                          encoders=self.encoders)
+        cls = RnnConfig if self.arch == "rnn" else TransformerConfig
+        return cls.for_code(code.n, code.k, **{
+            key: getattr(self, key) for key in _ARCH_KEYS[self.arch]})
 
     def build_network(self, code: LinearCode, rng: np.random.Generator):
         """An untrained estimator for code, its weights drawn from rng."""

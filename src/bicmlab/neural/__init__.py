@@ -1,7 +1,7 @@
 """Minimal numpy network engine for the bit-flip estimators."""
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .flops import attention_flops, encoder_layer_flops, quadratic_fit_exponent
+from .flops import attention_flops, encoder_layer_flops
 from .layers import Dense, GRULayer, LayerNorm, Param
 from .models import (
     RnnConfig,
@@ -18,9 +18,7 @@ from .models import (
 from .train import (
     Adam,
     TrainingDiverged,
-    all_zeros_baseline_bce,
     bce_with_logits,
-    gradient_check,
     train_step,
 )
 
@@ -36,7 +34,6 @@ __all__ = [
     "TrainingDiverged",
     "TransformerConfig",
     "TransformerEstimator",
-    "all_zeros_baseline_bce",
     "approx_params_rnn",
     "approx_params_transformer",
     "attention_flops",
@@ -46,9 +43,7 @@ __all__ = [
     "count_params_rnn",
     "count_params_transformer",
     "encoder_layer_flops",
-    "gradient_check",
     "load_checkpoint",
-    "quadratic_fit_exponent",
     "save_checkpoint",
     "train_step",
 ]

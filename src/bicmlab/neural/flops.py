@@ -8,9 +8,7 @@ the token-wise linear parts, which grow only linearly in r.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["attention_flops", "encoder_layer_flops", "quadratic_fit_exponent"]
+__all__ = ["attention_flops", "encoder_layer_flops"]
 
 
 def attention_flops(r: int, embed_dim: int, heads: int) -> int:
@@ -29,11 +27,3 @@ def encoder_layer_flops(r: int, embed_dim: int, heads: int) -> int:
     ffn = 2 * 2 * r * 4 * embed_dim * embed_dim
     norms = 2 * 8 * r * embed_dim
     return attention_flops(r, embed_dim, heads) + projections + ffn + norms
-
-
-def quadratic_fit_exponent(rs, flops) -> float:
-    """Least-squares slope of log(flops) against log(r)."""
-    x = np.log(np.asarray(rs, dtype=np.float64))
-    y = np.log(np.asarray(flops, dtype=np.float64))
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)

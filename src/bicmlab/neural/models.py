@@ -45,9 +45,9 @@ class RnnConfig:
 
     r: int
     k: int
-    alpha: int = 5
-    time_steps: int = 5
-    depth: int = 5
+    alpha: int
+    time_steps: int
+    depth: int
 
     def __post_init__(self):
         if self.r < 1 or self.k < 1:
@@ -73,9 +73,9 @@ class TransformerConfig:
 
     r: int
     k: int
-    embed_dim: int = 128
-    heads: int = 8
-    encoders: int = 10
+    embed_dim: int
+    heads: int
+    encoders: int
 
     def __post_init__(self):
         if self.r < 1 or self.k < 1:

@@ -1,5 +1,4 @@
-"""Adam, binary cross-entropy on logits, the single train step, and the
-finite-difference gradient check."""
+"""Adam, binary cross-entropy on logits, and the single train step."""
 
 from __future__ import annotations
 
@@ -10,9 +9,7 @@ from .layers import Param, sigmoid
 __all__ = [
     "Adam",
     "bce_with_logits",
-    "all_zeros_baseline_bce",
     "train_step",
-    "gradient_check",
     "TrainingDiverged",
 ]
 
@@ -75,17 +72,6 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray
     return float(loss.mean()), dz.astype(logits.dtype)
 
 
-def all_zeros_baseline_bce(targets: np.ndarray) -> float:
-    """BCE of the best constant predictor: the entropy of the flip rate.
-
-    A useful floor when judging whether an estimator learned anything.
-    """
-    p = float(np.mean(targets))
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-(p * np.log(p) + (1 - p) * np.log(1 - p)))
-
-
 def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam) -> float:
     """One Adam update of BCE-with-logits on a batch; returns the loss."""
     if x.shape[0] == 0:
@@ -104,46 +90,3 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam) -> float:
             raise TrainingDiverged(f"non-finite gradient in {p.name}")
     opt.step()
     return loss
-
-
-def gradient_check(net, x: np.ndarray, targets: np.ndarray,
-                   rng: np.random.Generator) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Samples up to 12 indices from every parameter block and steps each by
-    1e-4.  The net must be built in float64 for the comparison to be
-    meaningful.
-    """
-    samples_per_block, step = 12, 1e-4
-    params = net.params()
-    if any(p.value.dtype != np.float64 for p in params):
-        raise ValueError("gradient_check requires a float64 network")
-
-    def loss_only() -> float:
-        return bce_with_logits(net.forward(x), targets)[0]
-
-    for p in params:
-        p.grad[...] = 0
-    tape: dict = {}
-    logits = net.forward(x, tape)
-    loss, dz = bce_with_logits(logits, targets)
-    net.backward(dz, tape)
-
-    worst = 0.0
-    for p in params:
-        flat_v = p.value.reshape(-1)
-        flat_g = p.grad.reshape(-1)
-        n_idx = min(samples_per_block, flat_v.size)
-        idx = rng.choice(flat_v.size, size=n_idx, replace=False)
-        for i in idx:
-            keep = flat_v[i]
-            flat_v[i] = keep + step
-            up = loss_only()
-            flat_v[i] = keep - step
-            down = loss_only()
-            flat_v[i] = keep
-            numeric = (up - down) / (2 * step)
-            analytic = flat_g[i]
-            scale = max(abs(numeric), abs(analytic), 1e-6)
-            worst = max(worst, abs(numeric - analytic) / scale)
-    return worst

@@ -6,6 +6,7 @@ import numpy as np
 
 from bicmlab.bicm import ChannelEstimate
 from bicmlab.gf2code import LinearCode
+from bicmlab.neural import bce_with_logits
 
 
 def map_noise_equivalence(code: LinearCode, q: float, hard: np.ndarray
@@ -55,3 +56,57 @@ def channel_csv(est: ChannelEstimate) -> str:
             p = est.flips[s, c] / t if t else float("nan")
             out.write(f"{s + 1},{c},{int(est.flips[s, c])},{int(t)},{p:.8g}\n")
     return out.getvalue()
+
+
+def all_zeros_baseline_bce(targets: np.ndarray) -> float:
+    """BCE of the best constant predictor: the entropy of the flip rate.
+
+    A useful floor when judging whether an estimator learned anything.
+    """
+    p = float(np.mean(targets))
+    if p in (0.0, 1.0):
+        return 0.0
+    return float(-(p * np.log(p) + (1 - p) * np.log(1 - p)))
+
+
+def gradient_check(net, x: np.ndarray, targets: np.ndarray,
+                   rng: np.random.Generator) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Samples up to 12 indices from every parameter block and steps each by
+    1e-4.  The net must be built in float64 for the comparison to be
+    meaningful.
+    """
+    samples_per_block, step = 12, 1e-4
+    params = net.params()
+    if any(p.value.dtype != np.float64 for p in params):
+        raise ValueError("gradient_check requires a float64 network")
+
+    def loss_only() -> float:
+        return bce_with_logits(net.forward(x), targets)[0]
+
+    for p in params:
+        p.grad[...] = 0
+    tape: dict = {}
+    logits = net.forward(x, tape)
+    loss, dz = bce_with_logits(logits, targets)
+    net.backward(dz, tape)
+
+    worst = 0.0
+    for p in params:
+        flat_v = p.value.reshape(-1)
+        flat_g = p.grad.reshape(-1)
+        n_idx = min(samples_per_block, flat_v.size)
+        idx = rng.choice(flat_v.size, size=n_idx, replace=False)
+        for i in idx:
+            keep = flat_v[i]
+            flat_v[i] = keep + step
+            up = loss_only()
+            flat_v[i] = keep - step
+            down = loss_only()
+            flat_v[i] = keep
+            numeric = (up - down) / (2 * step)
+            analytic = flat_g[i]
+            scale = max(abs(numeric), abs(analytic), 1e-6)
+            worst = max(worst, abs(numeric - analytic) / scale)
+    return worst

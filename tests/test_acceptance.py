@@ -43,10 +43,9 @@ from bicmlab.neural import (
     build_transformer_estimator,
     count_params_rnn,
     count_params_transformer,
-    gradient_check,
 )
 from bicmlab.refdec import map_decode, ml_bound_update, osd_decode
-from oracles import map_noise_equivalence
+from oracles import gradient_check, map_noise_equivalence
 
 MASTER_SEED = 20240
 

@@ -1,8 +1,10 @@
 """Experiment runner: determinism, decoder equivalence, CSV schema,
 config parsing, training entry points, and the CLI."""
 
+import argparse
 import ctypes
 import os
+import shlex
 import resource
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +78,41 @@ class TestConfig:
         cfg = ExperimentConfig(**config_kwargs(ExperimentConfig,
                                                parse_config_text(block)))
         assert (cfg.code, cfg.decoder, cfg.workers) == ("polar_64_32", "osd", 4)
+
+    def test_readme_command_lines_parse(self):
+        # every documented command line, through the CLI's own parser and,
+        # for its KEY=VALUE arguments, the config typing; nothing runs
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        lines = [l for b in blocks
+                 for l in b.replace("\\\n", " ").splitlines()
+                 if l.startswith("bicmlab ")]
+        assert len(lines) >= 6
+        parser = cli._parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            if "settings" in vars(args):
+                kv = {}
+                for arg in args.settings:
+                    kv.update(parse_config_text(arg))
+                config_kwargs(args.cls, kv)
+
+    @pytest.mark.parametrize("arch, key, value", [
+        ("rnn", "embed_dim", 64), ("rnn", "heads", 8), ("rnn", "encoders", 3),
+        ("transformer", "alpha", 5), ("transformer", "time_steps", 1),
+        ("transformer", "depth", 3),
+    ])
+    def test_key_the_arch_does_not_read_refused(self, arch, key, value):
+        with pytest.raises(ValueError, match=(
+                f"^{key} = {value} is not read by arch '{arch}'$")):
+            TrainConfig(arch=arch, **{key: value})
+        # the default value is no setting, so it passes
+        TrainConfig(arch=arch, **{key: getattr(TrainConfig(), key)})
+
+    @pytest.mark.parametrize("preset", sorted(harness.TRAIN_PRESETS))
+    def test_every_preset_constructs(self, preset):
+        cfg = train_config_from_preset(preset)
+        assert cfg.arch == harness.TRAIN_PRESETS[preset]["arch"]
 
     def test_stop_keys_only_for_experiments(self):
         with pytest.raises(ValueError, match="max_frames"):
@@ -426,23 +463,23 @@ class TestVerifyChannel:
 
 class TestCli:
     def test_count_params_output(self, capsys):
-        rc = cli.main(["count-params", "--arch", "rnn", "--code",
-                       "polar_64_32"])
+        rc = cli.main(["count-params", "--preset", "table1-rnn",
+                       "code=polar_64_32"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "6381632" in out
 
     def test_count_params_transformer(self, capsys):
-        rc = cli.main(["count-params", "--arch", "transformer", "--code",
-                       "polar_128_64"])
+        rc = cli.main(["count-params", "--preset", "table1-transformer",
+                       "code=polar_128_64"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "2020033" in out
 
     def test_zero_heads_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["count-params", "--arch", "transformer", "--code",
-                      "polar_16_8", "--heads", "0"])
+            cli.main(["count-params", "--preset", "table1-transformer",
+                      "code=polar_16_8", "heads=0"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "bicmlab: error: heads must be >= 1\n")
@@ -451,8 +488,8 @@ class TestCli:
         cfgfile = tmp_path / "train.cfg"
         cfgfile.write_text("code = polar_16_8\nlog_every = 0\n")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--config", str(cfgfile), "--steps", "3",
-                      "--out", str(tmp_path / "t.ckpt")])
+            cli.main(["train", "--config", str(cfgfile), "steps=3",
+                      f"out={tmp_path / 't.ckpt'}"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "bicmlab: error: log_every must be >= 1, got 0\n")
@@ -460,8 +497,8 @@ class TestCli:
 
     def test_embed_dim_zero_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["count-params", "--arch", "transformer", "--code",
-                      "polar_16_8", "--embed-dim", "0"])
+            cli.main(["count-params", "--preset", "table1-transformer",
+                      "code=polar_16_8", "embed_dim=0"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "bicmlab: error: embed_dim must be >= 1, got 0\n")
@@ -529,7 +566,7 @@ class TestCli:
             "code = hamming_7_4\nconstellation = bpsk\ndecoder = map\n"
             "ebn0_db = 2\nmin_frame_errors = 0\nmax_frames = 2048\nseed = 6\n")
         out = tmp_path / "r.csv"
-        rc = cli.main(["simulate", "--config", str(cfgfile), "--out", str(out)])
+        rc = cli.main(["simulate", "--config", str(cfgfile), f"out={out}"])
         assert rc == 0
         assert out.exists()
 
@@ -544,7 +581,7 @@ class TestCli:
         before = get() if get else None
         try:
             assert cli.main(["simulate", "--config", str(cfgfile),
-                             "--workers", str(workers)]) == 0
+                             f"workers={workers}"]) == 0
             if get:
                 assert get() == max(1, len(os.sched_getaffinity(0)) // workers)
         finally:
@@ -576,9 +613,98 @@ class TestCli:
         cfgfile.write_text(
             "code = polar_16_8\nconstellation = qam16\narch = rnn\n"
             "alpha = 1\ntime_steps = 2\ndepth = 1\nbatch_size = 64\n")
-        rc = cli.main(["train", "--config", str(cfgfile), "--steps", "3",
-                       "--out", str(out), "--seed", "1"])
+        rc = cli.main(["train", "--config", str(cfgfile), "steps=3",
+                       f"out={out}", "seed=1"])
         assert rc == 0
         assert out.exists()
         text = capsys.readouterr().out
         assert "parameters" in text
+
+    def test_train_settings_reach_the_checkpoint(self, tmp_path, capsys):
+        # code, steps, seed, out and curve: each of the old train flags
+        out, curve = tmp_path / "t.ckpt", tmp_path / "curve.csv"
+        cfgfile = tmp_path / "train.cfg"
+        cfgfile.write_text(
+            "code = polar_16_8\nconstellation = qam16\nalpha = 1\n"
+            "time_steps = 2\ndepth = 1\nbatch_size = 64\nsteps = 50\n"
+            "log_every = 1\n")
+        assert cli.main(["train", "--config", str(cfgfile),
+                         "code=polar_32_16", "steps=3", "seed=7",
+                         f"out={out}", f"curve={curve}"]) == 0
+        net, header = load_checkpoint(out)
+        assert (net.cfg.r, net.cfg.k) == (2 * 32 - 16, 16)
+        assert (header["step"], header["seed"]) == (3, 7)
+        rows = curve.read_text().splitlines()
+        assert rows[0] == "step,loss"
+        assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3"]
+
+    def test_precedence_preset_then_file_then_arguments(self, tmp_path,
+                                                        capsys):
+        cfgfile = tmp_path / "rnn.cfg"
+        cfgfile.write_text("code = polar_16_8\nalpha = 1\ndepth = 2\n")
+        assert cli.main(["count-params", "--preset", "table1-rnn",
+                         "--config", str(cfgfile), "depth=3"]) == 0
+        want = RnnConfig.for_code(16, 8, alpha=1, time_steps=5, depth=3)
+        out = capsys.readouterr().out
+        assert f"exact weights:       {count_params_rnn(want)}\n" in out
+
+    def test_simulate_seed_overrides_the_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "code = polar_16_8\nconstellation = qam16\nebn0_db = 2\n"
+            "min_frame_errors = 0\nmax_frames = 2048\nseed = 6\n")
+        out = tmp_path / "r.csv"
+        assert cli.main(["simulate", "--config", str(cfgfile), "seed=9",
+                         f"out={out}"]) == 0
+        assert "# seed=9" in out.read_text().splitlines()
+        rec = run_point(ExperimentConfig(
+            code="polar_16_8", constellation="qam16", ebn0_db=(2.0,),
+            seed=9, stop=StopRule(min_frame_errors=0, max_frames=2048)), 2.0)
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.split(",")[1:4] == [str(rec.frames), str(rec.bit_errors),
+                                       str(rec.frame_errors)]
+
+    def test_stdout_rows_are_the_csv_rows(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["simulate", "code=hamming_7_4", "decoder=osd",
+                         "ebn0_db=1,3", "min_frame_errors=0",
+                         "max_frames=2048", f"out={out}"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == f"wrote {out}"
+        table = [l for l in out.read_text().splitlines()
+                 if not l.startswith("#")]
+        assert printed[:-1] == table
+        assert len(table) == 3 and table[1].split(",")[6] != ""
+
+    @pytest.mark.parametrize("arg, message", [
+        ("osd_ordr=5", "unknown config key 'osd_ordr'"),
+        ("seed", "expected KEY=VALUE, got 'seed'"),
+        ("seed=x", "config key 'seed': bad int value 'x'"),
+        ("max_frames=0", "max_frames must be positive"),
+    ], ids=["unknown", "no-equals", "bad-int", "out-of-range"])
+    def test_bad_argument_is_one_line(self, capsys, arg, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", arg])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"bicmlab: error: {message}\n"
+
+    def test_key_the_arch_does_not_read_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count-params", "--preset", "table1-rnn", "heads=16"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "bicmlab: error: heads = 16 is not read by arch 'rnn'\n")
+
+    def test_named_flags(self):
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        assert flags == {"simulate": ["--config"],
+                         "train": ["--config", "--preset"],
+                         "count-params": ["--config", "--preset"],
+                         "verify-channel": ["--quick", "--seed"]}
+        assert {name for name, p in sub.choices.items()
+                if any(a.metavar == "KEY=VALUE" for a in p._actions)} == {
+                    "simulate", "train", "count-params"}

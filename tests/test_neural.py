@@ -21,7 +21,6 @@ from bicmlab.neural import (
     RnnConfig,
     TrainingDiverged,
     TransformerConfig,
-    all_zeros_baseline_bce,
     approx_params_rnn,
     approx_params_transformer,
     attention_flops,
@@ -30,12 +29,11 @@ from bicmlab.neural import (
     build_transformer_estimator,
     count_params_rnn,
     count_params_transformer,
-    gradient_check,
     load_checkpoint,
-    quadratic_fit_exponent,
     save_checkpoint,
     train_step,
 )
+from oracles import all_zeros_baseline_bce, gradient_check
 
 
 def rnn_count_oracle(cfg: RnnConfig) -> int:
@@ -89,7 +87,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("n,k", [(128, 64), (64, 32)])
     def test_transformer_approximation_margin(self, n, k):
-        cfg = TransformerConfig.for_code(n, k)
+        cfg = TransformerConfig.for_code(n, k, embed_dim=128, heads=8,
+                                         encoders=10)
         exact = count_params_transformer(cfg)
         approx = approx_params_transformer(cfg)
         assert abs(exact - approx) / exact < 0.02
@@ -109,6 +108,9 @@ class TestCounts:
             assert net.num_params() == count_params_transformer(cfg)
 
     def test_invalid_configs_rejected(self):
+        valid = {RnnConfig: dict(r=4, k=2, alpha=5, time_steps=5, depth=5),
+                 TransformerConfig: dict(r=4, k=2, embed_dim=128, heads=8,
+                                         encoders=10)}
         for cls, kw, message in [
             (RnnConfig, dict(r=0), "r and k must be positive"),
             (TransformerConfig, dict(embed_dim=10, heads=3),
@@ -120,7 +122,7 @@ class TestCounts:
             (RnnConfig, dict(depth=-1), "depth must be >= 1, got -1"),
         ]:
             with pytest.raises(ValueError, match=f"^{message}$"):
-                cls(**{"r": 4, "k": 2, **kw})
+                cls(**{**valid[cls], **kw})
 
 
 class TestForward:
@@ -618,10 +620,10 @@ class TestCheckpoint:
 
 
 class TestFlops:
-    def test_attention_counter_scales_quadratically(self):
+    def test_attention_counter_scales_quadratically(self, load_tool):
         rs = [32, 64, 128, 256]
         counts = [attention_flops(r, 128, 8) for r in rs]
-        expo = quadratic_fit_exponent(rs, counts)
+        expo = load_tool("predict_scaling").quadratic_fit_exponent(rs, counts)
         assert abs(expo - 2.0) <= 0.1
 
     def test_attention_counter_linear_in_embed_dim(self):

@@ -33,13 +33,20 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from bicmlab.gf2code import get_code  # noqa: E402
 from bicmlab.harness import train_config_from_preset  # noqa: E402
-from bicmlab.neural import quadratic_fit_exponent  # noqa: E402
 
 PRESETS = ("desk-rnn", "desk-transformer")
 CODES = ("polar_16_8", "polar_32_16", "polar_64_32", "polar_128_64")
 FRAMES = 2048
 REPEATS = 3
 SEED = 0
+
+
+def quadratic_fit_exponent(rs, values) -> float:
+    """Least-squares slope of log(values) against log(r)."""
+    x = np.log(np.asarray(rs, dtype=np.float64))
+    y = np.log(np.asarray(values, dtype=np.float64))
+    slope, _ = np.polyfit(x, y, 1)
+    return float(slope)
 
 
 def build(preset: str, code_name: str, seed: int):
