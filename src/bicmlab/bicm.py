@@ -69,18 +69,14 @@ def _padded_length(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class FrameBatch:
-    """Vectorized transmission records; every field has a leading frame axis."""
+    """Vectorized transmission records; every field has a leading frame axis.
+    The interleaved bits and LLRs are interleave(c, perms) and
+    interleave(llr, perms), and the hard decisions hard_split(llr)[0]."""
 
     u: np.ndarray              # (B, k) messages
     c: np.ndarray              # (B, n) codewords
-    c_tilde: np.ndarray        # (B, n) interleaved code bits
     perms: np.ndarray          # (B, n) interleaver permutations
-    llr_tilde: np.ndarray      # (B, n) pre-deinterleave LLRs (pad stripped)
     llr: np.ndarray            # (B, n) LLRs in code order
-    hard: np.ndarray           # (B, n) hard decisions 1(llr < 0)
-
-    def __len__(self) -> int:
-        return self.u.shape[0]
 
 
 def transmit_batch(
@@ -111,21 +107,15 @@ def transmit_batch(
         perms = np.argsort(keys, axis=1)
     else:
         perms = np.broadcast_to(np.asarray(interleaver), (n_frames, n))
-    c_tilde = interleave(c, perms)
-
-    tx_bits = c_tilde
+    tx_bits = interleave(c, perms)
     if n_pad != n:
         zeros = np.zeros((n_frames, n_pad - n), dtype=np.uint8)
-        tx_bits = np.concatenate([c_tilde, zeros], axis=1)
+        tx_bits = np.concatenate([tx_bits, zeros], axis=1)
 
     x = modulate(const, tx_bits)
     y = awgn(x, noise, rng)
-    llr_full = clamp_llrs(demap(const, y, noise, kind=demap_kind))
-    llr_tilde = llr_full[:, :n]
-    llr = deinterleave(llr_tilde, perms)
-    hard, _ = hard_split(llr)
-    return FrameBatch(u=u, c=c, c_tilde=c_tilde, perms=perms,
-                      llr_tilde=llr_tilde, llr=llr, hard=hard)
+    llr = clamp_llrs(demap(const, y, noise, kind=demap_kind))[:, :n]
+    return FrameBatch(u=u, c=c, perms=perms, llr=deinterleave(llr, perms))
 
 
 @dataclass
@@ -190,8 +180,10 @@ def estimate_channel(
     while done < frames:
         b = min(8192, frames - done)
         fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog")
-        sent = fb.c_tilde[:, :n_clean].astype(bool).reshape(-1, const.m)
-        hard = (fb.llr_tilde[:, :n_clean] < 0).reshape(-1, const.m)
+        c_tilde = interleave(fb.c, fb.perms)[:, :n_clean]
+        llr_tilde = interleave(fb.llr, fb.perms)[:, :n_clean]
+        sent = c_tilde.astype(bool).reshape(-1, const.m)
+        hard = (llr_tilde < 0).reshape(-1, const.m)
         est.accumulate(sent, hard ^ sent)
         done += b
     return est
@@ -262,7 +254,7 @@ def measure_flip_correlation(
         b = min(16384, frames - done)
         fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog",
                             interleaver=interleaver)
-        w = (fb.c ^ fb.hard).astype(np.float64)
+        w = (fb.c ^ hard_split(fb.llr)[0]).astype(np.float64)
         s1 += w.sum(axis=0)
         s2 += w.T @ w
         done += b

@@ -156,9 +156,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """parser's arguments, with KEY=VALUE arguments allowed before, between
+    and after the options: argparse takes the first run of them as settings
+    and gives the later ones back, in order, to be appended."""
+    args, extra = parser.parse_known_args(argv)
+    unknown = [a for a in extra
+               if a.startswith("-") or not hasattr(args, "settings")]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if extra:
+        args.settings += extra
+    return args
+
+
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     try:
         return args.func(args)
     except (ValueError, OSError, CheckpointError) as exc:

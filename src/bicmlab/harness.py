@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -40,9 +41,10 @@ from .neural import (
     train_step,
 )
 from .refdec import ErrorCounter
+from .sbnd import decode_batch, hard_messages, make_training_batch
 # statistic_batch stays importable from here: bench/spans.py traces it by
 # this name
-from .sbnd import decode_batch, make_training_batch, statistic_batch  # noqa: F401
+from .sbnd import statistic_batch  # noqa: F401
 
 __all__ = [
     "StopRule",
@@ -82,6 +84,7 @@ _ALLOCATOR_POLICY = (
 )
 
 _DEMAPPERS = ("exact", "maxlog")
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
@@ -117,21 +120,19 @@ class StopRule:
         if self.min_frame_errors < 0 or self.min_bit_errors < 0:
             raise ValueError("error targets must be non-negative")
 
-    def satisfied(self, frames: int, bit_errors: int, frame_errors: int) -> bool:
-        if frames >= self.max_frames:
-            return True
-        if self.min_frame_errors and frame_errors >= self.min_frame_errors:
-            return True
-        if self.min_bit_errors and bit_errors >= self.min_bit_errors:
-            return True
-        return False
+    def satisfied(self, total: ErrorCounter) -> bool:
+        """Whether the point's folded counts meet the rule; a zero error
+        target never fires."""
+        return (total.frames >= self.max_frames
+                or 0 < self.min_frame_errors <= total.frame_errors
+                or 0 < self.min_bit_errors <= total.bit_errors)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     code: str = "hamming_7_4"
     constellation: str = "bpsk"
-    decoder: str = "hard-pinv"          # hard-pinv | map | osd | sbnd
+    decoder: str = "hard-pinv"          # a key of _DECODERS
     osd_order: int = 2
     checkpoint: str = ""                 # for the sbnd decoder
     ebn0_db: tuple[float, ...] = (2.0, 4.0, 6.0)
@@ -147,8 +148,7 @@ class ExperimentConfig:
         if not self.ebn0_db:
             raise ValueError("Eb/N0 grid is empty")
         _check_finite("ebn0_db", *self.ebn0_db)
-        _check_choice("decoder", self.decoder,
-                      ("hard-pinv", "map", "osd", "sbnd"))
+        _check_choice("decoder", self.decoder, tuple(_DECODERS))
         build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
         _check_choice("interleaver", self.interleaver, ("fresh", "pinned"))
@@ -166,10 +166,12 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat 'key = value' lines, each key once; '#' starts a comment."""
+    """Flat 'key = value' lines, each key once.  A '#' at the start of a
+    line or after whitespace starts a comment; any other '#' is part of the
+    value, as in out=run#3.csv."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -257,30 +259,29 @@ def set_allocator_policy() -> bool:
 # ---------------------------------------------------------------------------
 
 class HardPinvDecoder:
-    def __init__(self, code: LinearCode):
+    def __init__(self, code: LinearCode, cfg: ExperimentConfig):
         self.code = code
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
-        u_hat = self.code.p_inv_apply(fb.hard)
-        return _count(u_hat, fb.u)
+        return ErrorCounter.tally(hard_messages(self.code, fb.llr), fb.u)
 
 
 class MapDecoder:
-    def __init__(self, code: LinearCode):
+    def __init__(self, code: LinearCode, cfg: ExperimentConfig):
         self.code = code
         code.codebook()  # prime the cache before workers share it
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
         cw, _ = refdec.map_decode(self.code, fb.llr)
-        return _count(self.code.p_inv_apply(cw), fb.u)
+        return ErrorCounter.tally(self.code.p_inv_apply(cw), fb.u)
 
 
 class OsdDecoder:
-    def __init__(self, code: LinearCode, order: int):
+    def __init__(self, code: LinearCode, cfg: ExperimentConfig):
         self.code = code
-        self.order = order
+        self.order = cfg.osd_order
         # refuses a bad order, and primes the table before workers share it
-        refdec._test_patterns(code.k, order)
+        refdec._test_patterns(code.k, self.order)
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
         cw, metric = refdec.osd_decode(self.code, fb.llr, self.order)
@@ -318,32 +319,22 @@ class NeuralEstimator:
 
 
 class SbndDecoder:
-    def __init__(self, code: LinearCode, estimator: NeuralEstimator):
+    def __init__(self, code: LinearCode, cfg: ExperimentConfig):
         self.code = code
-        self.est = estimator
+        self.est = NeuralEstimator.from_checkpoint(cfg.checkpoint, code)
 
     def decode_chunk(self, fb: FrameBatch) -> ErrorCounter:
-        return _count(decode_batch(self.code, fb.llr, self.est), fb.u)
+        return ErrorCounter.tally(decode_batch(self.code, fb.llr, self.est),
+                                  fb.u)
 
 
-def _count(u_hat: np.ndarray, u: np.ndarray) -> ErrorCounter:
-    wrong = u_hat != u
-    return ErrorCounter(
-        frames=u.shape[0],
-        bit_errors=int(np.count_nonzero(wrong)),
-        frame_errors=int(np.count_nonzero(wrong.any(axis=1))),
-    )
+# ExperimentConfig.decoder names a key; each class is built from (code, cfg)
+_DECODERS = {"hard-pinv": HardPinvDecoder, "map": MapDecoder,
+             "osd": OsdDecoder, "sbnd": SbndDecoder}
 
 
 def make_decoder(cfg: ExperimentConfig, code: LinearCode):
-    if cfg.decoder == "hard-pinv":
-        return HardPinvDecoder(code)
-    if cfg.decoder == "map":
-        return MapDecoder(code)
-    if cfg.decoder == "osd":
-        return OsdDecoder(code, cfg.osd_order)
-    return SbndDecoder(code,
-                       NeuralEstimator.from_checkpoint(cfg.checkpoint, code))
+    return _DECODERS[cfg.decoder](code, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +391,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     next_submit = 0
     next_collect = 0
     with ThreadPoolExecutor(max_workers=pool) as ex:
-        while not cfg.stop.satisfied(total.frames, total.bit_errors,
-                                     total.frame_errors):
+        while not cfg.stop.satisfied(total):
             while len(pending) < window and next_submit < budget:
                 pending[next_submit] = ex.submit(work, next_submit)
                 next_submit += 1

@@ -309,6 +309,20 @@ class ErrorCounter:
     ml_bit_errors: int = 0
     ml_frame_errors: int = 0
 
+    @classmethod
+    def tally(cls, u_hat: np.ndarray, u: np.ndarray,
+              ml: np.ndarray | None = None) -> "ErrorCounter":
+        """Errors of (B, k) message estimates u_hat against u; the ML-bound
+        fields count the errors of the frames where the (B,) mask ml is
+        set."""
+        nbit = np.count_nonzero(u_hat != u, axis=1)
+        ctr = cls(frames=len(nbit), bit_errors=int(nbit.sum()),
+                  frame_errors=int(np.count_nonzero(nbit)))
+        if ml is not None:
+            ctr.ml_bit_errors = int(nbit[ml].sum())
+            ctr.ml_frame_errors = int(np.count_nonzero(nbit[ml]))
+        return ctr
+
     def merge(self, other: "ErrorCounter") -> "ErrorCounter":
         for name in (f.name for f in fields(self)):
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -322,14 +336,9 @@ def ml_bound_update(code: LinearCode, c: np.ndarray, cw: np.ndarray,
     errors only where cw both differs from c and strictly outscores it (an
     ML decoder would have failed too)."""
     llr = _frames(code, llr)
-    wrong = np.any(cw != c, axis=1)
-    # A is linear: A c ^ A cw = A (c ^ cw)
-    nbit = np.count_nonzero(code.p_inv_apply(c[wrong] ^ cw[wrong]), axis=1)
-    ml = metric[wrong] > correlation_metric(c[wrong], llr[wrong])
-    return ErrorCounter(
-        frames=len(llr),
-        bit_errors=int(nbit.sum()),
-        frame_errors=int(np.count_nonzero(wrong)),
-        ml_bit_errors=int(nbit[ml].sum()),
-        ml_frame_errors=int(np.count_nonzero(ml)),
-    )
+    wrong = np.flatnonzero(np.any(cw != c, axis=1))
+    ml = np.zeros(len(llr), dtype=bool)
+    ml[wrong] = metric[wrong] > correlation_metric(c[wrong], llr[wrong])
+    # A is linear: A c ^ A cw = A (c ^ cw), the message error pattern
+    err = code.p_inv_apply(c ^ cw)
+    return ErrorCounter.tally(err, np.zeros_like(err), ml)

@@ -2,12 +2,13 @@
 extraction, the pluggable bit-flip estimator interface, thresholding, and
 message reconstruction.
 
-Every function takes a (B, n) batch of LLR frames.  ``statistic_batch``
-packs (|l|, H l^b) into (B, 2n - k) estimator inputs; ``decode_batch`` feeds
-them to an estimator, thresholds its (B, k) logits at zero and xors the
-resulting message-domain flip pattern with the hard-decision pseudo-inverse;
-``make_training_batch`` pairs the inputs with their true flip targets.  The
-decoder never sees the codeword, only the statistic.
+Every function takes a (B, n) batch of LLR frames.  ``hard_messages`` is
+the hard-decision pseudo-inverse A l^b; ``statistic_batch`` packs
+(|l|, H l^b) into (B, 2n - k) estimator inputs; ``decode_batch`` feeds them
+to an estimator, thresholds its (B, k) logits at zero and xors the
+resulting message-domain flip pattern with A l^b; ``make_training_batch``
+pairs the inputs with their true flip targets.  The decoder never sees the
+codeword, only the statistic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .modem import hard_split
 
 __all__ = [
     "Estimator",
+    "hard_messages",
     "statistic_batch",
     "decode_batch",
     "make_training_batch",
@@ -32,6 +34,11 @@ class Estimator(Protocol):
     """Bit-flip estimator: batch of packed statistics -> batch of k logits."""
 
     def predict(self, stats: np.ndarray) -> np.ndarray: ...
+
+
+def hard_messages(code: LinearCode, llr: np.ndarray) -> np.ndarray:
+    """A l^b: the (B, k) messages of the hard decisions of a (B, n) batch."""
+    return code.p_inv_apply(hard_split(llr)[0])
 
 
 def statistic_batch(code: LinearCode, llr: np.ndarray) -> np.ndarray:
@@ -54,14 +61,12 @@ def decode_batch(code: LinearCode, llr: np.ndarray, est: Estimator) -> np.ndarra
     if scores.shape != (stats.shape[0], code.k):
         raise ValueError(f"estimator returned {scores.shape}, expected "
                          f"({stats.shape[0]}, {code.k})")
-    flip_hat = (scores > 0).astype(np.uint8)
-    hard, _ = hard_split(llr)
-    return code.p_inv_apply(hard) ^ flip_hat
+    return hard_messages(code, llr) ^ (scores > 0).astype(np.uint8)
 
 
 def make_training_batch(batch: FrameBatch, code: LinearCode
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(B, r) inputs and (B, k) flip targets from a simulated frame batch."""
     x = statistic_batch(code, batch.llr)
-    t = code.p_inv_apply(batch.hard) ^ batch.u
+    t = hard_messages(code, batch.llr) ^ batch.u
     return x, t

@@ -119,8 +119,7 @@ def parent_transmit_batch(code, const, noise, rng, n_frames, *, demap_kind,
     llr_tilde = clamp_llrs(raw.reshape(n_frames, -1))[:, :n]
     llr = np.empty_like(llr_tilde)
     np.put_along_axis(llr, perms, llr_tilde, axis=-1)
-    return FrameBatch(u=u, c=c, c_tilde=c_tilde, perms=perms,
-                      llr_tilde=llr_tilde, llr=llr, hard=hard_split(llr)[0])
+    return FrameBatch(u=u, c=c, perms=perms, llr=llr)
 
 
 class TestInterleaver:
@@ -157,9 +156,10 @@ class TestTransmit:
         code = hamming_7_4()
         fb = transmit_batch(code, build_constellation("bpsk"),
                             NoiseConfig(1e-8), rng, 1)
-        assert np.array_equal(fb.hard, fb.c)
-        assert not np.any(fb.c ^ fb.hard)
-        assert np.array_equal(code.p_inv_apply(fb.hard), fb.u)
+        hard = hard_split(fb.llr)[0]
+        assert np.array_equal(hard, fb.c)
+        assert not np.any(fb.c ^ hard)
+        assert np.array_equal(code.p_inv_apply(hard), fb.u)
 
     def test_record_self_consistency(self):
         rng = np.random.default_rng(4)
@@ -169,9 +169,11 @@ class TestTransmit:
         for _ in range(20):
             fb = transmit_batch(code, const, nc, rng, 1)
             assert np.array_equal(fb.c, code.encode(fb.u))
-            assert np.array_equal(fb.llr, deinterleave(fb.llr_tilde, fb.perms))
             assert np.array_equal(
-                code.p_inv_apply(fb.c ^ fb.hard), code.p_inv_apply(fb.hard) ^ fb.u)
+                fb.llr, deinterleave(interleave(fb.llr, fb.perms), fb.perms))
+            hard = hard_split(fb.llr)[0]
+            assert np.array_equal(
+                code.p_inv_apply(fb.c ^ hard), code.p_inv_apply(hard) ^ fb.u)
 
     def test_syndrome_frame_invariant(self):
         # H l^b = H w^b because H c = 0
@@ -180,7 +182,8 @@ class TestTransmit:
         const = build_constellation("qpsk")
         nc = NoiseConfig.from_ebn0_db(2.0, code.rate, const.m)
         fb = transmit_batch(code, const, nc, rng, 200)
-        assert np.array_equal(code.syndrome(fb.hard), code.syndrome(fb.c ^ fb.hard))
+        hard = hard_split(fb.llr)[0]
+        assert np.array_equal(code.syndrome(hard), code.syndrome(fb.c ^ hard))
 
     def test_high_snr_bpsk_hamming_no_flips(self):
         # Q-function oracle: expected per-bit flips are < 1e-6 at 20 dB
@@ -189,7 +192,7 @@ class TestTransmit:
         assert q_func(math.sqrt(2.0 / nc.sigma2)) < 1e-6
         rng = np.random.default_rng(6)
         fb = transmit_batch(code, build_constellation("bpsk"), nc, rng, 1000)
-        assert not np.any(fb.c ^ fb.hard)
+        assert not np.any(fb.c ^ hard_split(fb.llr)[0])
 
     def test_padding_required_when_m_does_not_divide_n(self, monkeypatch):
         # 7 code bits fill two 16-QAM symbols: one zero pad bit is sent
@@ -207,7 +210,7 @@ class TestTransmit:
                             np.random.default_rng(7), 4)
         assert fb.llr.shape == (4, 7)
         assert np.array_equal(sent[0], np.concatenate(
-            [fb.c_tilde, np.zeros((4, 1), np.uint8)], axis=1))
+            [interleave(fb.c, fb.perms), np.zeros((4, 1), np.uint8)], axis=1))
 
     def test_padded_zero_noise_round_trip(self):
         rng = np.random.default_rng(8)
@@ -215,7 +218,20 @@ class TestTransmit:
         for kind in ("psk8", "qam16"):
             fb = transmit_batch(code, build_constellation(kind),
                                 NoiseConfig(1e-8), rng, 50)
-            assert not np.any(fb.c ^ fb.hard)
+            assert not np.any(fb.c ^ hard_split(fb.llr)[0])
+
+    def test_no_hard_decisions(self, monkeypatch):
+        # the chain ends at the LLRs; hard decisions are the consumer's
+        def refuse(llr):
+            raise AssertionError("transmit_batch formed hard decisions")
+
+        monkeypatch.setattr(bicm, "hard_split", refuse)
+        code = get_code("polar_16_8")
+        fb = transmit_batch(code, build_constellation("qam16"),
+                            NoiseConfig.from_esn0_db(5.0),
+                            np.random.default_rng(10), 8)
+        assert [f.name for f in dataclasses.fields(fb)] == [
+            "u", "c", "perms", "llr"]
 
     def test_fixed_seed_reproducible(self):
         code = get_code("polar_16_8")
@@ -253,9 +269,11 @@ class TestBitIdentity:
                 for f in dataclasses.fields(FrameBatch):
                     assert np.array_equal(getattr(got, f.name),
                                           getattr(want, f.name)), f.name
-                for bits, mat in ((code.syndrome(got.hard), code.h),
-                                  (code.p_inv_apply(got.hard), code.a)):
-                    want_bits = (want.hard.astype(np.int64) @ mat.T) & 1
+                got_hard = hard_split(got.llr)[0]
+                want_hard = hard_split(want.llr)[0]
+                for bits, mat in ((code.syndrome(got_hard), code.h),
+                                  (code.p_inv_apply(got_hard), code.a)):
+                    want_bits = (want_hard.astype(np.int64) @ mat.T) & 1
                     assert np.array_equal(bits, want_bits)
 
 

@@ -90,7 +90,7 @@ class TestConfig:
         assert len(lines) >= 6
         parser = cli._parser()
         for line in lines:
-            args = parser.parse_args(shlex.split(line)[1:])
+            args = cli._parse_args(parser, shlex.split(line)[1:])
             if "settings" in vars(args):
                 kv = {}
                 for arg in args.settings:
@@ -148,6 +148,13 @@ class TestConfig:
     def test_bad_decoder(self):
         with pytest.raises(ValueError, match="decoder"):
             ExperimentConfig(decoder="turbo")
+
+    @pytest.mark.parametrize("text", [
+        "out = run#3.csv", "out=run#3.csv # the third run",
+        "# out = x.csv\nout = run#3.csv\t# a tab before the comment",
+    ])
+    def test_hash_inside_a_value_is_kept(self, text):
+        assert parse_config_text(text) == {"out": "run#3.csv"}
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -694,6 +701,50 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "bicmlab: error: heads = 16 is not read by arch 'rnn'\n")
+
+    def test_hash_in_an_argument_names_the_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "code = hamming_7_4  # a comment after whitespace\n"
+            "ebn0_db = 2\nmin_frame_errors = 0\nmax_frames = 2048\n")
+        out = tmp_path / "run#3.csv"
+        assert cli.main(["simulate", "--config", str(cfgfile),
+                         f"out={out}"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "exp.cfg", "run#3.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["seed=3", "--config", "{cfg}", "max_frames=2048"],
+        ["--config", "{cfg}", "seed=3", "max_frames=2048"],
+        ["seed=3", "max_frames=2048", "--config", "{cfg}"],
+        ["seed=1", "--config", "{cfg}", "seed=2", "max_frames=2048",
+         "seed=3"],
+    ], ids=["between", "after", "before", "last-wins"])
+    def test_settings_before_between_and_after_options(self, tmp_path,
+                                                       capsys, argv):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("code = hamming_7_4\nebn0_db = 2\nseed = 9\n"
+                           "min_frame_errors = 0\nmax_frames = 4096\n")
+        out = tmp_path / "r.csv"
+        argv = [a.format(cfg=cfgfile) for a in argv]
+        assert cli.main(["simulate", *argv, f"out={out}"]) == 0
+        text = out.read_text().splitlines()
+        assert "# seed=3" in text
+        assert text[-1].split(",")[1] == "2048"
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["simulate", "seed=1", "--bogus", "max_frames=2048"], "--bogus"),
+        (["simulate", "--config", "x.cfg", "seed=1", "--bogus"], "--bogus"),
+        (["verify-channel", "seed=1"], "seed=1"),
+    ], ids=["simulate-between", "simulate-after", "no-settings"])
+    def test_unknown_argument_is_a_usage_error(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        errors = [l for l in capsys.readouterr().err.splitlines()
+                  if l.startswith("bicmlab: error:")]
+        assert errors == [f"bicmlab: error: unrecognized arguments: {bad}"]
 
     def test_named_flags(self):
         sub = next(a for a in cli._parser()._actions

@@ -372,6 +372,20 @@ class TestMlBound:
         assert 0 < ctr.ml_frame_errors <= ctr.frame_errors
         assert ctr.ml_bit_errors <= ctr.bit_errors
 
+    def test_tally(self):
+        u = np.zeros((4, 3), dtype=np.uint8)
+        u_hat = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]],
+                         dtype=np.uint8)
+        assert ErrorCounter.tally(u_hat, u) == ErrorCounter(
+            frames=4, bit_errors=6, frame_errors=3)
+        ml = np.array([True, False, True, False])
+        assert ErrorCounter.tally(u_hat, u, ml) == ErrorCounter(
+            frames=4, bit_errors=6, frame_errors=3, ml_bit_errors=2,
+            ml_frame_errors=1)
+        assert ErrorCounter.tally(u_hat ^ 1, 1 - u, ml) == ErrorCounter(
+            frames=4, bit_errors=6, frame_errors=3, ml_bit_errors=2,
+            ml_frame_errors=1)
+
     def test_merge(self):
         a = ErrorCounter(frames=10, bit_errors=3, frame_errors=2,
                          ml_bit_errors=1, ml_frame_errors=1)

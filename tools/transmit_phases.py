@@ -16,7 +16,6 @@ each:
     demap         `modem.demap`
     clamp         `modem.clamp_llrs`, and the pad LLRs stripped
     deinterleave  `bicm.deinterleave`
-    hard          `modem.hard_split`
 
 and prints the median ms per chunk of each stage and of their sum, and the
 median minor page faults per chunk.  Every pass is checked field by field
@@ -53,7 +52,6 @@ from bicmlab.modem import (  # noqa: E402
     build_constellation,
     clamp_llrs,
     demap,
-    hard_split,
     modulate,
 )
 
@@ -65,7 +63,7 @@ RUNS = {
     "psk8-exact": ("polar_128_64", "psk8", "exact", 4.0),
 }
 STAGES = ("draw", "encode", "keys+argsort", "interleave", "modulate", "awgn",
-          "demap", "clamp", "deinterleave", "hard")
+          "demap", "clamp", "deinterleave")
 FRAMES = 2048
 REPEATS = 9
 SEED = 0
@@ -84,10 +82,10 @@ def transmit_in_stages(code, const, noise, rng, demap_kind: str
     t.append(time.perf_counter())
     perms = np.argsort(rng.random((FRAMES, n)), axis=1)
     t.append(time.perf_counter())
-    c_tilde = tx_bits = bicm.interleave(c, perms)
+    tx_bits = bicm.interleave(c, perms)
     if n_pad != n:
         zeros = np.zeros((FRAMES, n_pad - n), dtype=np.uint8)
-        tx_bits = np.concatenate([c_tilde, zeros], axis=1)
+        tx_bits = np.concatenate([tx_bits, zeros], axis=1)
     t.append(time.perf_counter())
     x = modulate(const, tx_bits)
     t.append(time.perf_counter())
@@ -95,14 +93,11 @@ def transmit_in_stages(code, const, noise, rng, demap_kind: str
     t.append(time.perf_counter())
     raw = demap(const, y, noise, kind=demap_kind)
     t.append(time.perf_counter())
-    llr_tilde = clamp_llrs(raw)[:, :n]
+    llr = clamp_llrs(raw)[:, :n]
     t.append(time.perf_counter())
-    llr = bicm.deinterleave(llr_tilde, perms)
+    llr = bicm.deinterleave(llr, perms)
     t.append(time.perf_counter())
-    hard, _ = hard_split(llr)
-    t.append(time.perf_counter())
-    fb = bicm.FrameBatch(u=u, c=c, c_tilde=c_tilde, perms=perms,
-                         llr_tilde=llr_tilde, llr=llr, hard=hard)
+    fb = bicm.FrameBatch(u=u, c=c, perms=perms, llr=llr)
     return list(np.diff(t)), fb
 
 
