@@ -3,7 +3,11 @@
 Reproducibility contract: a (config, master seed) pair fully determines every
 count.  Frames are simulated in fixed-size chunks whose RNG streams derive
 from (master seed, grid point index, chunk index); chunk results are folded
-in chunk order, so the totals are identical for any worker count.
+in chunk order, so the totals are identical for any worker count.  The
+thread that transmits a chunk decodes it in DECODE_BLOCK_FRAMES blocks, and
+any idle pool thread may take one of them.  The block size never depends
+on the worker count, and a chunk's counts are integer sums over its blocks,
+so which thread decodes which block changes no count.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import ctypes
 import math
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -64,9 +69,14 @@ __all__ = [
     "verify_channel",
     "set_allocator_policy",
     "CHUNK_FRAMES",
+    "DECODE_BLOCK_FRAMES",
 ]
 
 CHUNK_FRAMES = 2048
+# Frames per decode_chunk call.  Any pool thread decodes any block of a
+# transmitted chunk; the size is fixed, never derived from the worker count,
+# so a block is the same computation at every pool size.
+DECODE_BLOCK_FRAMES = 1024
 
 # glibc mallopt parameters (malloc.h) and the values set_allocator_policy
 # sets.  One arena holds one working set for all workers.  The mmap
@@ -348,6 +358,67 @@ def _chunk_rng(seed: int, point_index: int, chunk_index: int
     )
 
 
+def _block(fb: FrameBatch, start: int) -> FrameBatch:
+    """Views of fb's frames [start, start + DECODE_BLOCK_FRAMES)."""
+    rows = slice(start, start + DECODE_BLOCK_FRAMES)
+    return FrameBatch(u=fb.u[rows], c=fb.c[rows], perms=fb.perms[rows],
+                      llr=fb.llr[rows])
+
+
+class _ChunkBlocks:
+    """One transmitted chunk, decoded block by block by whichever pool
+    threads call take.
+
+    A thread claims the next unclaimed block under the condition and decodes
+    it outside; the counts merge by integer addition, so the total does not
+    depend on which thread ran which block.  finish waits only for blocks
+    that running threads have claimed, never for queued work, then drops the
+    chunk's arrays: a helper that starts later finds no block and returns.
+    """
+
+    def __init__(self, decoder, fb: FrameBatch):
+        self._decoder = decoder
+        self._fb: FrameBatch | None = fb
+        self._starts = iter(range(0, len(fb.u), DECODE_BLOCK_FRAMES))
+        self._running = 0
+        self._error: BaseException | None = None
+        self._total = ErrorCounter()
+        self._cond = threading.Condition()
+
+    def take(self) -> None:
+        """Decode unclaimed blocks until none is left, or one has failed."""
+        while True:
+            with self._cond:
+                start = next(self._starts, None)
+                if start is None or self._error is not None:
+                    return
+                self._running += 1
+                block = _block(self._fb, start)
+            try:
+                counts, error = self._decoder.decode_chunk(block), None
+            except BaseException as exc:
+                # finish re-raises it in the thread that owns the chunk
+                counts, error = None, exc
+            with self._cond:
+                self._running -= 1
+                if error is None:
+                    self._total.merge(counts)
+                elif self._error is None:
+                    self._error = error
+                self._cond.notify_all()
+
+    def finish(self) -> ErrorCounter:
+        """Take blocks, wait for the claimed ones, and return the chunk's
+        counts or raise the first block's error."""
+        self.take()
+        with self._cond:
+            self._cond.wait_for(lambda: self._running == 0)
+            self._fb = None
+            if self._error is not None:
+                raise self._error
+            return self._total
+
+
 def run_point(cfg: ExperimentConfig, ebn0_db: float,
               point_index: int | None = None) -> BerRecord:
     """Simulate one grid point until the stop rule fires.
@@ -372,11 +443,18 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
 
     def work(chunk_index: int) -> ErrorCounter:
         rng = _chunk_rng(cfg.seed, point_index, chunk_index)
-        fb = transmit_batch(
+        blocks = _ChunkBlocks(decoder, transmit_batch(
             code, const, noise, rng, CHUNK_FRAMES,
             demap_kind=cfg.demap, interleaver=pinned,
-        )
-        return decoder.decode_chunk(fb)
+        ))
+        # idle pool threads help; one that finds every block taken returns
+        for _ in range(helpers):
+            try:
+                ex.submit(blocks.take)
+            except RuntimeError:
+                # the pool is shutting down past the stop; no help comes
+                break
+        return blocks.finish()
 
     t0 = time.perf_counter()
     total = ErrorCounter()
@@ -386,6 +464,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     # one past the stop, and no pool starts one past the frame budget
     pool = cfg.workers
     window = 2 * pool if pool > 1 else 1
+    helpers = min(pool, -(-CHUNK_FRAMES // DECODE_BLOCK_FRAMES)) - 1
     budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
     pending: dict[int, object] = {}
     next_submit = 0

@@ -7,6 +7,8 @@ import os
 import shlex
 import resource
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +42,7 @@ from bicmlab.neural import (
     load_checkpoint,
     save_checkpoint,
 )
+from bicmlab.refdec import ErrorCounter
 
 
 def quick_stop(frames=4096):
@@ -315,6 +318,181 @@ class TestRunPoint:
         with ThreadPoolExecutor(max_workers=1) as ex:
             faults = ex.submit(second_chunk_faults).result(timeout=120)
         assert faults < 100
+
+
+# one small point per key of harness._DECODERS; sbnd runs a random GRU
+BLOCK_CASES = {
+    "hard-pinv": dict(code="polar_16_8", constellation="qam16",
+                      ebn0_db=(4.0,)),
+    "map": dict(code="hamming_7_4", constellation="bpsk", ebn0_db=(2.0,)),
+    "osd": dict(code="polar_32_16", constellation="qpsk", demap="maxlog",
+                osd_order=2, ebn0_db=(3.0,)),
+    "sbnd": dict(code="polar_16_8", constellation="qam16", ebn0_db=(4.0,)),
+}
+
+
+@pytest.fixture(scope="module")
+def random_rnn_checkpoint(tmp_path_factory):
+    """An untrained small GRU estimator for polar_16_8: it flips bits."""
+    code = get_code("polar_16_8")
+    net = build_rnn_estimator(
+        RnnConfig.for_code(code.n, code.k, alpha=1, time_steps=1, depth=1),
+        np.random.default_rng(3))
+    path = tmp_path_factory.mktemp("blocks") / "rnn.ckpt"
+    save_checkpoint(path, net)
+    return str(path)
+
+
+def block_case(name, checkpoint, **kw):
+    extra = {"checkpoint": checkpoint} if name == "sbnd" else {}
+    return ExperimentConfig(decoder=name, stop=quick_stop(harness.CHUNK_FRAMES),
+                            **BLOCK_CASES[name], **extra, **kw)
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """A hard-pinv decoder registered as "probe": each decode_chunk call
+    records its thread, sleeps sleep_s, and the fail_at-th call raises."""
+    lock = threading.Lock()
+
+    class Probe(harness.HardPinvDecoder):
+        threads: list[int] = []
+        sleep_s = 0.0
+        fail_at = 0
+
+        def decode_chunk(self, fb):
+            with lock:
+                self.threads.append(threading.get_ident())
+                call = len(self.threads)
+            if call == self.fail_at:
+                raise RuntimeError(f"block {call} failed")
+            time.sleep(self.sleep_s)
+            return super().decode_chunk(fb)
+
+    monkeypatch.setitem(harness._DECODERS, "probe", Probe)
+    return Probe
+
+
+def probe_config(workers, **stop):
+    return ExperimentConfig(code="polar_16_8", constellation="qam16",
+                            decoder="probe", ebn0_db=(4.0,), workers=workers,
+                            stop=StopRule(**stop) if stop
+                            else quick_stop(harness.CHUNK_FRAMES))
+
+
+def run_point_within(cfg, seconds=60.0):
+    """run_point on a daemon thread: a hang fails the test after seconds
+    instead of stalling the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["record"] = run_point(cfg, cfg.ebn0_db[0])
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"run_point still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["record"]
+
+
+class TestDecodeBlocks:
+    """Each chunk decodes in DECODE_BLOCK_FRAMES blocks that any idle pool
+    thread may take; no split may change a count."""
+
+    @pytest.mark.parametrize("name", sorted(harness._DECODERS))
+    def test_blocks_merge_to_the_whole_chunk(self, name,
+                                             random_rnn_checkpoint):
+        cfg = block_case(name, random_rnn_checkpoint)
+        code = get_code(cfg.code)
+        const = build_constellation(cfg.constellation)
+        noise = NoiseConfig.from_ebn0_db(cfg.ebn0_db[0], code.rate, const.m)
+        fb = transmit_batch(code, const, noise, np.random.default_rng(7),
+                            harness.CHUNK_FRAMES, demap_kind=cfg.demap)
+        decoder = harness.make_decoder(cfg, code)
+        merged = ErrorCounter()
+        for start in range(0, harness.CHUNK_FRAMES,
+                           harness.DECODE_BLOCK_FRAMES):
+            merged.merge(decoder.decode_chunk(harness._block(fb, start)))
+        whole = decoder.decode_chunk(fb)
+        assert merged == whole
+        assert whole.frame_errors > 0
+
+    @pytest.mark.parametrize("name", sorted(harness._DECODERS))
+    def test_one_chunk_point_at_any_worker_count(self, name,
+                                                 random_rnn_checkpoint):
+        counts = set()
+        for workers in (1, 2, 3):
+            cfg = block_case(name, random_rnn_checkpoint, workers=workers)
+            r = run_point(cfg, cfg.ebn0_db[0])
+            counts.add((r.frames, r.bit_errors, r.frame_errors,
+                        r.ml_bound_ber))
+        assert len(counts) == 1
+
+    def test_more_workers_than_cores_on_fast_switches(self):
+        """A block lost or decoded twice, or a lost merge, would move the
+        totals; a 1 us switch interval makes such races likely."""
+        cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
+                               decoder="hard-pinv", ebn0_db=(4.0,),
+                               stop=quick_stop(8 * harness.CHUNK_FRAMES))
+        want = run_point(cfg, 4.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_point_within(replace(cfg, workers=6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (got.frames, got.bit_errors, got.frame_errors) == \
+               (want.frames, want.bit_errors, want.frame_errors)
+
+    def test_idle_worker_takes_a_block(self, probe):
+        probe.sleep_s = 0.1
+        run_point_within(probe_config(workers=2))
+        assert len(probe.threads) == 2
+        assert len(set(probe.threads)) == 2
+
+    def test_one_worker_decodes_every_block(self, probe):
+        probe.sleep_s = 0.1
+        run_point_within(probe_config(workers=1))
+        assert len(probe.threads) == 2
+        assert len(set(probe.threads)) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_block_raises(self, probe, workers):
+        probe.sleep_s = 0.05
+        probe.fail_at = 2
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            run_point_within(probe_config(workers))
+        assert threading.active_count() == threads_before
+
+    def test_stop_in_chunk_zero_past_running_chunks(self, probe, monkeypatch):
+        """Chunk 0 meets the error target while later chunks still
+        transmit; their helper submits may meet a closing pool, and the
+        point must still return chunk 0's counts and join every thread."""
+        real_rng = harness._chunk_rng
+
+        def slow_past_chunk_zero(seed, point_index, chunk_index):
+            if chunk_index > 0:
+                time.sleep(0.3)
+            return real_rng(seed, point_index, chunk_index)
+
+        monkeypatch.setattr(harness, "_chunk_rng", slow_past_chunk_zero)
+        one_chunk = run_point_within(probe_config(workers=1))
+        probe.threads.clear()
+        threads_before = threading.active_count()
+        r = run_point_within(probe_config(workers=2, min_frame_errors=1,
+                                          max_frames=10 ** 6))
+        assert threading.active_count() == threads_before
+        assert (r.frames, r.bit_errors, r.frame_errors) == \
+               (one_chunk.frames, one_chunk.bit_errors,
+                one_chunk.frame_errors)
+        # a speculative chunk ran and was decoded after the stop
+        assert len(probe.threads) >= 4
 
 
 class TestSweepCsv:
