@@ -41,28 +41,38 @@ class MultiHeadSelfAttention:
         q = self._split(self.q.forward(x, tape))
         k = self._split(self.k.forward(x, tape))
         v = self._split(self.v.forward(x, tape))
-        # scores hold keys on axis -2, so the softmax over keys reduces
-        # across rows, which numpy does far faster than along a short last
-        # axis; it runs in place, and attn is its (query, key) view
-        scores = k @ q.swapaxes(-1, -2)
-        scores /= math.sqrt(self.dk)
-        scores -= scores.max(axis=-2, keepdims=True)
+        # the scale goes into q, on r x d_k values per head rather than the
+        # r x r scores.  The scores are laid out (key, batch, head, query),
+        # so the softmax's max and sum over keys reduce over the leading
+        # axis, which numpy does far faster than along a short last axis;
+        # attn is their (batch, head, query, key) view.  The r x d_k context
+        # is normalised after attn @ v, not the scores before it; backward
+        # reads normalised scores, so with a tape they are normalised in
+        # place once ctx is formed.
+        q *= 1.0 / math.sqrt(self.dk)
+        b, h, t, _ = q.shape
+        scores = np.empty((t, b, h, t), dtype=q.dtype)
+        np.matmul(k, q.swapaxes(-1, -2), out=scores.transpose(1, 2, 0, 3))
+        scores -= scores.max(axis=0)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-2, keepdims=True)
-        attn = scores.swapaxes(-1, -2)
-        ctx = self._join(attn @ v)
+        tot = scores.sum(axis=0)
+        attn = scores.transpose(1, 2, 3, 0)
+        ctx = attn @ v
+        ctx /= tot[..., None]
         if tape is not None:
+            scores /= tot
             tape[self] = (q, k, v, attn)
-        return self.o.forward(ctx, tape)
+        return self.o.forward(self._join(ctx), tape)
 
     def backward(self, dy: np.ndarray, tape: dict) -> np.ndarray:
+        # q on the tape is already scaled by 1/sqrt(d_k)
         q, k, v, attn = tape[self]
         dctx = self._split(self.o.backward(dy, tape))
         dattn = dctx @ v.swapaxes(-1, -2)
         dv = attn.swapaxes(-1, -2) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= math.sqrt(self.dk)
         dq = dscores @ k
+        dq /= math.sqrt(self.dk)
         dk_ = dscores.swapaxes(-1, -2) @ q
         dx = self.q.backward(self._join(dq), tape)
         dx = dx + self.k.backward(self._join(dk_), tape)

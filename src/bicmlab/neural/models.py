@@ -29,12 +29,14 @@ __all__ = [
 ]
 
 # TransformerEstimator.predict runs as many frames at a time as keep one
-# attention layer's (frames, heads, r, r) scores within this many bytes, so
-# its memory is bounded in the batch.  The softmax passes over the scores
-# then stay in a core's cache: on a 2-vCPU Xeon with one BLAS thread, a
-# 2048-frame desk predict ran 1.4x (r = 48) to 1.8x (r = 96) faster than
-# with fixed 256-frame slices, and the sbnd-transformer benchmark (r = 48)
-# ran 1.4x the frames per second.
+# attention layer's (key, frames, heads, query) scores within this many
+# bytes, so its memory is bounded in the batch and the passes over the
+# scores stay in a core's cache.  On a 2-vCPU Xeon (4 MiB L2 per core) with
+# one BLAS thread and the harness's allocator policy, a 1024-frame desk
+# predict took a median 158, 144, 135 and 137 ms at r = 48 with budgets of
+# 256 KiB, 512 KiB, 1 MiB and 2 MiB (10 rotating rounds), and 542, 389, 354
+# and 347 ms at r = 96 (6 rounds).  2 MiB ran the sbnd-transformer
+# benchmark faster in 5 of 6 pairs, but at 5.6 MB (11%) more peak RSS.
 _SLICE_SCORE_BYTES = 1 << 20
 
 

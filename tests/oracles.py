@@ -70,14 +70,14 @@ def all_zeros_baseline_bce(targets: np.ndarray) -> float:
 
 
 def gradient_check(net, x: np.ndarray, targets: np.ndarray,
-                   rng: np.random.Generator) -> float:
+                   rng: np.random.Generator, step: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Samples up to 12 indices from every parameter block and steps each by
-    1e-4.  The net must be built in float64 for the comparison to be
+    step.  The net must be built in float64 for the comparison to be
     meaningful.
     """
-    samples_per_block, step = 12, 1e-4
+    samples_per_block = 12
     params = net.params()
     if any(p.value.dtype != np.float64 for p in params):
         raise ValueError("gradient_check requires a float64 network")

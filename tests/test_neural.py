@@ -13,6 +13,7 @@ import pytest
 
 from bicmlab.harness import NeuralEstimator
 from bicmlab.neural import models
+from bicmlab.neural.attention import MultiHeadSelfAttention
 from bicmlab.neural.layers import sigmoid
 from bicmlab.neural import (
     Adam,
@@ -177,6 +178,58 @@ class TestForward:
                            atol=1e-12)
 
 
+def reference_attention(mha, x):
+    """Multi-head self-attention written out plainly in float64: queries
+    outermost, the scores scaled, then softmaxed over the last axis, and
+    normalised before attn @ v."""
+    b, t, dim = x.shape
+    heads, dk = mha.heads, mha.dk
+    x = x.astype(np.float64)
+
+    def project(dense):
+        y = x @ dense.w.value + dense.b.value
+        return y.reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
+
+    q, k, v = project(mha.q), project(mha.k), project(mha.v)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, dim)
+    return ctx @ mha.o.w.value + mha.o.b.value, np.abs(scores).max()
+
+
+def attention_layer(heads, dtype, seed=11):
+    """An 8-wide attention layer with nonzero biases."""
+    rng = np.random.default_rng(seed)
+    mha = MultiHeadSelfAttention("mha", 8, heads, rng, dtype)
+    for dense in (mha.q, mha.k, mha.v, mha.o):
+        dense.b.value[...] = rng.normal(size=dense.b.value.shape)
+    return mha
+
+
+class TestAttention:
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("r", [10, 48])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_forward_matches_reference(self, heads, r, taped):
+        mha = attention_layer(heads, np.float64)
+        x = np.random.default_rng(12).normal(size=(3, r, 8))
+        want, _ = reference_attention(mha, x)
+        got = mha.forward(x, {} if taped else None)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scores_past_the_exp_range_stay_finite(self, dtype):
+        mha = attention_layer(4, dtype)
+        x = 40 * np.random.default_rng(13).normal(size=(3, 48, 8))
+        want, top = reference_attention(mha, x)
+        assert top > 1e3
+        got = mha.forward(x.astype(dtype))
+        assert np.all(np.isfinite(got))
+        if dtype == np.float64:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
 def desk_net(arch, n, k, dtype=np.float32, seed=20):
     """The desk-rnn or desk-transformer network of an (n, k) code."""
     rng = np.random.default_rng(seed)
@@ -302,6 +355,19 @@ class TestGradients:
         x = rng.normal(size=(3, 10))
         t = (rng.random((3, 4)) < 0.3).astype(float)
         assert gradient_check(net, x, t, rng) < 1e-4
+
+    def test_transformer_two_encoders_four_heads(self):
+        # the tape holds each layer's keys-outermost scores.  A 1e-4 step
+        # errs by 1e-2 or more on most draws of this network, mostly because
+        # the first LayerNorm sees x_i times one embedding row, which bends
+        # sharply where x_i is near 0
+        rng = np.random.default_rng(8)
+        net = build_transformer_estimator(
+            TransformerConfig(r=10, k=4, embed_dim=8, heads=4, encoders=2),
+            rng, dtype=np.float64)
+        x = rng.normal(size=(3, 10))
+        t = (rng.random((3, 4)) < 0.3).astype(float)
+        assert gradient_check(net, x, t, rng, step=1e-5) < 1e-4
 
     def test_float32_network_rejected(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,6 @@
-"""Smoke runs of the timing tools, which call private refdec and bicm
-functions: one cheap run each, so that a change to those functions cannot
-break a tool unnoticed.  The load_tool fixture is in conftest.py."""
+"""Smoke runs of the timing tools, some of which call private refdec and
+bicm functions: one cheap run each, so that a change to the functions a tool
+calls cannot break it unnoticed.  The load_tool fixture is in conftest.py."""
 
 
 def test_osd_phases(load_tool, capsys):
@@ -22,3 +22,17 @@ def test_transmit_phases(load_tool, capsys):
     assert header[-2:] == ["total", "faults"]
     assert row[0] == "osd2-qpsk" and len(row) == 1 + len(tool.STAGES) + 2
     assert int(row[-1]) >= 0
+
+
+def test_predict_scaling(load_tool, capsys):
+    tool = load_tool("predict_scaling")
+    assert tool.main(["--presets", "desk-transformer",
+                      "--codes", "polar_16_8"]) == 0
+    header, row = (line.split()
+                   for line in capsys.readouterr().out.splitlines()[-3:-1])
+    assert header == ["preset", "code", "r", "ms/frame", "ms/predict",
+                      "peak", "MB"]
+    assert row[:3] == ["desk-transformer", "polar_16_8", "24"]
+    assert len(row) == 6
+    assert float(row[3]) > 0 and float(row[4]) > 0
+    assert float(row[5]) >= 0

@@ -21,7 +21,10 @@ one pattern, so that `_osd_best` re-encodes and rescores them one by one in
 its per-frame `_lex_best` loop.  Every pass is checked against one
 `osd_decode` call of the same chunk, so the phases are the decoder's own.
 
-BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.  The allocator
+runs under the policy `harness.run_point` sets
+(`harness.set_allocator_policy`), so the times are those of a chunk in a
+sweep.
 
     python3 tools/osd_phases.py
     python3 tools/osd_phases.py --runs polar_64_32:2 --repeats 9
@@ -39,7 +42,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from bicmlab import refdec  # noqa: E402
+from bicmlab import harness, refdec  # noqa: E402
 from bicmlab.bicm import transmit_batch  # noqa: E402
 from bicmlab.gf2code import get_code  # noqa: E402
 from bicmlab.modem import NoiseConfig, build_constellation  # noqa: E402
@@ -102,6 +105,7 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
 
+    harness.set_allocator_policy()
     print(f"{FRAMES}-frame chunk, qpsk max-log, Eb/N0 {EBN0_DB} dB, "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}, "
           f"seed {args.seed}, median of {args.repeats}; ms per chunk")

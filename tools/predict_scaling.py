@@ -11,7 +11,10 @@ exponent of time against r (`quadratic_fit_exponent`).  The last line is the
 process's peak RSS; run one preset and one code for the RSS of that predict
 alone.
 
-BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.  The allocator
+runs under the policy `harness.run_point` sets
+(`harness.set_allocator_policy`), so the times are those of a predict in a
+sweep.
 
     python3 tools/predict_scaling.py
     python3 tools/predict_scaling.py --presets desk-transformer --codes polar_64_32
@@ -32,7 +35,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from bicmlab.gf2code import get_code  # noqa: E402
-from bicmlab.harness import train_config_from_preset  # noqa: E402
+from bicmlab.harness import (  # noqa: E402
+    set_allocator_policy, train_config_from_preset)
 
 PRESETS = ("desk-rnn", "desk-transformer")
 CODES = ("polar_16_8", "polar_32_16", "polar_64_32", "polar_128_64")
@@ -80,6 +84,7 @@ def main(argv=None) -> int:
     ap.add_argument("--codes", nargs="+", default=list(CODES), choices=CODES)
     args = ap.parse_args(argv)
 
+    set_allocator_policy()
     print(f"{FRAMES}-frame predict, OPENBLAS_NUM_THREADS="
           f"{os.environ['OPENBLAS_NUM_THREADS']}, seed {SEED}")
     print(f"{'preset':18s} {'code':14s} {'r':>4s} {'ms/frame':>9s} "
