@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import os
 import sys
 
 from . import harness
@@ -47,7 +46,7 @@ def _limit_blas_threads(workers: int) -> None:
     if fn is not None:
         fn.argtypes = [ctypes.c_int]
         fn.restype = None
-        fn(max(1, len(os.sched_getaffinity(0)) // workers))
+        fn(max(1, harness.available_cores() // workers))
 
 
 def _config(args):
@@ -80,7 +79,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    path = harness.train_estimator(_config(args), verbose=True)
+    cfg = _config(args)
+    _limit_blas_threads(harness.train_workers(cfg))
+    path = harness.train_estimator(cfg, verbose=True)
     print(f"wrote {path}")
     return 0
 

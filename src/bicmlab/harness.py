@@ -19,6 +19,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,6 +37,7 @@ from .bicm import (
 from .gf2code import LinearCode, get_code
 from .modem import Constellation, NoiseConfig, build_constellation
 from .neural import (
+    TRAIN_SHARD_FRAMES,
     Adam,
     RnnConfig,
     TransformerConfig,
@@ -64,6 +66,8 @@ __all__ = [
     "TrainConfig",
     "TRAIN_PRESETS",
     "train_estimator",
+    "train_workers",
+    "available_cores",
     "NeuralEstimator",
     "make_decoder",
     "verify_channel",
@@ -624,12 +628,27 @@ def train_config_from_preset(preset: str, **overrides) -> TrainConfig:
     return TrainConfig(**kw)
 
 
+def available_cores() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def train_workers(cfg: TrainConfig) -> int:
+    """Threads train_estimator runs a step's gradient shards on: one per
+    shard, at most one per core."""
+    return min(-(-cfg.batch_size // TRAIN_SHARD_FRAMES), available_cores())
+
+
 def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     """Train a bit-flip estimator on streamed random-codeword BICM frames.
 
     Returns the checkpoint path.  The reliability normalization constant is
     measured once on a calibration draw at the training SNR and frozen into
-    the checkpoint; inference applies the same constant.
+    the checkpoint; inference applies the same constant.  Each step's
+    gradient shards (see train_step) run on train_workers(cfg) threads, or
+    on this one when that is 1; the weights are the same either way.  On a
+    failure the network is saved to <out>.diverged with the step count it
+    has completed.
     """
     set_allocator_policy()
     code = get_code(cfg.code)
@@ -652,27 +671,32 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
 
     opt = Adam(net.params(), lr=cfg.lr)
     curve: list[tuple[int, float]] = []
+    replicas: list = []
+    workers = train_workers(cfg)
+    step = start_step
     t0 = time.perf_counter()
     try:
-        for step in range(start_step, start_step + cfg.steps):
-            batch_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, step))
-            )
-            fb = transmit_batch(code, const, noise, batch_rng, cfg.batch_size,
-                                demap_kind=cfg.demap)
-            x, t = make_training_batch(fb, code)
-            x[:, :code.n] *= input_scale
-            loss = train_step(net, x.astype(np.float32),
-                              t.astype(np.float32), opt)
-            if (step + 1) % cfg.log_every == 0 or step == start_step:
-                curve.append((step + 1, loss))
-                if verbose:
-                    print(f"step {step + 1:6d}  loss {loss:.5f}  "
-                          f"({time.perf_counter() - t0:.0f}s)")
+        with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+              else nullcontext()) as pool:
+            for step in range(start_step, start_step + cfg.steps):
+                batch_rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy=cfg.seed, spawn_key=(1, step)))
+                fb = transmit_batch(code, const, noise, batch_rng,
+                                    cfg.batch_size, demap_kind=cfg.demap)
+                x, t = make_training_batch(fb, code)
+                x[:, :code.n] *= input_scale
+                loss = train_step(net, x.astype(np.float32),
+                                  t.astype(np.float32), opt, pool, replicas)
+                if (step + 1) % cfg.log_every == 0 or step == start_step:
+                    curve.append((step + 1, loss))
+                    if verbose:
+                        print(f"step {step + 1:6d}  loss {loss:.5f}  "
+                              f"({time.perf_counter() - t0:.0f}s)")
     except Exception:
+        # the failing step took no update: the network has completed
+        # `step` steps, and a resume from this file starts at that one
         save_checkpoint(str(cfg.out) + ".diverged", net,
-                        input_scale=input_scale, step=start_step,
-                        seed=cfg.seed)
+                        input_scale=input_scale, step=step, seed=cfg.seed)
         raise
 
     save_checkpoint(cfg.out, net, input_scale=input_scale,

@@ -16,6 +16,7 @@ from .models import (
     count_params_transformer,
 )
 from .train import (
+    TRAIN_SHARD_FRAMES,
     Adam,
     TrainingDiverged,
     bce_with_logits,
@@ -23,6 +24,7 @@ from .train import (
 )
 
 __all__ = [
+    "TRAIN_SHARD_FRAMES",
     "Adam",
     "CheckpointError",
     "Dense",

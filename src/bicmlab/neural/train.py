@@ -1,6 +1,9 @@
-"""Adam, binary cross-entropy on logits, and the single train step."""
+"""Adam, binary cross-entropy on logits, and the sharded train step."""
 
 from __future__ import annotations
+
+import copy
+from concurrent.futures import Executor, wait
 
 import numpy as np
 
@@ -11,7 +14,14 @@ __all__ = [
     "bce_with_logits",
     "train_step",
     "TrainingDiverged",
+    "TRAIN_SHARD_FRAMES",
 ]
+
+# Frames per gradient shard of a train step.  The size is fixed, never
+# derived from the thread count, and the shard grads are summed in shard
+# order, so a step gives the same bits on any pool.  A batch of at most
+# this many frames is one shard: the unsharded step.
+TRAIN_SHARD_FRAMES = 256
 
 
 class TrainingDiverged(RuntimeError):
@@ -30,10 +40,6 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad[...] = 0
 
     def step(self) -> None:
         self.t += 1
@@ -59,34 +65,87 @@ class Adam:
             p.value -= step
 
 
-def bce_with_logits(logits: np.ndarray, targets: np.ndarray
-                    ) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy over all elements, with its logit gradient.
+def bce_with_logits(logits: np.ndarray, targets: np.ndarray,
+                    count: int | None = None) -> tuple[float, np.ndarray]:
+    """Binary cross-entropy summed over all elements and divided by count
+    (default: their number, so the mean), with its logit gradient.
 
     Stable form: max(z, 0) - z t + log(1 + exp(-|z|)).
     """
     z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
+    count = z.size if count is None else count
     loss = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    dz = (sigmoid(z) - t) / z.size
-    return float(loss.mean()), dz.astype(logits.dtype)
+    dz = (sigmoid(z) - t) / count
+    return float(loss.sum() / count), dz.astype(logits.dtype)
 
 
-def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam) -> float:
-    """One Adam update of BCE-with-logits on a batch; returns the loss."""
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    opt.zero_grad()
+def _grad_replica(net):
+    """A copy of net that shares every Param.value array with it but owns
+    its grads: a backward on it leaves net's grads alone, and it sees every
+    update of net's weights."""
+    return copy.deepcopy(net, memo={id(p.value): p.value
+                                    for p in net.params()})
+
+
+def _shard_loss(model, x: np.ndarray, targets: np.ndarray,
+                count: int) -> float:
+    """Forward, BCE over count elements and backward of one shard into
+    model's zeroed grads; returns the shard's share of the batch loss."""
+    for p in model.params():
+        p.grad[...] = 0
     tape: dict = {}
-    logits = net.forward(x, tape)
+    logits = model.forward(x, tape)
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged("non-finite activation in forward pass")
-    loss, dz = bce_with_logits(logits, targets)
+    loss, dz = bce_with_logits(logits, targets, count)
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
-    net.backward(dz, tape)
+    model.backward(dz, tape)
+    return loss
+
+
+def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
+               pool: Executor | None = None,
+               replicas: list | None = None) -> float:
+    """One Adam update of BCE-with-logits on a batch; returns the loss.
+
+    The batch splits into TRAIN_SHARD_FRAMES-frame shards, the last one
+    possibly shorter.  Shard 0 runs on net and shard i >= 1 on
+    replicas[i - 1], a copy of net with its own grads.  A short list is
+    appended to, so a caller that keeps it across steps builds each
+    replica once.  The shards run on pool when one is given, else in order
+    on this thread.
+
+    Each shard's logit gradient is divided by the whole batch's element
+    count, so once the replica grads are added into net's, in shard order,
+    net holds the batch-mean gradient, and the loss is the shard losses
+    summed in shard order.
+    """
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    starts = range(0, x.shape[0], TRAIN_SHARD_FRAMES)
+    if replicas is None:
+        replicas = []
+    while len(replicas) < len(starts) - 1:
+        replicas.append(_grad_replica(net))
+    models = [net, *replicas[:len(starts) - 1]]
+    shards = [(m, x[s:s + TRAIN_SHARD_FRAMES],
+               targets[s:s + TRAIN_SHARD_FRAMES], targets.size)
+              for m, s in zip(models, starts)]
+    if pool is None:
+        losses = [_shard_loss(*shard) for shard in shards]
+    else:
+        futures = [pool.submit(_shard_loss, *shard) for shard in shards]
+        # every shard ends before any error is raised, so none still runs
+        # when the caller handles it
+        wait(futures)
+        losses = [f.result() for f in futures]
+    for model in models[1:]:
+        for p, q in zip(net.params(), model.params()):
+            p.grad += q.grad
     for p in opt.params:
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite gradient in {p.name}")
     opt.step()
-    return loss
+    return sum(losses)

@@ -36,6 +36,7 @@ from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.neural import (
     RnnConfig,
     RnnEstimator,
+    TrainingDiverged,
     TransformerEstimator,
     build_rnn_estimator,
     count_params_rnn,
@@ -595,6 +596,52 @@ class TestTraining:
         _, header = load_checkpoint(train_estimator(padded))
         assert header["step"] == 2
 
+    @pytest.mark.parametrize("batch", [512, 600])
+    def test_thread_count_changes_no_bit(self, tmp_path, monkeypatch, batch):
+        # 256-frame shards: 512 is two full shards, 600 is 256 + 256 + 88
+        files = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(harness, "available_cores", lambda: cores)
+            cfg = train_config_from_preset(
+                "desk-rnn", code="polar_16_8", batch_size=batch, steps=4,
+                seed=5, log_every=1, out=str(tmp_path / f"{cores}.ckpt"),
+                curve=str(tmp_path / f"{cores}.csv"))
+            assert harness.train_workers(cfg) == min(-(-batch // 256), cores)
+            train_estimator(cfg)
+            files.append((Path(cfg.out).read_bytes(),
+                          Path(cfg.curve).read_bytes()))
+        assert files[0] == files[1] == files[2]
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["inline", "pool"])
+    def test_diverged_checkpoint_records_completed_steps(
+            self, tmp_path, monkeypatch, cores):
+        # the third step's logits go non-finite: two steps are complete
+        monkeypatch.setattr(harness, "available_cores", lambda: cores)
+        threads = []
+        forward = RnnEstimator.forward
+
+        def failing_forward(net, x, tape=None):
+            logits = forward(net, x, tape)
+            if tape is not None:
+                threads.append(threading.current_thread())
+                if len(threads) > 2 * 2:  # two shards in each of two steps
+                    logits[...] = np.nan
+            return logits
+
+        monkeypatch.setattr(RnnEstimator, "forward", failing_forward)
+        ckpt = tmp_path / "est.ckpt"
+        cfg = TrainConfig(code="polar_16_8", constellation="qam16",
+                          arch="rnn", alpha=1, time_steps=2, depth=1,
+                          batch_size=512, steps=5, seed=3, out=str(ckpt))
+        active = threading.active_count()
+        with pytest.raises(TrainingDiverged, match="non-finite activation"):
+            train_estimator(cfg)
+        assert threading.active_count() == active
+        assert (threading.main_thread() in threads[-2:]) == (cores == 1)
+        assert not ckpt.exists()
+        _, header = load_checkpoint(str(ckpt) + ".diverged")
+        assert header["step"] == 2
+
     def test_sbnd_decoder_runs_from_checkpoint(self, tmp_path):
         ckpt = tmp_path / "est.ckpt"
         cfg = TrainConfig(code="polar_16_8", constellation="qam16",
@@ -782,6 +829,35 @@ class TestCli:
             assert row.split(",")[1:4] == [str(rec.frames),
                                            str(rec.bit_errors),
                                            str(rec.frame_errors)]
+
+    @pytest.mark.parametrize("batch", [64, 512])
+    def test_train_limits_blas_threads(self, tmp_path, capsys, monkeypatch,
+                                       batch):
+        # train gives BLAS cores // training threads for the whole run
+        get = cli._openblas("get_num_threads")
+        seen = []
+        train = harness.train_estimator
+
+        def spy(cfg, verbose=False):
+            seen.append(get() if get else None)
+            return train(cfg, verbose)
+
+        monkeypatch.setattr(harness, "train_estimator", spy)
+        before = get() if get else None
+        try:
+            assert cli.main(["train", "code=polar_16_8", "alpha=1",
+                             "time_steps=2", "depth=1", "steps=1",
+                             f"batch_size={batch}",
+                             f"out={tmp_path / 't.ckpt'}"]) == 0
+            cores = harness.available_cores()
+            workers = min(-(-batch // 256), cores)
+            if get:
+                assert seen == [max(1, cores // workers)]
+        finally:
+            if before is not None:
+                cli._openblas("set_num_threads")(ctypes.c_int(before))
+        if get:
+            assert get() == before
 
     def test_config_error_is_one_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"

@@ -5,6 +5,7 @@ import copy
 import json
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -590,6 +591,141 @@ class TestBitIdentity:
             assert np.array_equal(p.value, q.value), p.name
         for got, want in zip(opt.m + opt.v, ref_opt.m + ref_opt.v):
             assert np.array_equal(got, want)
+
+
+def parent_train_step(net, x, targets, opt):
+    """train_step as it was before it split batches into shards."""
+    for p in opt.params:
+        p.grad[...] = 0
+    tape = {}
+    logits = net.forward(x, tape)
+    z = np.asarray(logits, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    loss = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    dz = ((sigmoid(z) - t) / z.size).astype(logits.dtype)
+    net.backward(dz, tape)
+    opt.step()
+    return float(loss.mean())
+
+
+def _shard_nets(dtype):
+    rng = np.random.default_rng(17)
+    return [
+        build_rnn_estimator(
+            RnnConfig(r=24, k=8, alpha=2, time_steps=3, depth=2), rng, dtype),
+        build_transformer_estimator(
+            TransformerConfig(r=12, k=4, embed_dim=8, heads=2, encoders=2),
+            rng, dtype),
+    ]
+
+
+class TestShardedStep:
+    """train_step splits its batch into TRAIN_SHARD_FRAMES-frame shards."""
+
+    @pytest.mark.parametrize("batch", [512, 600])
+    @pytest.mark.parametrize("arch", [0, 1], ids=["rnn", "transformer"])
+    def test_shard_grads_sum_to_the_batch_gradient(self, arch, batch):
+        net = _shard_nets(np.float64)[arch]
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, net.cfg.r))
+        t = (rng.random((batch, net.cfg.k)) < 0.2).astype(np.float64)
+        ref = copy.deepcopy(net)
+        tape = {}
+        want_loss, dz = bce_with_logits(ref.forward(x, tape), t)
+        ref.backward(dz, tape)
+
+        inline = copy.deepcopy(net)
+        got = [train_step(inline, x, t, Adam(inline.params()))]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got.append(train_step(net, x, t, Adam(net.params()), pool))
+        assert got[0] == got[1]
+        assert got[0] == pytest.approx(want_loss, rel=1e-12, abs=0)
+        # some grads are 0 in exact arithmetic (softmax ignores the key
+        # bias), so the bound is relative to the largest gradient entry
+        scale = max(np.max(np.abs(r.grad)) for r in ref.params())
+        for p, q, r in zip(net.params(), inline.params(), ref.params()):
+            assert np.array_equal(p.grad, q.grad), p.name
+            np.testing.assert_allclose(p.grad, r.grad, rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=p.name)
+
+    @pytest.mark.parametrize("batch", [100, 256])
+    @pytest.mark.parametrize("arch", [0, 1], ids=["rnn", "transformer"])
+    def test_one_shard_is_the_unsharded_step(self, arch, batch):
+        net = _shard_nets(np.float32)[arch]
+        ref = copy.deepcopy(net)
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, net.cfg.r)).astype(np.float32)
+        t = (rng.random((batch, net.cfg.k)) < 0.2).astype(np.float32)
+        opt, ref_opt = Adam(net.params()), Adam(ref.params())
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                assert (train_step(net, x, t, opt, pool)
+                        == parent_train_step(ref, x, t, ref_opt))
+        for p, q in zip(net.params(), ref.params()):
+            assert np.array_equal(p.value, q.value), p.name
+            assert np.array_equal(p.grad, q.grad), p.name
+        for got, want in zip(opt.m + opt.v, ref_opt.m + ref_opt.v):
+            assert np.array_equal(got, want)
+
+    def test_more_threads_than_cores_lose_no_update(self):
+        # four pool threads switching every microsecond: a shard whose grads
+        # were lost or written twice would move the weights off the inline run
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(1000, 24)).astype(np.float32)
+        t = (rng.random((1000, 8)) < 0.2).astype(np.float32)
+        net = _shard_nets(np.float32)[0]
+        inline = copy.deepcopy(net)
+        opt, inline_opt = Adam(net.params()), Adam(inline.params())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(3):
+                    assert (train_step(net, x, t, opt, pool)
+                            == train_step(inline, x, t, inline_opt))
+        finally:
+            sys.setswitchinterval(interval)
+        for p, q in zip(net.params(), inline.params()):
+            assert np.array_equal(p.value, q.value), p.name
+
+    def test_replicas_are_built_once(self):
+        net = _shard_nets(np.float32)[0]
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(600, net.cfg.r)).astype(np.float32)
+        t = (rng.random((600, net.cfg.k)) < 0.2).astype(np.float32)
+        opt = Adam(net.params())
+        replicas = []
+        train_step(net, x, t, opt, replicas=replicas)
+        built = list(replicas)
+        train_step(net, x, t, opt, replicas=replicas)
+        assert len(built) == 2 and replicas == built
+        for replica in replicas:
+            for p, q in zip(net.params(), replica.params()):
+                assert q.value is p.value and q.grad is not p.grad
+
+    def test_failing_shard_raises_once_every_shard_ends(self, monkeypatch):
+        # shard 0 fails at once; the caller sees the error only after the
+        # two slower shards have finished writing their grads
+        net = _shard_nets(np.float32)[0]
+        ended = []
+        forward = type(net).forward
+
+        def failing_or_slow(model, x, tape=None):
+            logits = forward(model, x, tape)
+            if model is net:
+                logits[...] = np.nan
+            else:
+                time.sleep(0.05)
+                ended.append(model)
+            return logits
+
+        monkeypatch.setattr(type(net), "forward", failing_or_slow)
+        x = np.ones((600, net.cfg.r), dtype=np.float32)
+        t = np.zeros((600, net.cfg.k), dtype=np.float32)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            with pytest.raises(TrainingDiverged, match="activation"):
+                train_step(net, x, t, Adam(net.params()), pool)
+            assert len(ended) == 2
 
 
 class TestCheckpoint:
