@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 
 from . import harness
@@ -15,38 +14,6 @@ from .neural import (
     count_params_rnn,
     count_params_transformer,
 )
-
-
-def _openblas(stem: str):
-    """OpenBLAS's function `stem` (such as "set_num_threads") in the library
-    numpy loaded, or None where no such library or symbol is found."""
-    try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for sym in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_",
-                    f"openblas_{stem}"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _limit_blas_threads(workers: int) -> None:
-    """Give BLAS max(1, cores // workers) threads, so that the harness's
-    worker threads and BLAS's own do not oversubscribe the cores."""
-    fn = _openblas("set_num_threads")
-    if fn is not None:
-        fn.argtypes = [ctypes.c_int]
-        fn.restype = None
-        fn(max(1, harness.available_cores() // workers))
 
 
 def _config(args):
@@ -70,8 +37,8 @@ def _config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _config(args)
-    _limit_blas_threads(cfg.workers)
-    records = harness.run_sweep(cfg)
+    with harness.limit_blas_threads(cfg.workers):
+        records = harness.run_sweep(cfg)
     print("\n".join(harness.csv_rows(records)))
     if cfg.out:
         print(f"wrote {cfg.out}")
@@ -80,7 +47,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _config(args)
-    _limit_blas_threads(harness.train_workers(cfg))
     path = harness.train_estimator(cfg, verbose=True)
     print(f"wrote {path}")
     return 0

@@ -13,13 +13,14 @@ so which thread decodes which block changes no count.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -72,6 +73,7 @@ __all__ = [
     "make_decoder",
     "verify_channel",
     "set_allocator_policy",
+    "limit_blas_threads",
     "CHUNK_FRAMES",
     "DECODE_BLOCK_FRAMES",
 ]
@@ -266,6 +268,50 @@ def set_allocator_policy() -> bool:
     mallopt.restype = ctypes.c_int
     return all([mallopt(param, value) == 1
                 for param, value in _ALLOCATOR_POLICY])
+
+
+@functools.cache
+def _openblas(stem: str):
+    """OpenBLAS's function `stem` (such as "set_num_threads") in the library
+    numpy loaded, or None where no such library or symbol is found; looked
+    up once per process."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_",
+                    f"openblas_{stem}"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+@contextmanager
+def limit_blas_threads(workers: int):
+    """Give BLAS max(1, cores // workers) threads while the block runs, so
+    that `workers` threads of ours and BLAS's own do not oversubscribe the
+    cores, then put the previous count back.  Does nothing where numpy's
+    BLAS is not OpenBLAS."""
+    get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get is None or set_ is None:
+        yield
+        return
+    set_.argtypes = [ctypes.c_int]
+    set_.restype = None
+    before = get()
+    set_(max(1, available_cores() // workers))
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +694,8 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     gradient shards (see train_step) run on train_workers(cfg) threads, or
     on this one when that is 1; the weights are the same either way.  On a
     failure the network is saved to <out>.diverged with the step count it
-    has completed.
+    has completed.  While the shard threads run, BLAS has
+    available_cores() // train_workers(cfg) threads (limit_blas_threads).
     """
     set_allocator_policy()
     code = get_code(cfg.code)
@@ -676,8 +723,9 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     step = start_step
     t0 = time.perf_counter()
     try:
-        with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-              else nullcontext()) as pool:
+        with limit_blas_threads(workers), (
+                ThreadPoolExecutor(max_workers=workers) if workers > 1
+                else nullcontext()) as pool:
             for step in range(start_step, start_step + cfg.steps):
                 batch_rng = np.random.default_rng(np.random.SeedSequence(
                     entropy=cfg.seed, spawn_key=(1, step)))

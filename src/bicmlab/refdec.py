@@ -9,11 +9,21 @@ are exact.  Both decoders return (B, n) codewords and (B,) metrics.
 
 OSD holds each generator column as one k-bit integer (64-bit words past
 k = 64), eliminates all frames in lock-step by XORs of column words without
-row swaps, and scores every flip pattern in float32, weights 1 and 2 from
-one Gram matrix per frame.  The float32 scores only shortlist: every pattern
+row swaps, and scores flip patterns in float32, weights 1 and 2 from one
+Gram matrix per frame.  The float32 scores only shortlist: every pattern
 within a proven bound on their rounding error of the best is re-encoded by
 popcount parities and rescored exactly in float64, so codewords and metrics
 are those of an all-float64 decoder.
+
+A frame scores only the flip weights that can still win.  With c0 the
+order-0 codeword, D = sum_{c0 != hard} |l| its discrepancy and
+a(1) <= a(2) <= ... the reliabilities of the basis positions, a weight-w
+pattern flips w basis positions against the hard decisions and so scores at
+most M0 - 2 (a(1) + ... + a(w) - D), where M0 is c0's metric (Fossorier &
+Lin, "Soft-decision decoding of linear block codes based on ordered
+statistics", IEEE Trans. IT 41(5), 1995).  Each frame runs to the largest
+weight w <= order with D >= a(1) + ... + a(w) - tolerance, and a frame left
+at weight 0 keeps c0; no pattern that could win or tie is dropped.
 """
 
 from __future__ import annotations
@@ -88,20 +98,58 @@ def osd_decode(code: LinearCode, llr: np.ndarray, order: int
     Sorts positions by decreasing reliability, Gauss-eliminates the generator
     onto the first k independent positions in that ranking (the most reliable
     basis), hard-decides the basis, and keeps the correlation maximizer among
-    the re-encodings of every flip pattern of weight <= order on it.
+    the re-encodings of every flip pattern of weight <= order on it.  Each
+    frame scores only the weights that _effective_orders leaves it: a frame
+    left at weight 0 keeps the order-0 codeword c0.
     """
     llr = _frames(code, llr)
-    pats = _test_patterns(code.k, order)    # refuses a bad order up front
-    ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
-    cols, info = _reduce_on_ranking(code.g, ranking, llr < 0)
-    cw, metric = np.empty(llr.shape, dtype=np.uint8), np.empty(len(llr))
-    for s in range(0, len(llr), _SLICE_FRAMES):
-        sl = slice(s, s + _SLICE_FRAMES)
-        part = llr[sl], cols[sl], info[sl]
-        # one expression, so that no slice's scores outlive it
-        cw[sl], metric[sl] = _osd_best(*part, pats,
-                                       _osd_scores(code, *part, order))
+    _test_patterns(code.k, order)           # refuses a bad order up front
+    mag = np.abs(llr)
+    cols, info, basis = _reduce_on_ranking(code.g, _ranking(mag), llr < 0)
+    cw = _encode(cols, info)
+    metric = correlation_metric(cw, llr)
+    weights = _effective_orders(llr, mag, metric, basis, order)
+    for w in range(1, order + 1):
+        pats = _test_patterns(code.k, w)    # a prefix of order's table
+        frames = np.flatnonzero(weights == w)
+        for s in range(0, len(frames), _SLICE_FRAMES):
+            sl = frames[s:s + _SLICE_FRAMES]
+            part = llr[sl], cols[sl]
+            # one expression, so that no slice's scores outlive it
+            cw[sl], metric[sl] = _osd_best(
+                *part, info[sl], pats, _osd_scores(code, *part, cw[sl], w))
     return cw, metric
+
+
+def _ranking(mag: np.ndarray) -> np.ndarray:
+    """(B, n) positions by decreasing reliability mag, ties in position
+    order: argsort(-mag, kind="stable"), by the faster default sort.
+
+    A row whose sorted reliabilities are all distinct has one such order,
+    which any sort finds; only the rows with an exact tie (or a NaN) are
+    sorted again, stably."""
+    key = -mag
+    ranking = np.argsort(key, axis=1)
+    ranked = np.sort(key, axis=1)       # key[ranking], without the gather
+    tied = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
+    if len(tied):
+        ranking[tied] = np.argsort(key[tied], axis=1, kind="stable")
+    return ranking
+
+
+def _effective_orders(llr: np.ndarray, mag: np.ndarray, metric0: np.ndarray,
+                      basis: np.ndarray, order: int) -> np.ndarray:
+    """(B,) the largest weight w <= order whose flips may still win or tie
+    against c0, whose metric is metric0: the largest w with
+    D >= a(1) + ... + a(w) - _score_tolerance, where D = sum_{c0 != hard}
+    |l| = (sum |l| - metric0) / 2 and a(1) <= a(2) <= ... are the
+    reliabilities mag of the basis positions (see _TOL_GAMMAS)."""
+    reach = ((mag.sum(axis=1) - metric0) / 2.0
+             + _score_tolerance(llr)[:, 0])
+    # basis is most reliable first: its last `order` columns, least first
+    least = np.take_along_axis(mag, basis[:, ::-1][:, :order], axis=1)
+    return np.count_nonzero(np.cumsum(least, axis=1) <= reach[:, None],
+                            axis=1)
 
 
 # frames scored together: a slice's R^T, its s-weighted copy and its Gram
@@ -114,9 +162,9 @@ _BLOCK_ENTRIES = 1 << 20
 
 
 def _osd_scores(code: LinearCode, llr: np.ndarray, cols: np.ndarray,
-                info: np.ndarray, order: int) -> np.ndarray:
+                c0: np.ndarray, order: int) -> np.ndarray:
     """float32 scores of every flip pattern (B, patterns) of a slice, from
-    _reduce_on_ranking's columns and info words.
+    _reduce_on_ranking's columns and the order-0 codewords c0 (B, n).
 
     With R the reduced generator and c0 the re-encoded hard basis, both in
     transmission order, the flip pattern e scores
@@ -126,7 +174,7 @@ def _osd_scores(code: LinearCode, llr: np.ndarray, cols: np.ndarray,
     tolerance bounds the rounding.
     """
     nb, k = len(llr), code.k
-    s = llr.astype(np.float32) * (1 - 2 * _encode(cols, info).view(np.int8))
+    s = llr.astype(np.float32) * (1 - 2 * c0.view(np.int8))
     rt = _unpack(cols, k).astype(np.float32)                  # R^T, (B, n, k)
     m0 = s.sum(axis=1, keepdims=True)
     scores = [m0]
@@ -173,6 +221,20 @@ def _osd_scores(code: LinearCode, llr: np.ndarray, cols: np.ndarray,
 # (n 2^-53 L) while n u <= 1/100.  The best float32 score and the exact
 # winner's may each be off by that much, in opposite directions, so the
 # tolerance counts it twice.
+#
+# The same tolerance T makes _effective_orders exact.  Let h be the hard
+# decisions, c0 the order-0 codeword, M0 = L - 2 D its metric with
+# D = sum_{c0 != h} |l|, and a(1) <= a(2) <= ... the |l| of the basis
+# positions.  c0 agrees with h on the basis, so a pattern flipping the set
+# S of w basis positions gives a codeword c that disagrees with h on all of
+# S; its metric is L - 2 sum_{c != h} |l| <= L - 2 sum_S a
+# <= M0 - 2 (a(1) + ... + a(w) - D).  The partial sums are nondecreasing in
+# w, so if D < a(1) + ... + a(w) - T, every pattern of weight w or more
+# scores below M0 - 2 T, up to float64 rounding of D and of the sums (a few
+# n 2^-53 L, far below T).  Its float32 score is then below c0's by more
+# than T, so it is never the best float32 score nor, since c0 beats it,
+# the float64 winner or a tie; without it the shortlist still holds every
+# winner and tie, and _osd_best returns the same codeword and metric.
 _TOL_GAMMAS = 2 * 16
 
 
@@ -234,7 +296,7 @@ def _encode(cols: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray, hard: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Jordan of G[:, ranking[b]] for every frame b in lock-step.
 
     Columns are words of _pack, row i in bit i; rows are never swapped.  At
@@ -243,26 +305,27 @@ def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray, hard: np.ndarray
     every column with a 1 in that row, itself included, or skips the column
     as dependent, so its k pivots form the most reliable basis.  Returns the
     reduced columns (B, n, words) in transmission order, a row permutation
-    of the unique reduced echelon form, and the info words (B, words) whose
-    bit i is the hard decision hard (B, n) at row i's pivot.
+    of the unique reduced echelon form, the info words (B, words) whose
+    bit i is the hard decision hard (B, n) at row i's pivot, and the basis
+    (B, k): each frame's pivot positions, most reliable first.
     """
     (k, n), nb = g.shape, len(ranking)
     table = _pack(g.T)                                        # (n, words)
     # (n, words, B): a column's words, and every tail of columns, contiguous
     cols = np.ascontiguousarray(table[ranking].transpose(1, 2, 0))
     scratch = np.empty_like(cols)
-    hard = np.take_along_axis(hard, ranking, axis=1)
+    # (n, words, B): the pivot bit each frame takes at each column, if any
+    pivs = np.zeros_like(cols)
     free = np.repeat(_pack(np.ones(k, np.uint8))[:, None], nb, axis=1)
-    info = np.zeros_like(free)
     for col in range(n):
         if not free.any():
             break
         cand = cols[col] & free
-        piv = cand & -cand                  # lowest set bit of each word
+        # lowest set bit of each word
+        piv = np.bitwise_and(cand, -cand, out=pivs[col])
         for w in range(1, len(piv)):        # only the first word's pivots
             piv[w] *= ~cand[:w].any(axis=0)
         free ^= piv
-        info |= piv * hard[:, col]
         # the column's other bits into every column with a 1 in the pivot row
         tail, buf = cols[col:], scratch[col:]
         hit = np.bitwise_and(tail, piv, out=buf).any(axis=1, keepdims=True)
@@ -270,7 +333,12 @@ def _reduce_on_ranking(g: np.ndarray, ranking: np.ndarray, hard: np.ndarray
     # frame b's column j goes to position ranking[b, j], in the scratch
     reduced = scratch.reshape(nb, n, -1)
     np.put_along_axis(reduced, ranking[:, :, None], cols.transpose(2, 0, 1), 1)
-    return reduced, np.ascontiguousarray(info.T)
+    # G has rank k, so every frame has k pivot columns
+    basis = ranking[pivs.any(axis=1).T].reshape(nb, k)
+    # info bit i: the hard decision at row i's pivot column
+    pivs *= np.take_along_axis(hard, ranking, axis=1).T[:, None, :]
+    info = np.bitwise_or.reduce(pivs, axis=0)
+    return reduced, np.ascontiguousarray(info.T), basis
 
 
 @functools.cache

@@ -44,6 +44,10 @@ GOLDEN = {
     "osd2": (dict(code="polar_32_16", constellation="qpsk", decoder="osd",
                   osd_order=2, demap="maxlog", ebn0_db=(3.0,)),
              (2048, 168, 59, 168)),
+    # weight-3 flips: guards their pruning, which order 2 never reaches
+    "osd3": (dict(code="polar_32_16", constellation="qpsk", decoder="osd",
+                  osd_order=3, demap="maxlog", ebn0_db=(2.0,)),
+             (2048, 537, 159, 537)),
     # the configuration of the osd2-qpsk benchmark workload
     "osd2-64": (dict(code="polar_64_32", constellation="qpsk", decoder="osd",
                      osd_order=2, demap="maxlog", ebn0_db=(3.0,)),

@@ -803,22 +803,34 @@ class TestCli:
         assert out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_simulate_counts_match_run_point(self, tmp_path, capsys, workers):
-        # simulate gives BLAS cores // workers threads; counts must not move
+    def test_simulate_counts_match_run_point(self, tmp_path, capsys,
+                                             monkeypatch, workers):
+        # simulate gives BLAS cores // workers threads while it runs, then
+        # puts the count back; counts must not move
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
             "code = polar_16_8\nconstellation = qam16\nebn0_db = 1, 3\n"
             "min_frame_errors = 0\nmax_frames = 6144\nseed = 4\n")
-        get = cli._openblas("get_num_threads")
+        get = harness._openblas("get_num_threads")
+        seen = []
+        sweep = harness.run_sweep
+
+        def spy(cfg):
+            seen.append(get() if get else None)
+            return sweep(cfg)
+
+        monkeypatch.setattr(harness, "run_sweep", spy)
         before = get() if get else None
         try:
             assert cli.main(["simulate", "--config", str(cfgfile),
                              f"workers={workers}"]) == 0
             if get:
-                assert get() == max(1, len(os.sched_getaffinity(0)) // workers)
+                assert seen == [max(1, len(os.sched_getaffinity(0))
+                                    // workers)]
+                assert get() == before
         finally:
             if before is not None:
-                cli._openblas("set_num_threads")(ctypes.c_int(before))
+                harness._openblas("set_num_threads")(ctypes.c_int(before))
         rows = capsys.readouterr().out.splitlines()[1:]
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                ebn0_db=(1.0, 3.0), seed=4,
@@ -833,31 +845,34 @@ class TestCli:
     @pytest.mark.parametrize("batch", [64, 512])
     def test_train_limits_blas_threads(self, tmp_path, capsys, monkeypatch,
                                        batch):
-        # train gives BLAS cores // training threads for the whole run
-        get = cli._openblas("get_num_threads")
+        # train_estimator gives BLAS cores // training threads while it
+        # runs, for the CLI and a Python caller alike, then puts it back
+        get = harness._openblas("get_num_threads")
         seen = []
-        train = harness.train_estimator
+        step = harness.train_step
 
-        def spy(cfg, verbose=False):
+        def spy(*args):
             seen.append(get() if get else None)
-            return train(cfg, verbose)
+            return step(*args)
 
-        monkeypatch.setattr(harness, "train_estimator", spy)
+        monkeypatch.setattr(harness, "train_step", spy)
         before = get() if get else None
         try:
             assert cli.main(["train", "code=polar_16_8", "alpha=1",
                              "time_steps=2", "depth=1", "steps=1",
                              f"batch_size={batch}",
                              f"out={tmp_path / 't.ckpt'}"]) == 0
+            harness.train_estimator(harness.TrainConfig(
+                code="polar_16_8", alpha=1, time_steps=2, depth=1, steps=1,
+                batch_size=batch, out=str(tmp_path / "p.ckpt")))
             cores = harness.available_cores()
             workers = min(-(-batch // 256), cores)
             if get:
-                assert seen == [max(1, cores // workers)]
+                assert seen == [max(1, cores // workers)] * 2
+                assert get() == before
         finally:
             if before is not None:
-                cli._openblas("set_num_threads")(ctypes.c_int(before))
-        if get:
-            assert get() == before
+                harness._openblas("set_num_threads")(ctypes.c_int(before))
 
     def test_config_error_is_one_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"

@@ -18,9 +18,11 @@ from bicmlab.gf2code import (
 from bicmlab.modem import LLR_CLAMP, NoiseConfig, build_constellation
 from bicmlab.refdec import (
     ErrorCounter,
+    _effective_orders,
     _encode,
     _osd_scores,
     _pack,
+    _ranking,
     _reduce_on_ranking,
     _score_tolerance,
     _test_patterns,
@@ -165,10 +167,13 @@ class TestOsd:
 
 
 def osd_llrs(code, frames, kind):
-    """(frames, n) LLRs: continuous QPSK ones at 1 dB; integers in -2..2,
-    which force exact ties between candidates; or the continuous ones
-    scaled by 40 and clamped, most of them to +-LLR_CLAMP."""
-    llr = noisy_frames(code, frames, ebn0_db=1.0, seed=20, kind="qpsk").llr
+    """(frames, n) LLRs: continuous QPSK ones at 1 dB, or at 5 dB
+    ("high-snr"), where most frames stop below order 2 (_effective_orders);
+    integers in -2..2, which force exact ties between candidates; or the
+    1 dB ones scaled by 40 and clamped, most of them to +-LLR_CLAMP."""
+    ebn0_db = 5.0 if kind == "high-snr" else 1.0
+    llr = noisy_frames(code, frames, ebn0_db=ebn0_db, seed=20,
+                       kind="qpsk").llr
     if kind == "integer":
         rng = np.random.default_rng(21)
         llr = rng.integers(-2, 3, size=llr.shape).astype(np.float64)
@@ -179,7 +184,8 @@ def osd_llrs(code, frames, kind):
 
 
 class TestOsdBatch:
-    @pytest.mark.parametrize("kind", ["continuous", "integer", "clamped"])
+    @pytest.mark.parametrize("kind", ["continuous", "high-snr", "integer",
+                                      "clamped"])
     @pytest.mark.parametrize("name,frames,order", [
         (name, frames, order)
         for name, frames, orders in [("polar_32_16", 40, range(4)),
@@ -211,6 +217,59 @@ class TestOsdBatch:
             assert one_metric[0] == metric[i]
 
 
+class TestPruning:
+    """The tie-checked ranking and the per-frame effective order."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "clamped"])
+    def test_ranking_equals_stable_argsort(self, kind):
+        code = get_code("polar_64_32")
+        llr = osd_llrs(code, 200, kind)
+        if kind == "continuous":
+            llr[::9, :4] = [0.0, -0.0, 0.0, -0.0]   # ties between +-0
+        mag = np.abs(llr)
+        ranked = np.sort(-mag, axis=1)
+        tied = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
+        # both the fast path and the stable re-sort are taken
+        assert tied.any() and (kind != "continuous" or not tied.all())
+        assert np.array_equal(_ranking(mag),
+                              np.argsort(-mag, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name", ["hamming_7_4", "polar_16_8"])
+    def test_keeps_flips_that_tie_c0(self, name, order):
+        # integer LLRs in -3..3 put many frames exactly on the bound
+        # D = a(1) + ... + a(w), where a weight-w flip may tie c0 and win
+        # the tie-break; a strict test there changes hundreds of frames
+        code = get_code(name)
+        rng = np.random.default_rng(41)
+        llr = rng.integers(-3, 4, size=(300, code.n)).astype(np.float64)
+        cw, metric = osd_decode(code, llr, order)
+        for i in range(len(llr)):
+            ref_cw, ref_metric = osd_reference(code, llr[i], order)
+            assert np.array_equal(cw[i], ref_cw)
+            assert metric[i] == ref_metric
+
+    def test_effective_orders_at_benchmark_point(self):
+        # the osd2-qpsk point: polar_64_32, QPSK max-log, Eb/N0 3 dB
+        code = get_code("polar_64_32")
+        const = build_constellation("qpsk")
+        nc = NoiseConfig.from_ebn0_db(3.0, code.rate, const.m)
+        llr = transmit_batch(code, const, nc, np.random.default_rng(40),
+                             1024, demap_kind="maxlog").llr
+        mag = np.abs(llr)
+        cols, info, basis = _reduce_on_ranking(code.g, _ranking(mag),
+                                               llr < 0)
+        metric0 = correlation_metric(_encode(cols, info), llr)
+        weights = _effective_orders(llr, mag, metric0, basis, 2)
+        assert set(np.unique(weights)) == {0, 1, 2}
+        # every flip heavier than a frame's effective order scores below c0
+        pats = _test_patterns(code.k, 2)
+        pattern_weight = np.bitwise_count(pats).sum(axis=1)
+        for i in range(0, len(llr), 8):
+            scores = float64_scores(cols[i], info[i], pats, llr[i])
+            assert np.all(scores[pattern_weight > weights[i]] < metric0[i])
+
+
 def float64_scores(cols, info, pats, llr):
     """Every flip pattern's correlation metric in float64, for one frame:
     the info word ^ pattern words re-encoded on its reduced columns, 4096
@@ -231,8 +290,8 @@ class TestFloat32Scores:
         code = get_code(name)
         llr = osd_llrs(code, frames, kind)
         ranking = np.argsort(-np.abs(llr), axis=1, kind="stable")
-        cols, info = _reduce_on_ranking(code.g, ranking, llr < 0)
-        scores = _osd_scores(code, llr, cols, info, order)
+        cols, info, _ = _reduce_on_ranking(code.g, ranking, llr < 0)
+        scores = _osd_scores(code, llr, cols, _encode(cols, info), order)
         assert scores.dtype == np.float32
         pats = _test_patterns(code.k, order)
         half_tol = _score_tolerance(llr)[:, 0] / 2.0
@@ -266,7 +325,7 @@ class TestPackedRows:
             for b in range(0, len(llr), 2):
                 ranking[b] = np.concatenate([lead, rng.permutation(rest)])
         hard = rng.integers(0, 2, size=llr.shape).astype(bool)
-        cols, info = _reduce_on_ranking(code.g, ranking, hard)
+        cols, info, basis = _reduce_on_ranking(code.g, ranking, hard)
         table = _pack(code.g.T)
         assert table.shape[1] == -(-code.k // 64) and table.dtype.kind == "u"
         assert cols.shape == (len(llr),) + table.shape
@@ -278,8 +337,9 @@ class TestPackedRows:
         # rows are never swapped: a row pivots at its leading 1
         pivot = np.argmax(bits, axis=2)
         for b in range(len(llr)):
-            rref, basis = gf2_rref(code.g[:, ranking[b]])
-            assert sorted(pivot[b]) == basis
+            rref, pivots = gf2_rref(code.g[:, ranking[b]])
+            assert sorted(pivot[b]) == pivots
+            assert np.array_equal(basis[b], ranking[b, pivots])
             assert np.array_equal(bits[b][np.argsort(pivot[b])], rref)
             assert np.array_equal(info[b], hard[b, ranking[b, pivot[b]]])
         if kind == "dependent-lead":

@@ -7,11 +7,14 @@ def test_osd_phases(load_tool, capsys):
     tool = load_tool("osd_phases")
     assert tool.main(["--runs", "polar_16_8:2", "--repeats", "1"]) == 0
     header, row = capsys.readouterr().out.splitlines()[-2:]
-    assert header.split()[-2:] == ["tie", "frames"]
+    assert header.split()[-6:] == ["tie", "frames", "frames", "at", "order",
+                                   "0/1/..."]
     fields = row.split()
     assert fields[:2] == ["polar_16_8", "2"]
-    assert len(fields) == 2 + len(tool.PHASES) + 2
-    assert int(fields[-1]) >= 0
+    assert len(fields) == 2 + len(tool.PHASES) + 3
+    assert int(fields[-2]) >= 0
+    # the frames at effective orders 0, 1 and 2 make up the chunk
+    assert sum(map(int, fields[-1].split("/"))) == tool.FRAMES
 
 
 def test_transmit_phases(load_tool, capsys):
