@@ -2,12 +2,13 @@
 
 Reproducibility contract: a (config, master seed) pair fully determines every
 count.  Frames are simulated in fixed-size chunks whose RNG streams derive
-from (master seed, grid point index, chunk index); chunk results are folded
-in chunk order, so the totals are identical for any worker count.  The
-thread that transmits a chunk decodes it in DECODE_BLOCK_FRAMES blocks, and
-any idle pool thread may take one of them.  The block size never depends
-on the worker count, and a chunk's counts are integer sums over its blocks,
-so which thread decodes which block changes no count.
+from (master seed, grid point index, chunk index), and each chunk is decoded
+in DECODE_BLOCK_FRAMES blocks.  Chunks, blocks and a training step's
+gradient shards are all units of units.run_in_order: the calling thread and
+workers - 1 pool threads each take the next unclaimed unit, and results are
+folded in index order.  No unit's size depends on the worker count, and a
+chunk's counts are integer sums over its blocks, so the totals are identical
+for any worker count, whichever thread ran which unit.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import functools
 import math
 import os
 import re
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,6 +52,7 @@ from .sbnd import decode_batch, hard_messages, make_training_batch
 # statistic_batch stays importable from here: bench/spans.py traces it by
 # this name
 from .sbnd import statistic_batch  # noqa: F401
+from .units import run_in_order, thread_pool
 
 __all__ = [
     "StopRule",
@@ -79,9 +79,8 @@ __all__ = [
 ]
 
 CHUNK_FRAMES = 2048
-# Frames per decode_chunk call.  Any pool thread decodes any block of a
-# transmitted chunk; the size is fixed, never derived from the worker count,
-# so a block is the same computation at every pool size.
+# Frames per decode_chunk call: a unit that any worker takes, of a size never
+# derived from the worker count, so the same computation at any pool size.
 DECODE_BLOCK_FRAMES = 1024
 
 # glibc mallopt parameters (malloc.h) and the values set_allocator_policy
@@ -100,6 +99,8 @@ _ALLOCATOR_POLICY = (
 )
 
 _DEMAPPERS = ("exact", "maxlog")
+# the experiment keys that only one decoder reads
+_DECODER_KEYS = {"osd_order": "osd", "checkpoint": "sbnd"}
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -114,6 +115,15 @@ def _check_at_least(cfg, low: int, *names: str) -> None:
         value = getattr(cfg, name)
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_unread(cfg, keys: list[str], reader: str) -> None:
+    """Refuse a key that reader ignores set off its default: no setting may
+    go silently unused."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if value != cfg.__dataclass_fields__[key].default:
+            raise ValueError(f"{key} = {value} is not read by {reader}")
 
 
 def _check_finite(name: str, *values: float) -> None:
@@ -149,7 +159,7 @@ class ExperimentConfig:
     code: str = "hamming_7_4"
     constellation: str = "bpsk"
     decoder: str = "hard-pinv"          # a key of _DECODERS
-    osd_order: int = 2
+    osd_order: int = 2                   # for the osd decoder
     checkpoint: str = ""                 # for the sbnd decoder
     ebn0_db: tuple[float, ...] = (2.0, 4.0, 6.0)
     demap: str = "exact"                 # exact | maxlog
@@ -165,6 +175,9 @@ class ExperimentConfig:
             raise ValueError("Eb/N0 grid is empty")
         _check_finite("ebn0_db", *self.ebn0_db)
         _check_choice("decoder", self.decoder, tuple(_DECODERS))
+        _check_unread(self, [key for key, decoder in _DECODER_KEYS.items()
+                             if decoder != self.decoder],
+                      f"decoder {self.decoder!r}")
         build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
         _check_choice("interleaver", self.interleaver, ("fresh", "pinned"))
@@ -415,60 +428,6 @@ def _block(fb: FrameBatch, start: int) -> FrameBatch:
                       llr=fb.llr[rows])
 
 
-class _ChunkBlocks:
-    """One transmitted chunk, decoded block by block by whichever pool
-    threads call take.
-
-    A thread claims the next unclaimed block under the condition and decodes
-    it outside; the counts merge by integer addition, so the total does not
-    depend on which thread ran which block.  finish waits only for blocks
-    that running threads have claimed, never for queued work, then drops the
-    chunk's arrays: a helper that starts later finds no block and returns.
-    """
-
-    def __init__(self, decoder, fb: FrameBatch):
-        self._decoder = decoder
-        self._fb: FrameBatch | None = fb
-        self._starts = iter(range(0, len(fb.u), DECODE_BLOCK_FRAMES))
-        self._running = 0
-        self._error: BaseException | None = None
-        self._total = ErrorCounter()
-        self._cond = threading.Condition()
-
-    def take(self) -> None:
-        """Decode unclaimed blocks until none is left, or one has failed."""
-        while True:
-            with self._cond:
-                start = next(self._starts, None)
-                if start is None or self._error is not None:
-                    return
-                self._running += 1
-                block = _block(self._fb, start)
-            try:
-                counts, error = self._decoder.decode_chunk(block), None
-            except BaseException as exc:
-                # finish re-raises it in the thread that owns the chunk
-                counts, error = None, exc
-            with self._cond:
-                self._running -= 1
-                if error is None:
-                    self._total.merge(counts)
-                elif self._error is None:
-                    self._error = error
-                self._cond.notify_all()
-
-    def finish(self) -> ErrorCounter:
-        """Take blocks, wait for the claimed ones, and return the chunk's
-        counts or raise the first block's error."""
-        self.take()
-        with self._cond:
-            self._cond.wait_for(lambda: self._running == 0)
-            self._fb = None
-            if self._error is not None:
-                raise self._error
-            return self._total
-
-
 def run_point(cfg: ExperimentConfig, ebn0_db: float,
               point_index: int | None = None) -> BerRecord:
     """Simulate one grid point until the stop rule fires.
@@ -491,20 +450,15 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
         if cfg.interleaver == "pinned" else None
     )
 
-    def work(chunk_index: int) -> ErrorCounter:
-        rng = _chunk_rng(cfg.seed, point_index, chunk_index)
-        blocks = _ChunkBlocks(decoder, transmit_batch(
-            code, const, noise, rng, CHUNK_FRAMES,
-            demap_kind=cfg.demap, interleaver=pinned,
-        ))
-        # idle pool threads help; one that finds every block taken returns
-        for _ in range(helpers):
-            try:
-                ex.submit(blocks.take)
-            except RuntimeError:
-                # the pool is shutting down past the stop; no help comes
-                break
-        return blocks.finish()
+    def chunk(chunk_index: int) -> ErrorCounter:
+        fb = transmit_batch(
+            code, const, noise, _chunk_rng(cfg.seed, point_index, chunk_index),
+            CHUNK_FRAMES, demap_kind=cfg.demap, interleaver=pinned)
+        blocks = run_in_order(
+            CHUNK_FRAMES // DECODE_BLOCK_FRAMES,
+            lambda i: decoder.decode_chunk(_block(fb, i * DECODE_BLOCK_FRAMES)),
+            pool)
+        return functools.reduce(ErrorCounter.merge, blocks, ErrorCounter())
 
     t0 = time.perf_counter()
     total = ErrorCounter()
@@ -512,23 +466,14 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     # chunk partitioning is fixed, so totals never depend on the pool size;
     # a single worker gains nothing from a queued chunk, so it never starts
     # one past the stop, and no pool starts one past the frame budget
-    pool = cfg.workers
-    window = 2 * pool if pool > 1 else 1
-    helpers = min(pool, -(-CHUNK_FRAMES // DECODE_BLOCK_FRAMES)) - 1
     budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
-    pending: dict[int, object] = {}
-    next_submit = 0
-    next_collect = 0
-    with ThreadPoolExecutor(max_workers=pool) as ex:
-        while not cfg.stop.satisfied(total):
-            while len(pending) < window and next_submit < budget:
-                pending[next_submit] = ex.submit(work, next_submit)
-                next_submit += 1
-            total.merge(pending.pop(next_collect).result())
-            next_collect += 1
-        # chunks beyond the stop prefix never enter the totals
-        for fut in pending.values():
-            fut.cancel()
+    ahead = 2 * cfg.workers if cfg.workers > 1 else 1
+    with thread_pool(cfg.workers - 1) as pool, closing(
+            run_in_order(budget, chunk, pool, ahead)) as chunks:
+        for counts in chunks:
+            total.merge(counts)
+            if cfg.stop.satisfied(total):
+                break
 
     k = code.k
     return BerRecord(
@@ -545,6 +490,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
+    _check_directories(cfg, "out")
     records = [
         run_point(cfg, e, point_index=i) for i, e in enumerate(cfg.ebn0_db)
     ]
@@ -579,6 +525,14 @@ def csv_rows(records: list[BerRecord]) -> list[str]:
         rows.append(f"{r.ebn0_db:g},{r.frames},{r.bit_errors},{r.frame_errors},"
                     f"{r.ber:.8g},{r.fer:.8g},{ml},{r.seconds:.3f}")
     return rows
+
+
+def _check_directories(cfg, *keys: str) -> None:
+    """Refuse an output path in a missing directory, before any work."""
+    for key in keys:
+        path = getattr(cfg, key)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"{key} = {path} is in no existing directory")
 
 
 def _write_text(path, text: str) -> None:
@@ -621,14 +575,9 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_choice("arch", self.arch, tuple(_ARCH_KEYS))
-        # a key only the other arch reads must keep its default, so that a
-        # setting never goes silently unused
-        for key in (key for arch, keys in _ARCH_KEYS.items()
-                    if arch != self.arch for key in keys):
-            value = getattr(self, key)
-            if value != self.__dataclass_fields__[key].default:
-                raise ValueError(f"{key} = {value} is not read by arch "
-                                 f"{self.arch!r}")
+        _check_unread(self, [key for arch, keys in _ARCH_KEYS.items()
+                             if arch != self.arch for key in keys],
+                      f"arch {self.arch!r}")
         build_constellation(self.constellation)
         _check_choice("demap", self.demap, _DEMAPPERS)
         _check_at_least(self, 0, "steps", "seed")
@@ -680,8 +629,8 @@ def available_cores() -> int:
 
 
 def train_workers(cfg: TrainConfig) -> int:
-    """Threads train_estimator runs a step's gradient shards on: one per
-    shard, at most one per core."""
+    """Threads train_estimator runs a step's gradient shards on, its own
+    included: one per shard, at most one per core."""
     return min(-(-cfg.batch_size // TRAIN_SHARD_FRAMES), available_cores())
 
 
@@ -691,12 +640,15 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     Returns the checkpoint path.  The reliability normalization constant is
     measured once on a calibration draw at the training SNR and frozen into
     the checkpoint; inference applies the same constant.  Each step's
-    gradient shards (see train_step) run on train_workers(cfg) threads, or
-    on this one when that is 1; the weights are the same either way.  On a
-    failure the network is saved to <out>.diverged with the step count it
-    has completed.  While the shard threads run, BLAS has
+    gradient shards (see train_step) run on this thread and
+    train_workers(cfg) - 1 pool threads; the weights are the same for any
+    count.  On a failure the network is saved to <out>.diverged with the
+    step count it has completed.  While the shards run, BLAS has
     available_cores() // train_workers(cfg) threads (limit_blas_threads).
+    A missing out or curve directory, or a resume of a network other than
+    the one cfg builds for its code, is refused before any step.
     """
+    _check_directories(cfg, "out", "curve")
     set_allocator_policy()
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
@@ -706,6 +658,10 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     start_step = 0
     if cfg.resume:
         net, header = load_checkpoint(cfg.resume)
+        want = cfg.model_config(code)
+        if net.cfg != want:
+            raise ValueError(f"resume {cfg.resume} holds {net.cfg}; this "
+                             f"config builds {want}")
         input_scale = header["input_scale"]
         start_step = header["step"]
     else:
@@ -723,9 +679,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     step = start_step
     t0 = time.perf_counter()
     try:
-        with limit_blas_threads(workers), (
-                ThreadPoolExecutor(max_workers=workers) if workers > 1
-                else nullcontext()) as pool:
+        with limit_blas_threads(workers), thread_pool(workers - 1) as pool:
             for step in range(start_step, start_step + cfg.steps):
                 batch_rng = np.random.default_rng(np.random.SeedSequence(
                     entropy=cfg.seed, spawn_key=(1, step)))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import copy
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 
 import numpy as np
 
+from ..units import run_in_order
 from .layers import Param, sigmoid
 
 __all__ = [
@@ -114,8 +115,8 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
     possibly shorter.  Shard 0 runs on net and shard i >= 1 on
     replicas[i - 1], a copy of net with its own grads.  A short list is
     appended to, so a caller that keeps it across steps builds each
-    replica once.  The shards run on pool when one is given, else in order
-    on this thread.
+    replica once.  The shards run on this thread and on idle threads of
+    pool, when one is given (units.run_in_order).
 
     Each shard's logit gradient is divided by the whole batch's element
     count, so once the replica grads are added into net's, in shard order,
@@ -133,14 +134,8 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
     shards = [(m, x[s:s + TRAIN_SHARD_FRAMES],
                targets[s:s + TRAIN_SHARD_FRAMES], targets.size)
               for m, s in zip(models, starts)]
-    if pool is None:
-        losses = [_shard_loss(*shard) for shard in shards]
-    else:
-        futures = [pool.submit(_shard_loss, *shard) for shard in shards]
-        # every shard ends before any error is raised, so none still runs
-        # when the caller handles it
-        wait(futures)
-        losses = [f.result() for f in futures]
+    losses = list(run_in_order(len(shards),
+                               lambda i: _shard_loss(*shards[i]), pool))
     for model in models[1:]:
         for p, q in zip(net.params(), model.params()):
             p.grad += q.grad

@@ -3,10 +3,32 @@
 import importlib.util
 import pathlib
 import sys
+import threading
+import time
 
 import pytest
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+# modules whose tests start pools: each test must join every thread it starts
+THREAD_CHECKED = {"test_harness", "test_neural", "test_units"}
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running(request):
+    """Fail a test in THREAD_CHECKED that leaves more threads alive than it
+    started with, once they have had 2 s to end."""
+    if request.module.__name__.rpartition(".")[2] not in THREAD_CHECKED:
+        yield
+        return
+    before = threading.active_count()
+    yield
+    deadline = time.monotonic() + 2.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if threading.active_count() > before:
+        pytest.fail(f"{threading.active_count() - before} thread(s) still "
+                    f"alive: {threading.enumerate()}")
 
 
 @pytest.fixture

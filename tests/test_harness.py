@@ -113,6 +113,19 @@ class TestConfig:
         # the default value is no setting, so it passes
         TrainConfig(arch=arch, **{key: getattr(TrainConfig(), key)})
 
+    @pytest.mark.parametrize("decoder, key, value", [
+        ("hard-pinv", "osd_order", 3), ("map", "osd_order", 0),
+        ("osd", "checkpoint", "x.ckpt"), ("map", "checkpoint", "x.ckpt"),
+    ])
+    def test_key_the_decoder_does_not_read_refused(self, decoder, key, value):
+        kv = parse_config_text(f"decoder = {decoder}\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=(
+                f"^{key} = {value} is not read by decoder '{decoder}'$")):
+            ExperimentConfig(**config_kwargs(ExperimentConfig, kv))
+        # the default value is no setting, so it passes
+        ExperimentConfig(decoder=decoder,
+                         **{key: getattr(ExperimentConfig(), key)})
+
     @pytest.mark.parametrize("preset", sorted(harness.TRAIN_PRESETS))
     def test_every_preset_constructs(self, preset):
         cfg = train_config_from_preset(preset)
@@ -535,6 +548,20 @@ class TestSweepCsv:
         assert out.exists()
         assert not (tmp_path / "x.csv.tmp").exists()
 
+    def test_missing_out_directory_refused_before_any_chunk(self, tmp_path,
+                                                            monkeypatch):
+        transmits = []
+        monkeypatch.setattr(harness, "transmit_batch",
+                            lambda *a, **k: transmits.append(a))
+        out = tmp_path / "absent" / "x.csv"
+        cfg = ExperimentConfig(code="hamming_7_4", constellation="bpsk",
+                               ebn0_db=(2.0,), stop=quick_stop(2048),
+                               out=str(out))
+        with pytest.raises(ValueError, match=(
+                f"^out = {out} is in no existing directory$")):
+            run_sweep(cfg)
+        assert transmits == []
+
     def test_osd_sweep_monotone_on_polar_64_32(self):
         cfg = ExperimentConfig(code="polar_64_32", constellation="qpsk",
                                decoder="osd", osd_order=2,
@@ -637,10 +664,65 @@ class TestTraining:
         with pytest.raises(TrainingDiverged, match="non-finite activation"):
             train_estimator(cfg)
         assert threading.active_count() == active
-        assert (threading.main_thread() in threads[-2:]) == (cores == 1)
+        # the calling thread runs a shard of every step, and the pool adds
+        # at most cores - 1 threads
+        assert threading.main_thread() in threads[-2:]
+        assert len(set(threads)) <= cores
         assert not ckpt.exists()
         _, header = load_checkpoint(str(ckpt) + ".diverged")
         assert header["step"] == 2
+
+    @pytest.mark.parametrize("key", ["out", "curve"])
+    def test_missing_output_directory_refused_before_any_step(
+            self, tmp_path, monkeypatch, key):
+        steps = []
+        monkeypatch.setattr(harness, "train_step",
+                            lambda *a: steps.append(a) or 0.0)
+        path = tmp_path / "absent" / "x"
+        cfg = TrainConfig(code="polar_16_8", alpha=1, time_steps=1, depth=1,
+                          batch_size=64, steps=2,
+                          **{"out": str(tmp_path / "t.ckpt"), key: str(path)})
+        with pytest.raises(ValueError, match=(
+                f"^{key} = {path} is in no existing directory$")):
+            train_estimator(cfg)
+        assert steps == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("change", [dict(alpha=4),
+                                        dict(code="polar_32_16")],
+                             ids=["alpha", "code"])
+    def test_resume_of_another_network_refused(self, tmp_path, change):
+        # a resume must not train, nor save, a network other than the one
+        # its config builds; nothing ran, so no .diverged file is written
+        ckpt = tmp_path / "est.ckpt"
+        cfg = train_config_from_preset("desk-rnn", code="polar_16_8",
+                                       alpha=1, batch_size=64, steps=1,
+                                       out=str(ckpt))
+        train_estimator(cfg)
+        before = ckpt.read_bytes()
+        resume = replace(cfg, resume=str(ckpt), **change)
+        with pytest.raises(ValueError) as exc:
+            train_estimator(resume)
+        code = get_code(resume.code)
+        assert str(exc.value) == (
+            f"resume {ckpt} holds {cfg.model_config(get_code(cfg.code))}; "
+            f"this config builds {resume.model_config(code)}")
+        assert "alpha=1" in str(exc.value)
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["est.ckpt"]
+
+    def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(harness, "available_cores", lambda: 1)
+        train_estimator(TrainConfig(code="polar_16_8", alpha=1, time_steps=1,
+                                    depth=1, batch_size=600, steps=1,
+                                    out=str(tmp_path / "t.ckpt")))
+        cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
+                               ebn0_db=(4.0,), stop=quick_stop(4096))
+        assert run_point(cfg, 4.0).frames == 4096
 
     def test_sbnd_decoder_runs_from_checkpoint(self, tmp_path):
         ckpt = tmp_path / "est.ckpt"
