@@ -95,6 +95,10 @@ def transmit_batch(
     fixed permutation pins it for every frame.  When the symbol width m does
     not divide n, known zero bits are appended after the interleaver and
     their LLRs stripped at the receiver.
+
+    Each stage's input is let go once the stage has run, so at most one
+    (n_frames, n_pad) float64 array lives beside the returned batch (the
+    demapped LLRs while they are deinterleaved).
     """
     n, k, m = code.n, code.k, const.m
     n_pad = _padded_length(n, m)
@@ -103,8 +107,7 @@ def transmit_batch(
     c = code.encode(u)
 
     if interleaver is None:
-        keys = rng.random((n_frames, n))
-        perms = np.argsort(keys, axis=1)
+        perms = np.argsort(rng.random((n_frames, n)), axis=1)
     else:
         perms = np.broadcast_to(np.asarray(interleaver), (n_frames, n))
     tx_bits = interleave(c, perms)
@@ -113,8 +116,12 @@ def transmit_batch(
         tx_bits = np.concatenate([tx_bits, zeros], axis=1)
 
     x = modulate(const, tx_bits)
+    del tx_bits
     y = awgn(x, noise, rng)
-    llr = clamp_llrs(demap(const, y, noise, kind=demap_kind))[:, :n]
+    del x
+    llr = demap(const, y, noise, kind=demap_kind)
+    del y
+    llr = clamp_llrs(llr)[:, :n]
     return FrameBatch(u=u, c=c, perms=perms, llr=deinterleave(llr, perms))
 
 

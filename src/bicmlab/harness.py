@@ -5,10 +5,10 @@ count.  Frames are simulated in fixed-size chunks whose RNG streams derive
 from (master seed, grid point index, chunk index), and each chunk is decoded
 in DECODE_BLOCK_FRAMES blocks.  Chunks, blocks and a training step's
 gradient shards are all units of units.run_in_order: the calling thread and
-workers - 1 pool threads each take the next unclaimed unit, and results are
-folded in index order.  No unit's size depends on the worker count, and a
-chunk's counts are integer sums over its blocks, so the totals are identical
-for any worker count, whichever thread ran which unit.
+up to one pool thread per other core each take the next unclaimed unit, and
+results are folded in index order.  No unit's size depends on the worker
+count, and a chunk's counts are integer sums over its blocks, so the totals
+are identical for any worker count, whichever thread ran which unit.
 """
 
 from __future__ import annotations
@@ -433,7 +433,8 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     """Simulate one grid point until the stop rule fires.
 
     The point's RNG streams derive from its index on the grid, so an Eb/N0
-    off cfg.ebn0_db needs an explicit point_index.
+    off cfg.ebn0_db needs an explicit point_index.  Units run on this
+    thread and min(cfg.workers, available_cores()) - 1 pool threads.
     """
     if point_index is None:
         if ebn0_db not in cfg.ebn0_db:
@@ -464,11 +465,13 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     total = ErrorCounter()
 
     # chunk partitioning is fixed, so totals never depend on the pool size;
-    # a single worker gains nothing from a queued chunk, so it never starts
-    # one past the stop, and no pool starts one past the frame budget
+    # a thread past one per core would only hold one more chunk's working
+    # set; a single worker gains nothing from a queued chunk, so it never
+    # starts one past the stop, and no pool starts one past the frame budget
     budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
-    ahead = 2 * cfg.workers if cfg.workers > 1 else 1
-    with thread_pool(cfg.workers - 1) as pool, closing(
+    workers = min(cfg.workers, available_cores())
+    ahead = 2 * workers if workers > 1 else 1
+    with thread_pool(workers - 1) as pool, closing(
             run_in_order(budget, chunk, pool, ahead)) as chunks:
         for counts in chunks:
             total.merge(counts)
@@ -666,9 +669,9 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
         start_step = header["step"]
     else:
         net = cfg.build_network(code, rng)
-        calib = transmit_batch(code, const, noise, rng, 4096,
-                               demap_kind=cfg.demap)
-        input_scale = 1.0 / float(np.mean(np.abs(calib.llr)))
+        # only the scale outlives the calibration draw
+        input_scale = 1.0 / float(np.mean(np.abs(transmit_batch(
+            code, const, noise, rng, 4096, demap_kind=cfg.demap).llr)))
     if verbose:
         print(f"model: {cfg.arch} with {net.num_params()} parameters")
 
@@ -686,9 +689,10 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
                 fb = transmit_batch(code, const, noise, batch_rng,
                                     cfg.batch_size, demap_kind=cfg.demap)
                 x, t = make_training_batch(fb, code)
+                del fb
                 x[:, :code.n] *= input_scale
-                loss = train_step(net, x.astype(np.float32),
-                                  t.astype(np.float32), opt, pool, replicas)
+                x, t = x.astype(np.float32), t.astype(np.float32)
+                loss = train_step(net, x, t, opt, pool, replicas)
                 if (step + 1) % cfg.log_every == 0 or step == start_step:
                     curve.append((step + 1, loss))
                     if verbose:

@@ -289,4 +289,5 @@ def hard_split(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clamp_llrs(l: np.ndarray) -> np.ndarray:
-    return np.clip(l, -LLR_CLAMP, LLR_CLAMP)
+    """Saturate l to [-LLR_CLAMP, LLR_CLAMP] in place; returns l."""
+    return np.clip(l, -LLR_CLAMP, LLR_CLAMP, out=l)

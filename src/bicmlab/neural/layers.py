@@ -151,20 +151,19 @@ class GRULayer:
         # effect, so it is computed from ax alone
         z = sigmoid(ax[0, :, :hh])
         c = np.tanh(ax[0, :, 2 * hh:])
-        h = (1.0 - z) * c
+        # each state is written straight into its row of outs, and the
+        # tape records that row as the next step's previous state
+        h = np.multiply(1.0 - z, c, out=outs[0])
         if tape is not None:
             cache.append((None, z, None, None, c))
-        outs[0] = h
         for t in range(1, steps):
             z = sigmoid(ax[t, :, :hh] + h @ wh[:, :hh])
             r = sigmoid(ax[t, :, hh:2 * hh] + h @ wh[:, hh:2 * hh])
             rh = r * h
             c = np.tanh(ax[t, :, 2 * hh:] + rh @ wh[:, 2 * hh:])
-            h_new = z * h + (1.0 - z) * c
             if tape is not None:
                 cache.append((h, z, r, rh, c))
-            outs[t] = h_new
-            h = h_new
+            h = np.add(z * h, (1.0 - z) * c, out=outs[t])
         return outs
 
     def backward(self, douts: np.ndarray, tape: dict,

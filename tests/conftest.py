@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from bicmlab import harness
+
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 # modules whose tests start pools: each test must join every thread it starts
@@ -29,6 +31,16 @@ def no_thread_left_running(request):
     if threading.active_count() > before:
         pytest.fail(f"{threading.active_count() - before} thread(s) still "
                     f"alive: {threading.enumerate()}")
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """cores(n) makes harness.available_cores report n cores, so a test
+    can run the pool threads it exercises on any machine."""
+    def set_cores(count):
+        monkeypatch.setattr(harness, "available_cores", lambda: count)
+
+    return set_cores
 
 
 @pytest.fixture

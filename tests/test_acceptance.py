@@ -330,7 +330,8 @@ def test_criterion_8_zero_noise_exactness():
     assert ok
 
 
-def test_criterion_8_worker_reproducibility():
+def test_criterion_8_worker_reproducibility(cores):
+    cores(8)
     cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                            decoder="hard-pinv", ebn0_db=(4.0,),
                            stop=StopRule(min_frame_errors=500,

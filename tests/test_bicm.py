@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from bicmlab.bicm import (
 )
 from bicmlab import bicm, modem
 from bicmlab.gf2code import get_code, hamming_7_4
-from bicmlab.modem import NoiseConfig, build_constellation, clamp_llrs, hard_split
+from bicmlab.modem import (
+    LLR_CLAMP,
+    NoiseConfig,
+    build_constellation,
+    clamp_llrs,
+    hard_split,
+)
 from oracles import channel_csv
 
 
@@ -275,6 +282,35 @@ class TestBitIdentity:
                                   (code.p_inv_apply(got_hard), code.a)):
                     want_bits = (want_hard.astype(np.int64) @ mat.T) & 1
                     assert np.array_equal(bits, want_bits)
+
+
+class TestWorkingSet:
+    """transmit_batch lets go of each stage's input once the stage has run."""
+
+    def test_chunk_peak_is_the_batch_plus_one_llr_array(self):
+        code = get_code("polar_128_64")
+        const = build_constellation("qam16")
+        nc = NoiseConfig.from_ebn0_db(4.0, code.rate, const.m)
+        frames = 2048
+        # a first call builds whatever the chain caches, outside the trace
+        transmit_batch(code, const, nc, np.random.default_rng(1), frames)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            fb = transmit_batch(code, const, nc, rng, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = sum(getattr(fb, f.name).nbytes
+                    for f in dataclasses.fields(FrameBatch))
+        llr = frames * bicm._padded_length(code.n, const.m) * 8
+        # 1 MiB for the demapper's per-slice scores and temporaries
+        assert peak <= batch + llr + (1 << 20), (peak, batch)
+
+    def test_clamp_is_in_place(self):
+        l = np.array([-1e9, 1e9, 3.0])
+        assert clamp_llrs(l) is l
+        assert np.array_equal(l, [-LLR_CLAMP, LLR_CLAMP, 3.0])
 
 
 class TestChannelEstimate:

@@ -75,7 +75,8 @@ def zero_head_checkpoint(tmp_path_factory):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_counts(name, workers, zero_head_checkpoint):
+def test_golden_counts(name, workers, zero_head_checkpoint, cores):
+    cores(workers)
     fields, want = GOLDEN[name]
     if fields["decoder"] == "sbnd":
         fields = dict(fields, checkpoint=zero_head_checkpoint)

@@ -240,7 +240,8 @@ class TestRunPoint:
         assert r_osd.ml_bound_ber is not None
         assert r_osd.ml_bound_ber <= r_osd.ber
 
-    def test_worker_count_does_not_change_totals(self):
+    def test_worker_count_does_not_change_totals(self, cores):
+        cores(8)
         base = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                 decoder="hard-pinv", ebn0_db=(4.0,),
                                 stop=StopRule(min_frame_errors=300,
@@ -269,7 +270,9 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("chunks", [1, 3])
-    def test_no_chunk_past_frame_budget(self, monkeypatch, chunks, workers):
+    def test_no_chunk_past_frame_budget(self, monkeypatch, cores, chunks,
+                                        workers):
+        cores(workers)
         transmits = []
         real = harness.transmit_batch
 
@@ -437,8 +440,9 @@ class TestDecodeBlocks:
         assert whole.frame_errors > 0
 
     @pytest.mark.parametrize("name", sorted(harness._DECODERS))
-    def test_one_chunk_point_at_any_worker_count(self, name,
+    def test_one_chunk_point_at_any_worker_count(self, name, cores,
                                                  random_rnn_checkpoint):
+        cores(3)
         counts = set()
         for workers in (1, 2, 3):
             cfg = block_case(name, random_rnn_checkpoint, workers=workers)
@@ -447,9 +451,10 @@ class TestDecodeBlocks:
                         r.ml_bound_ber))
         assert len(counts) == 1
 
-    def test_more_workers_than_cores_on_fast_switches(self):
+    def test_more_workers_than_cores_on_fast_switches(self, cores):
         """A block lost or decoded twice, or a lost merge, would move the
         totals; a 1 us switch interval makes such races likely."""
+        cores(6)
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                decoder="hard-pinv", ebn0_db=(4.0,),
                                stop=quick_stop(8 * harness.CHUNK_FRAMES))
@@ -463,7 +468,8 @@ class TestDecodeBlocks:
         assert (got.frames, got.bit_errors, got.frame_errors) == \
                (want.frames, want.bit_errors, want.frame_errors)
 
-    def test_idle_worker_takes_a_block(self, probe):
+    def test_idle_worker_takes_a_block(self, probe, cores):
+        cores(2)
         probe.sleep_s = 0.1
         run_point_within(probe_config(workers=2))
         assert len(probe.threads) == 2
@@ -476,7 +482,8 @@ class TestDecodeBlocks:
         assert len(set(probe.threads)) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_block_raises(self, probe, workers):
+    def test_failed_block_raises(self, probe, cores, workers):
+        cores(workers)
         probe.sleep_s = 0.05
         probe.fail_at = 2
         threads_before = threading.active_count()
@@ -484,10 +491,12 @@ class TestDecodeBlocks:
             run_point_within(probe_config(workers))
         assert threading.active_count() == threads_before
 
-    def test_stop_in_chunk_zero_past_running_chunks(self, probe, monkeypatch):
+    def test_stop_in_chunk_zero_past_running_chunks(self, probe, monkeypatch,
+                                                    cores):
         """Chunk 0 meets the error target while later chunks still
         transmit; their helper submits may meet a closing pool, and the
         point must still return chunk 0's counts and join every thread."""
+        cores(2)
         real_rng = harness._chunk_rng
 
         def slow_past_chunk_zero(seed, point_index, chunk_index):
@@ -507,6 +516,30 @@ class TestDecodeBlocks:
                 one_chunk.frame_errors)
         # a speculative chunk ran and was decoded after the stop
         assert len(probe.threads) >= 4
+
+    def test_pool_has_at_most_one_thread_per_core(self, probe, monkeypatch,
+                                                  cores):
+        cores(2)
+        probe.sleep_s = 0.02
+        stop = dict(min_frame_errors=0, min_bit_errors=0,
+                    max_frames=4 * harness.CHUNK_FRAMES)
+        want = run_point_within(probe_config(workers=1, **stop))
+        probe.threads.clear()
+        alive = []
+        real_rng = harness._chunk_rng
+
+        def counting_rng(*args):
+            alive.append(threading.active_count())
+            return real_rng(*args)
+
+        monkeypatch.setattr(harness, "_chunk_rng", counting_rng)
+        before = threading.active_count()
+        got = run_point_within(probe_config(workers=6, **stop))
+        assert len(set(probe.threads)) <= 2
+        # run_point_within's thread and at most one pool thread
+        assert max(alive) <= before + 2
+        assert (got.frames, got.bit_errors, got.frame_errors) == \
+               (want.frames, want.bit_errors, want.frame_errors)
 
 
 class TestSweepCsv:

@@ -481,6 +481,23 @@ class TestTraining:
             assert np.array_equal(pa, pb)
 
 
+class TestGruTape:
+    @pytest.mark.parametrize("seq_len, steps", [(4, None), (1, 3)])
+    def test_taped_states_are_rows_of_outs(self, seq_len, steps):
+        # the tape keeps no second copy of the states the forward returns
+        rng = np.random.default_rng(5)
+        gru = GRULayer("g", 6, 5, rng)
+        xs = rng.normal(size=(seq_len, 8, 6)).astype(np.float32)
+        tape = {}
+        outs = gru.forward(xs, tape, steps=steps)
+        _, cache = tape[gru]
+        assert len(cache) == outs.shape[0] == (steps or seq_len)
+        for t in range(1, len(cache)):
+            h_prev = cache[t][0]
+            assert np.shares_memory(h_prev, outs[t - 1])
+            assert np.array_equal(h_prev, outs[t - 1])
+
+
 class ParentGRULayer(GRULayer):
     """GRULayer's passes as they were before the step from h0 = 0 skipped
     its recurrent products and the first layer skipped its input gradient;

@@ -20,11 +20,16 @@ def test_osd_phases(load_tool, capsys):
 def test_transmit_phases(load_tool, capsys):
     tool = load_tool("transmit_phases")
     assert tool.main(["--runs", "osd2-qpsk", "--repeats", "1"]) == 0
-    header, row = (line.split()
-                   for line in capsys.readouterr().out.splitlines()[-2:])
+    header, row, mib = (line.split()
+                        for line in capsys.readouterr().out.splitlines()[-3:])
     assert header[-2:] == ["total", "faults"]
     assert row[0] == "osd2-qpsk" and len(row) == 1 + len(tool.STAGES) + 2
     assert int(row[-1]) >= 0
+    assert mib[0] == "MiB" and len(mib) == len(row) and mib[-1] == "-"
+    peaks = [float(p) for p in mib[1:-1]]
+    # the chunk's peak is its largest stage's and holds the returned batch:
+    # a 2048-frame polar_64_32 batch is 2.19 MiB
+    assert peaks[-1] == max(peaks[:-1]) >= 2.19
 
 
 def test_predict_scaling(load_tool, capsys):
