@@ -63,6 +63,13 @@ def deinterleave(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fresh_perms(rng: np.random.Generator, frames: int, n: int
+                 ) -> np.ndarray:
+    """(frames, n) uniform permutations, one per frame: the argsort of
+    fresh uniform keys, which are let go once sorted."""
+    return np.argsort(rng.random((frames, n)), axis=1)
+
+
 def _padded_length(n: int, m: int) -> int:
     return ((n + m - 1) // m) * m
 
@@ -107,7 +114,7 @@ def transmit_batch(
     c = code.encode(u)
 
     if interleaver is None:
-        perms = np.argsort(rng.random((n_frames, n)), axis=1)
+        perms = _fresh_perms(rng, n_frames, n)
     else:
         perms = np.broadcast_to(np.asarray(interleaver), (n_frames, n))
     tx_bits = interleave(c, perms)

@@ -383,7 +383,7 @@ class NeuralEstimator:
         if got != want:
             raise ValueError(f"checkpoint {path} has (r, k) = {got}; "
                              f"code ({code.n},{code.k}) needs {want}")
-        return cls(net, n=code.n, input_scale=header.get("input_scale", 1.0))
+        return cls(net, n=code.n, input_scale=header["input_scale"])
 
     def predict(self, stats: np.ndarray) -> np.ndarray:
         x = np.array(stats, dtype=np.float64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -83,7 +84,8 @@ def load_checkpoint(path) -> tuple[object, dict]:
     """Rebuild the network from a checkpoint; returns (net, header).
 
     A file that is not a well-formed checkpoint raises CheckpointError
-    naming it."""
+    naming it, as does a header whose input_scale is not a finite number
+    > 0 or whose step is not an integer >= 0."""
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -104,11 +106,23 @@ def load_checkpoint(path) -> tuple[object, dict]:
     # every entry below comes from the file, so a wrong type or a missing
     # key is a malformed header
     try:
+        _check_training_entries(header)
         return _rebuild(header, data), header
     except KeyError as exc:
         raise CheckpointError(f"{path}: bad header: no {exc} entry") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from None
+
+
+def _check_training_entries(header: dict) -> None:
+    """ValueError unless input_scale, which decoding and a resume apply, is
+    a finite number > 0 and step, where a resume goes on, an integer >= 0."""
+    scale, step = header["input_scale"], header["step"]
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not (math.isfinite(scale) and scale > 0)):
+        raise ValueError(f"input_scale {scale!r} is not a finite number > 0")
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise ValueError(f"step {step!r} is not an integer >= 0")
 
 
 def _rebuild(header: dict, data: bytes):

@@ -38,8 +38,9 @@ class Estimator(Protocol):
 
 
 def hard_messages(code: LinearCode, llr: np.ndarray) -> np.ndarray:
-    """A l^b: the (B, k) messages of the hard decisions of a (B, n) batch."""
-    return code.p_inv_apply(hard_split(llr)[0])
+    """A l^b: the (B, k) messages of the hard decisions of a (B, n) batch,
+    l^b = 1(l < 0) as in hard_split, without its reliabilities."""
+    return code.p_inv_apply((np.asarray(llr) < 0).astype(np.uint8))
 
 
 def statistic_batch(code: LinearCode, llr: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 import threading
@@ -58,3 +59,18 @@ def load_tool(monkeypatch):
         return tool
 
     return load
+
+
+@pytest.fixture
+def edit_header():
+    """edit_header(path, edit) replaces the JSON header of the checkpoint at
+    path by edit(header), keeping the data section and so its sha256."""
+    def edit_header(path, edit):
+        raw = pathlib.Path(path).read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        hbytes = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()
+        pathlib.Path(path).write_bytes(
+            raw[:8] + len(hbytes).to_bytes(4, "little") + hbytes
+            + raw[12 + hlen:])
+
+    return edit_header

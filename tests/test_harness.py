@@ -19,6 +19,7 @@ import pytest
 from bicmlab import cli, harness
 from bicmlab.harness import (
     ExperimentConfig,
+    NeuralEstimator,
     StopRule,
     TrainConfig,
     config_kwargs,
@@ -34,6 +35,7 @@ from bicmlab.bicm import predicted_crossover, transmit_batch
 from bicmlab.gf2code import get_code
 from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.neural import (
+    CheckpointError,
     RnnConfig,
     RnnEstimator,
     TrainingDiverged,
@@ -743,6 +745,47 @@ class TestTraining:
         assert "alpha=1" in str(exc.value)
         assert ckpt.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["est.ckpt"]
+
+    # header entry: (key, value or None to delete it, error after the path)
+    BAD_ENTRIES = {
+        "no-scale": ("input_scale", None, "no 'input_scale' entry"),
+        "scale-str": ("input_scale", "x",
+                      "input_scale 'x' is not a finite number > 0"),
+        "scale-neg": ("input_scale", -1,
+                      "input_scale -1 is not a finite number > 0"),
+        "scale-nan": ("input_scale", float("nan"),
+                      "input_scale nan is not a finite number > 0"),
+        "step-str": ("step", "5", "step '5' is not an integer >= 0"),
+        "step-neg": ("step", -1, "step -1 is not an integer >= 0"),
+    }
+
+    @pytest.mark.parametrize("use", ["decode", "resume"])
+    @pytest.mark.parametrize("entry", BAD_ENTRIES)
+    def test_bad_training_entry_refused_at_load(self, tmp_path, edit_header,
+                                                entry, use):
+        # the sha256 covers only the data, so it stays valid
+        cfg = TrainConfig(code="polar_16_8", alpha=1, time_steps=1, depth=1,
+                          batch_size=64, steps=1, out=str(tmp_path / "t.ckpt"))
+        code = get_code(cfg.code)
+        ckpt = tmp_path / "est.ckpt"
+        save_checkpoint(ckpt, cfg.build_network(code, np.random.default_rng(0)))
+        key, value, error = self.BAD_ENTRIES[entry]
+
+        def edit(header):
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+            return header
+
+        edit_header(ckpt, edit)
+        with pytest.raises(CheckpointError) as exc:
+            if use == "decode":
+                NeuralEstimator.from_checkpoint(ckpt, code)
+            else:
+                train_estimator(replace(cfg, resume=str(ckpt)))
+        assert str(exc.value) == f"{ckpt}: bad header: {error}"
+        assert list(tmp_path.iterdir()) == [ckpt]
 
     def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
         def refuse(thread):

@@ -7,7 +7,12 @@ import pytest
 from bicmlab.bicm import transmit_batch
 from bicmlab.gf2code import all_messages, get_code, hamming_7_4, repetition_2_1
 from bicmlab.modem import NoiseConfig, build_constellation, hard_split
-from bicmlab.sbnd import decode_batch, make_training_batch, statistic_batch
+from bicmlab.sbnd import (
+    decode_batch,
+    hard_messages,
+    make_training_batch,
+    statistic_batch,
+)
 from oracles import map_noise_equivalence
 
 
@@ -84,6 +89,16 @@ class TestDecode:
         fb = transmit_batch(code, const, nc, rng, 100)
         got = decode_batch(code, fb.llr, ZeroEstimator(code.k))
         assert np.array_equal(got, code.p_inv_apply(hard_split(fb.llr)[0]))
+
+    def test_hard_messages_keep_the_tie_rule(self):
+        # exact zeros, of either sign, decide 0 as in hard_split
+        code = get_code("polar_16_8")
+        llr = np.random.default_rng(5).normal(size=(64, 16)).round()
+        llr[:, ::3] = 0.0
+        llr[1::2, ::6] = -0.0
+        assert np.count_nonzero(llr == 0) > 64 * 5
+        assert np.array_equal(hard_messages(code, llr),
+                              code.p_inv_apply(hard_split(llr)[0]))
 
     def test_oracle_estimator_recovers_exactly(self):
         code = get_code("polar_32_16")
