@@ -2,10 +2,11 @@
 
 The transmit path is encoder -> per-frame random interleaver -> modulator ->
 complex AWGN -> bit-LLR demapper -> deinterleaver.  On top of it sit the
-channel-model checks: per-position crossover estimation, the binary-symmetry
-z-test, the memorylessness (pairwise flip correlation) probe, and an
-analytic crossover oracle: the Gaussian mass of the max-log decision regions
-in closed form.
+channel-model checks: one pass of max-log transmissions that gathers both
+the per-position crossover counts and the pairwise flip moments
+(channel_statistics), the binary-symmetry z-test and the memorylessness
+(pairwise flip correlation) bound that read it, and an analytic crossover
+oracle: the Gaussian mass of the max-log decision regions in closed form.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .modem import (
     awgn,
     clamp_llrs,
     demap,
-    hard_split,
     modulate,
 )
+# hard_split stays importable from here: bench/spans.py traces it by this name
+from .modem import hard_split  # noqa: F401
 
 __all__ = [
     "draw_interleaver",
@@ -32,12 +34,10 @@ __all__ = [
     "deinterleave",
     "FrameBatch",
     "transmit_batch",
-    "ChannelEstimate",
-    "estimate_channel",
+    "ChannelStatistics",
+    "channel_statistics",
     "SymmetryResult",
     "bsc_symmetry_ztest",
-    "MemorylessnessResult",
-    "measure_flip_correlation",
     "predicted_crossover",
 ]
 
@@ -132,28 +132,26 @@ def transmit_batch(
     return FrameBatch(u=u, c=c, perms=perms, llr=deinterleave(llr, perms))
 
 
-@dataclass
-class ChannelEstimate:
-    """Flip counts of hard decisions vs transmitted bits, per constellation
-    bit position s in [1..m] and per transmitted value c in {0, 1}."""
+@dataclass(frozen=True)
+class ChannelStatistics:
+    """Hard-decision flip statistics of `frames` max-log transmissions.
 
-    m: int
-    flips: np.ndarray | None = None   # (m, 2) float64 counts
-    totals: np.ndarray | None = None  # (m, 2)
+    flips and totals count, per constellation bit position s in [1..m] and
+    per sent value c in {0, 1}, the flips and the observations in the
+    interleaved domain, over symbols free of padding.  w_sum and w_gram are
+    the code-order sums of the flip indicators w = c ^ l^b and of w^T w, from
+    which the pairwise flip correlations follow.
+    """
 
-    def __post_init__(self):
-        if self.flips is None:
-            self.flips = np.zeros((self.m, 2))
-        if self.totals is None:
-            self.totals = np.zeros((self.m, 2))
+    frames: int
+    flips: np.ndarray    # (m, 2) counts
+    totals: np.ndarray   # (m, 2)
+    w_sum: np.ndarray    # (n,)
+    w_gram: np.ndarray   # (n, n)
 
-    def accumulate(self, sent: np.ndarray, flipped: np.ndarray) -> None:
-        """Add (symbols, m) boolean arrays of sent bits and of flips."""
-        ones = sent.sum(axis=0)
-        flips_ones = (flipped & sent).sum(axis=0)
-        self.totals += np.column_stack([len(sent) - ones, ones])
-        self.flips += np.column_stack([flipped.sum(axis=0) - flips_ones,
-                                       flips_ones])
+    @property
+    def m(self) -> int:
+        return self.flips.shape[0]
 
     def p_hat(self, s: int, c: int) -> float:
         """Estimated flip probability at 1-based position s given sent c."""
@@ -168,39 +166,66 @@ class ChannelEstimate:
         var = p * (1 - p) / self.totals[:, 0]
         return float(np.sqrt(np.sum(var)) / self.m)
 
+    def corr(self) -> np.ndarray:
+        """(n, n) pairwise flip correlations across code positions, with a
+        zero diagonal."""
+        mean = self.w_sum / self.frames
+        cov = self.w_gram / self.frames - np.outer(mean, mean)
+        sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
+        corr = cov / np.outer(sd, sd)
+        np.fill_diagonal(corr, 0.0)
+        return corr
 
-def estimate_channel(
+    @property
+    def max_abs_corr(self) -> float:
+        return float(np.max(np.abs(self.corr())))
+
+
+def channel_statistics(
     code: LinearCode,
     const: Constellation,
     noise: NoiseConfig,
     frames: int,
     rng: np.random.Generator,
-) -> ChannelEstimate:
-    """Accumulate hard-decision flip statistics over `frames` max-log
-    transmissions, drawn in chunks of 8192 frames (the chunks order the RNG
-    draws, so they fix the counts).
+    *,
+    interleaver: np.ndarray | None = None,
+) -> ChannelStatistics:
+    """Flip statistics over `frames` max-log transmissions, drawn in chunks
+    of 8192 frames (the chunks order the RNG draws, so they fix the counts).
 
-    Statistics live in the interleaved (constellation) domain: slot j of a
-    frame occupies bit position (j mod m) + 1 of symbol j // m.  Pad slots
-    carry known constant bits, so any symbol containing padding is excluded:
-    its code bits do not see the uniform-neighbor channel the position-wise
-    law describes.
+    The per-position counts live in the interleaved (constellation) domain:
+    slot j of a frame occupies bit position (j mod m) + 1 of symbol j // m.
+    Pad slots carry known constant bits, so any symbol containing padding is
+    excluded: its code bits do not see the uniform-neighbor channel the
+    position-wise law describes.  The correlations live in the code domain.
+    With a fresh interleaver per frame the flips should be indistinguishable
+    from independent; a pinned interleaver exposes the same-symbol coupling.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    n_clean = (code.n // const.m) * const.m  # slots free of padding
-    est = ChannelEstimate(m=const.m)
+    n, m = code.n, const.m
+    n_clean = (n // m) * m  # slots free of padding
+    # key 4(s - 1) + 2c + w of each pad-free slot, s its bit position
+    offset = 4 * (np.arange(n_clean) % m)
+    counts = np.zeros(4 * m, dtype=np.int64)
+    w_sum = np.zeros(n)
+    w_gram = np.zeros((n, n))
     done = 0
     while done < frames:
         b = min(8192, frames - done)
-        fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog")
-        c_tilde = interleave(fb.c, fb.perms)[:, :n_clean]
-        llr_tilde = interleave(fb.llr, fb.perms)[:, :n_clean]
-        sent = c_tilde.astype(bool).reshape(-1, const.m)
-        hard = (llr_tilde < 0).reshape(-1, const.m)
-        est.accumulate(sent, hard ^ sent)
+        fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog",
+                            interleaver=interleaver)
+        w = fb.c ^ (fb.llr < 0)
+        key = interleave(2 * fb.c + w, fb.perms)[:, :n_clean] + offset
+        counts += np.bincount(key.ravel(), minlength=4 * m)
+        w = w.astype(np.float64)
+        w_sum += w.sum(axis=0)
+        w_gram += w.T @ w
         done += b
-    return est
+    counts = counts.reshape(m, 2, 2)  # [s - 1, c, w]
+    return ChannelStatistics(frames=frames, flips=counts[:, :, 1],
+                             totals=counts.sum(axis=2), w_sum=w_sum,
+                             w_gram=w_gram)
 
 
 @dataclass(frozen=True)
@@ -215,7 +240,7 @@ class SymmetryResult:
                          abs(self.z_pooled)))
 
 
-def bsc_symmetry_ztest(est: ChannelEstimate) -> SymmetryResult:
+def bsc_symmetry_ztest(est: ChannelStatistics) -> SymmetryResult:
     """Two-proportion z-test of the crossover symmetry per bit position.
 
     z = (p_hat(1|0) - p_hat(0|1)) / stderr with the pooled binomial stderr.
@@ -233,51 +258,6 @@ def bsc_symmetry_ztest(est: ChannelEstimate) -> SymmetryResult:
     se = np.sqrt(pooled * (1 - pooled) * (1 / totals[:, 0] + 1 / totals[:, 1]))
     z = np.divide(p[:, 0] - p[:, 1], se, out=np.zeros_like(se), where=se != 0)
     return SymmetryResult(z_by_position=z[:-1], z_pooled=float(z[-1]))
-
-
-@dataclass(frozen=True)
-class MemorylessnessResult:
-    corr: np.ndarray  # (n, n) pairwise flip correlations, zero diagonal
-
-    @property
-    def max_abs_corr(self) -> float:
-        return float(np.max(np.abs(self.corr)))
-
-
-def measure_flip_correlation(
-    code: LinearCode,
-    const: Constellation,
-    noise: NoiseConfig,
-    frames: int,
-    rng: np.random.Generator,
-    *,
-    interleaver: np.ndarray | None = None,
-) -> MemorylessnessResult:
-    """Empirical pairwise correlation of flip indicators across code positions,
-    over max-log transmissions drawn in chunks of 16384 frames (the chunks
-    order the RNG draws, so they fix the result).
-
-    With a fresh interleaver per frame the flips should be indistinguishable
-    from independent; a pinned interleaver exposes the same-symbol coupling.
-    """
-    n = code.n
-    s1 = np.zeros(n)
-    s2 = np.zeros((n, n))
-    done = 0
-    while done < frames:
-        b = min(16384, frames - done)
-        fb = transmit_batch(code, const, noise, rng, b, demap_kind="maxlog",
-                            interleaver=interleaver)
-        w = (fb.c ^ hard_split(fb.llr)[0]).astype(np.float64)
-        s1 += w.sum(axis=0)
-        s2 += w.T @ w
-        done += b
-    mean = s1 / frames
-    cov = s2 / frames - np.outer(mean, mean)
-    sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-    corr = cov / np.outer(sd, sd)
-    np.fill_diagonal(corr, 0.0)
-    return MemorylessnessResult(corr=corr)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,9 @@ def _cmd_train(args) -> int:
 def _cmd_verify_channel(args) -> int:
     # the 0.02 correlation bound needs ~6e4+ frames before null noise on the
     # max over ~2000 position pairs stays clear of it
-    bits = 1_000_000 if not args.quick else 200_000
-    frames = 150_000 if not args.quick else 60_000
-    rows = harness.verify_channel(seed=args.seed, symmetry_bits=bits,
-                                  corr_frames=frames)
+    sizes = (dict(symmetry_bits=200_000, corr_frames=60_000) if args.quick
+             else {})
+    rows = harness.verify_channel(seed=args.seed, **sizes)
     width = max(len(r.name) for r in rows)
     failures = 0
     for r in rows:

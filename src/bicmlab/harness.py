@@ -28,9 +28,8 @@ from . import refdec
 from .bicm import (
     FrameBatch,
     bsc_symmetry_ztest,
+    channel_statistics,
     draw_interleaver,
-    estimate_channel,
-    measure_flip_correlation,
     predicted_crossover,
     transmit_batch,
 )
@@ -539,11 +538,17 @@ def _check_directories(cfg, *keys: str) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    """Write text through a temporary file, so path is never half written."""
+    """Write text as utf-8 through a temporary file, so path is never half
+    written; a failed write removes the temporary file."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +750,7 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
 
     bpsk = build_constellation("bpsk")
     n0 = NoiseConfig.from_esn0_db(0.0)
-    est = estimate_channel(code, bpsk, n0, frames_sym, rng)
+    est = channel_statistics(code, bpsk, n0, frames_sym, rng)
     q_hat, se = est.pooled_q(), est.pooled_q_stderr()
     _, q_ref = predicted_crossover(bpsk, n0)
     rows.append(CheckRow("bpsk@0dB crossover vs closed form (|dev|/sigma)",
@@ -756,7 +761,7 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
         for esn0 in esn0_list:
             noise = NoiseConfig.from_esn0_db(esn0)
             tag = f"{kind}@{esn0:g}dB"
-            est = estimate_channel(code, const, noise, frames_sym, rng)
+            est = channel_statistics(code, const, noise, frames_sym, rng)
             z = bsc_symmetry_ztest(est)
             rows.append(CheckRow(f"{tag} symmetry max |z|", z.max_abs_z(),
                                  "<= 4", z.max_abs_z() <= 4.0))
@@ -767,8 +772,7 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
                     f"{tag} crossover vs closed form (|dev|/sigma)",
                     abs(q_hat - q_ref) / se, "<= 3",
                     abs(q_hat - q_ref) <= 3 * se))
-            corr = measure_flip_correlation(code, const, noise, corr_frames,
-                                            rng)
+            corr = channel_statistics(code, const, noise, corr_frames, rng)
             rows.append(CheckRow(f"{tag} flip correlation max |corr|",
                                  corr.max_abs_corr, "<= 0.02",
                                  corr.max_abs_corr <= 0.02))

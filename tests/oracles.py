@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 
-from bicmlab.bicm import ChannelEstimate
+from bicmlab.bicm import ChannelStatistics
 from bicmlab.gf2code import LinearCode
 from bicmlab.neural import bce_with_logits
 
@@ -46,7 +46,7 @@ def map_noise_equivalence(code: LinearCode, q: float, hard: np.ndarray
     return u_message, u_noise
 
 
-def channel_csv(est: ChannelEstimate) -> str:
+def channel_csv(est: ChannelStatistics) -> str:
     """The flip counts of est as CSV rows (s, c, flips, total, p_hat)."""
     out = io.StringIO()
     out.write("s,c,flips,total,p_hat\n")

@@ -20,8 +20,7 @@ import pytest
 
 from bicmlab.bicm import (
     bsc_symmetry_ztest,
-    estimate_channel,
-    measure_flip_correlation,
+    channel_statistics,
     predicted_crossover,
     transmit_batch,
 )
@@ -112,8 +111,8 @@ def _channel_setup(kind, esn0_db):
 ])
 def test_criterion_2_symmetry(kind, esn0_db):
     code, const, noise = _channel_setup(kind, esn0_db)
-    est = estimate_channel(code, const, noise, SYMMETRY_FRAMES,
-                           _rng(2, int(esn0_db), const.m))
+    est = channel_statistics(code, const, noise, SYMMETRY_FRAMES,
+                             _rng(2, int(esn0_db), const.m))
     z = bsc_symmetry_ztest(est).max_abs_z()
     ok = z <= 4.0
     report(f"2 symmetry {kind}@{esn0_db:g}dB", ok, f"max |z| = {z:.2f} <= 4")
@@ -124,8 +123,8 @@ def test_criterion_2_symmetry_qam16_at_0db():
     # Known red: the magnitude-bit asymmetry at Es/N0 = 0 dB is ~0.10, i.e.
     # dozens of sigma at 1e6 bits.  Asserted as specified, fails honestly.
     code, const, noise = _channel_setup("qam16", 0.0)
-    est = estimate_channel(code, const, noise, SYMMETRY_FRAMES,
-                           _rng(2, 0, const.m))
+    est = channel_statistics(code, const, noise, SYMMETRY_FRAMES,
+                             _rng(2, 0, const.m))
     z = bsc_symmetry_ztest(est).max_abs_z()
     ok = z <= 4.0
     report("2 symmetry qam16@0dB", ok, f"max |z| = {z:.2f} <= 4")
@@ -137,8 +136,8 @@ def test_criterion_2_symmetry_qam16_at_0db():
 ])
 def test_criterion_2_memorylessness(kind, esn0_db):
     code, const, noise = _channel_setup(kind, esn0_db)
-    res = measure_flip_correlation(code, const, noise, CORR_FRAMES,
-                                   _rng(3, int(esn0_db), const.m))
+    res = channel_statistics(code, const, noise, CORR_FRAMES,
+                             _rng(3, int(esn0_db), const.m))
     ok = res.max_abs_corr <= 0.02
     report(f"2 memorylessness {kind}@{esn0_db:g}dB", ok,
            f"max |corr| = {res.max_abs_corr:.4f} <= 0.02")
@@ -151,7 +150,7 @@ def test_criterion_2_crossover_oracles():
 
     bpsk = build_constellation("bpsk")
     n0 = NoiseConfig.from_esn0_db(0.0)
-    est = estimate_channel(code, bpsk, n0, SYMMETRY_FRAMES, _rng(4, 0))
+    est = channel_statistics(code, bpsk, n0, SYMMETRY_FRAMES, _rng(4, 0))
     q_ref = 0.5 * math.erfc(1.0)  # Q(sqrt(2))
     dev = abs(est.pooled_q() - q_ref) / est.pooled_q_stderr()
     checks.append(("bpsk@0dB vs Q(sqrt2)", dev))
@@ -160,8 +159,8 @@ def test_criterion_2_crossover_oracles():
     for esn0 in (3.0, 6.0):
         noise = NoiseConfig.from_esn0_db(esn0)
         _, q_ref = predicted_crossover(psk8, noise)
-        est = estimate_channel(code, psk8, noise, SYMMETRY_FRAMES,
-                               _rng(4, int(esn0)))
+        est = channel_statistics(code, psk8, noise, SYMMETRY_FRAMES,
+                                 _rng(4, int(esn0)))
         dev = abs(est.pooled_q() - q_ref) / est.pooled_q_stderr()
         checks.append((f"psk8@{esn0:g}dB vs closed form", dev))
 

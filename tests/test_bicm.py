@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from bicmlab.bicm import (
-    ChannelEstimate,
+    ChannelStatistics,
     FrameBatch,
+    channel_statistics,
     deinterleave,
     draw_interleaver,
-    estimate_channel,
     interleave,
-    measure_flip_correlation,
     predicted_crossover,
     bsc_symmetry_ztest,
     transmit_batch,
@@ -313,19 +312,84 @@ class TestWorkingSet:
         assert np.array_equal(l, [-LLR_CLAMP, LLR_CLAMP, 3.0])
 
 
+def counts_only(flips, totals) -> ChannelStatistics:
+    """ChannelStatistics with the given (m, 2) counts and no flip moments."""
+    return ChannelStatistics(frames=0, flips=np.array(flips),
+                             totals=np.array(totals), w_sum=np.zeros(0),
+                             w_gram=np.zeros((0, 0)))
+
+
+def reference_statistics(code, const, batches):
+    """The counts, sum w and w^T w of channel_statistics, hand-rolled from
+    FrameBatches: slot by slot in the interleaved domain over the pad-free
+    symbols, and by integer products in the code domain."""
+    m, n = const.m, code.n
+    n_clean = (n // m) * m
+    flips, totals = np.zeros((m, 2), int), np.zeros((m, 2), int)
+    w_sum, w_gram = np.zeros(n, int), np.zeros((n, n), int)
+    for fb in batches:
+        w = (fb.c ^ hard_split(fb.llr)[0]).astype(int)
+        sent, flipped = interleave(fb.c, fb.perms), interleave(w, fb.perms)
+        for j in range(n_clean):
+            for c in (0, 1):
+                rows = sent[:, j] == c
+                totals[j % m, c] += np.count_nonzero(rows)
+                flips[j % m, c] += np.count_nonzero(flipped[rows, j])
+        w_sum += w.sum(axis=0)
+        w_gram += w.T @ w
+    return flips, totals, w_sum, w_gram
+
+
+class TestChannelStatistics:
+    @pytest.mark.parametrize("kind,esn0,frames", [
+        ("psk8", 3.0, 3_000),          # 64 = 21 * 3 + 1: symbol 21 padded
+        ("qam16", 0.0, 3_000),
+        ("psk8", 3.0, 8_192 + 100),    # two chunks
+    ])
+    def test_matches_reference(self, kind, esn0, frames):
+        code = get_code("polar_64_32")
+        const = build_constellation(kind)
+        nc = NoiseConfig.from_esn0_db(esn0)
+        got = channel_statistics(code, const, nc, frames,
+                                 np.random.default_rng(22))
+        rng = np.random.default_rng(22)
+        chunks = [min(8_192, frames - i) for i in range(0, frames, 8_192)]
+        batches = [transmit_batch(code, const, nc, rng, b, demap_kind="maxlog")
+                   for b in chunks]
+        flips, totals, w_sum, w_gram = reference_statistics(code, const,
+                                                            batches)
+        assert got.frames == frames
+        assert np.array_equal(got.flips, flips)
+        assert np.array_equal(got.totals, totals)
+        assert np.array_equal(got.w_sum, w_sum)
+        assert np.array_equal(got.w_gram, w_gram)
+        assert got.totals.sum() == frames * (code.n // const.m) * const.m
+        w = np.concatenate([fb.c ^ hard_split(fb.llr)[0] for fb in batches])
+        want = np.corrcoef(w.T)
+        np.fill_diagonal(want, 0.0)
+        np.testing.assert_allclose(got.corr(), want, rtol=0, atol=1e-12)
+
+    def test_zero_frames_refused(self):
+        with pytest.raises(ValueError, match="frames must be >= 1"):
+            channel_statistics(get_code("polar_64_32"),
+                               build_constellation("qam16"),
+                               NoiseConfig.from_esn0_db(6.0), 0,
+                               np.random.default_rng(23))
+
+
 class TestChannelEstimate:
     def test_zero_noise_zero_flip_rates(self):
         rng = np.random.default_rng(9)
-        est = estimate_channel(get_code("polar_16_8"),
-                               build_constellation("qam16"),
-                               NoiseConfig(1e-8), 200, rng)
+        est = channel_statistics(get_code("polar_16_8"),
+                                 build_constellation("qam16"),
+                                 NoiseConfig(1e-8), 200, rng)
         assert est.pooled_q() == 0
 
     def test_bpsk_matches_q_of_sqrt2(self):
         rng = np.random.default_rng(10)
         code = get_code("polar_64_32")
-        est = estimate_channel(code, build_constellation("bpsk"),
-                               NoiseConfig.from_esn0_db(0.0), 16_000, rng)
+        est = channel_statistics(code, build_constellation("bpsk"),
+                                 NoiseConfig.from_esn0_db(0.0), 16_000, rng)
         q_hat, se = est.pooled_q(), est.pooled_q_stderr()
         assert abs(q_hat - q_func(math.sqrt(2))) <= 3 * se
 
@@ -353,7 +417,7 @@ class TestChannelEstimate:
         const = build_constellation("psk8")
         nc = NoiseConfig.from_esn0_db(6.0)
         per, q_ref = predicted_crossover(const, nc)
-        est = estimate_channel(code, const, nc, 16_000, rng)
+        est = channel_statistics(code, const, nc, 16_000, rng)
         assert abs(est.pooled_q() - q_ref) <= 3 * est.pooled_q_stderr()
         # per-position agreement too
         for s in range(3):
@@ -368,14 +432,14 @@ class TestChannelEstimate:
         const = build_constellation("qam16")
         nc = NoiseConfig.from_esn0_db(6.0)
         per, q_ref = predicted_crossover(const, nc)
-        est = estimate_channel(code, const, nc, 16_000, rng)
+        est = channel_statistics(code, const, nc, 16_000, rng)
         assert abs(est.pooled_q() - q_ref) <= 3 * est.pooled_q_stderr()
 
     def test_pooled_equals_position_mean(self):
         rng = np.random.default_rng(13)
-        est = estimate_channel(get_code("polar_64_32"),
-                               build_constellation("qam16"),
-                               NoiseConfig.from_esn0_db(3.0), 2_000, rng)
+        est = channel_statistics(get_code("polar_64_32"),
+                                 build_constellation("qam16"),
+                                 NoiseConfig.from_esn0_db(3.0), 2_000, rng)
         per = [est.p_hat(s, 0) for s in (1, 2, 3, 4)]
         assert est.pooled_q() == pytest.approx(np.mean(per))
 
@@ -386,17 +450,17 @@ class TestChannelEstimate:
             const = build_constellation(kind)
             qs = []
             for esn0 in (0.0, 3.0, 6.0):
-                est = estimate_channel(code, const,
-                                       NoiseConfig.from_esn0_db(esn0),
-                                       4_000, rng)
+                est = channel_statistics(code, const,
+                                         NoiseConfig.from_esn0_db(esn0),
+                                         4_000, rng)
                 qs.append(est.pooled_q())
             assert qs[0] > qs[1] > qs[2], kind
 
     def test_csv_export(self):
         rng = np.random.default_rng(16)
-        est = estimate_channel(get_code("polar_16_8"),
-                               build_constellation("qam16"),
-                               NoiseConfig.from_esn0_db(3.0), 200, rng)
+        est = channel_statistics(get_code("polar_16_8"),
+                                 build_constellation("qam16"),
+                                 NoiseConfig.from_esn0_db(3.0), 200, rng)
         lines = channel_csv(est).strip().splitlines()
         assert lines[0] == "s,c,flips,total,p_hat"
         assert len(lines) == 1 + 4 * 2
@@ -408,30 +472,28 @@ class TestSymmetry:
         code = get_code("polar_64_32")
         const = build_constellation("psk8")
         for esn0 in (3.0, 6.0):
-            est = estimate_channel(code, const, NoiseConfig.from_esn0_db(esn0),
-                                   16_000, rng)
+            est = channel_statistics(code, const,
+                                     NoiseConfig.from_esn0_db(esn0),
+                                     16_000, rng)
             assert bsc_symmetry_ztest(est).max_abs_z() <= 4.0
 
     def test_qam16_symmetric_at_6db(self):
         # the magnitude bits carry a real residual asymmetry (~0.0037), worth
         # ~1.7 sigma at this sample size; the 4-sigma bound has solid margin
         rng = np.random.default_rng(18)
-        est = estimate_channel(get_code("polar_64_32"),
-                               build_constellation("qam16"),
-                               NoiseConfig.from_esn0_db(6.0), 8_000, rng)
+        est = channel_statistics(get_code("polar_64_32"),
+                                 build_constellation("qam16"),
+                                 NoiseConfig.from_esn0_db(6.0), 8_000, rng)
         assert bsc_symmetry_ztest(est).max_abs_z() <= 4.0
 
     def test_detects_synthetic_asymmetry(self):
-        est = ChannelEstimate(m=1)
-        est.totals[0, 0] = est.totals[0, 1] = 100_000
-        est.flips[0, 0] = 20_000   # p(1|0) = 0.2
-        est.flips[0, 1] = 10_000   # p(0|1) = 0.1
+        # p(1|0) = 0.2, p(0|1) = 0.1
+        est = counts_only(flips=[[20_000, 10_000]],
+                          totals=[[100_000, 100_000]])
         assert abs(bsc_symmetry_ztest(est).z_by_position[0]) > 4.0
 
     def test_insufficient_samples_rejected(self):
-        est = ChannelEstimate(m=1)
-        est.totals[:] = 100
-        est.flips[:] = 10
+        est = counts_only(flips=[[10, 10]], totals=[[100, 100]])
         with pytest.raises(ValueError, match="insufficient"):
             bsc_symmetry_ztest(est)
 
@@ -439,25 +501,25 @@ class TestSymmetry:
 class TestMemorylessness:
     def test_bpsk_flips_independent(self):
         rng = np.random.default_rng(19)
-        res = measure_flip_correlation(get_code("polar_64_32"),
-                                       build_constellation("bpsk"),
-                                       NoiseConfig.from_esn0_db(0.0),
-                                       300_000, rng)
+        res = channel_statistics(get_code("polar_64_32"),
+                                 build_constellation("bpsk"),
+                                 NoiseConfig.from_esn0_db(0.0),
+                                 300_000, rng)
         assert res.max_abs_corr <= 0.01
 
     def test_qam16_fresh_interleaver_uncorrelated(self):
         rng = np.random.default_rng(20)
-        res = measure_flip_correlation(get_code("polar_64_32"),
-                                       build_constellation("qam16"),
-                                       NoiseConfig.from_esn0_db(6.0),
-                                       100_000, rng)
+        res = channel_statistics(get_code("polar_64_32"),
+                                 build_constellation("qam16"),
+                                 NoiseConfig.from_esn0_db(6.0),
+                                 100_000, rng)
         assert res.max_abs_corr <= 0.02
 
     def test_pinned_interleaver_exposes_same_symbol_coupling(self):
         rng = np.random.default_rng(21)
         code = get_code("polar_64_32")
         pin = draw_interleaver(code.n, rng)
-        res = measure_flip_correlation(code, build_constellation("qam16"),
-                                       NoiseConfig.from_esn0_db(6.0),
-                                       30_000, rng, interleaver=pin)
+        res = channel_statistics(code, build_constellation("qam16"),
+                                 NoiseConfig.from_esn0_db(6.0),
+                                 30_000, rng, interleaver=pin)
         assert res.max_abs_corr > 0.02

@@ -1054,6 +1054,34 @@ class TestCli:
         text = capsys.readouterr().out
         assert "parameters" in text
 
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_outputs_under_a_non_ascii_path(self, tmp_path, capsys, command):
+        # config files are read as utf-8, so the CSV header, which echoes the
+        # code path, is written as utf-8 too
+        folder = tmp_path / "\u00fc"
+        folder.mkdir()
+        code = folder / "code.alist"
+        code.write_bytes((Path(harness.__file__).parent / "data"
+                          / "polar_16_8.alist").read_bytes())
+        out = folder / "out.csv"
+        argv = {"simulate": ["simulate", "ebn0_db=3", "max_frames=2048",
+                             f"out={out}"],
+                "train": ["train", "alpha=1", "time_steps=2", "depth=1",
+                          "batch_size=64", "steps=2",
+                          f"out={folder / 't.ckpt'}", f"curve={out}"],
+                }[command] + [f"code={code}"]
+        assert cli.main(argv) == 0
+        first = out.read_text(encoding="utf-8").splitlines()[0]
+        assert first == {"simulate": f"# code={code}",
+                         "train": "step,loss"}[command]
+        # a write that fails once the run is done leaves no temporary file
+        out.unlink()
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not Path(f"{out}.tmp").exists()
+
     def test_train_settings_reach_the_checkpoint(self, tmp_path, capsys):
         # code, steps, seed, out and curve: each of the old train flags
         out, curve = tmp_path / "t.ckpt", tmp_path / "curve.csv"

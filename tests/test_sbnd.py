@@ -42,7 +42,9 @@ class OracleEstimator:
 class TestExtractStatistic:
     def test_length_is_2n_minus_k(self):
         code = hamming_7_4()
-        stat = statistic_batch(code, np.linspace(-1, 1, 7)[None, :])
+        llr = np.linspace(-1, 1, 7)[None, :]
+        hard, stat = statistic_batch(code, llr)
+        assert np.array_equal(hard, hard_split(llr)[0])
         assert stat.shape == (1, 10)
 
     def test_noiseless_codeword_zero_syndrome(self):
@@ -50,7 +52,7 @@ class TestExtractStatistic:
         rng = np.random.default_rng(0)
         fb = transmit_batch(code, build_constellation("qam16"),
                             NoiseConfig(1e-8), rng, 1)
-        stat = statistic_batch(code, fb.llr)
+        stat = statistic_batch(code, fb.llr)[1]
         assert np.all(stat[:, 16:] == 1.0)
 
     def test_coset_sign_flips_preserve_statistic(self):
@@ -61,15 +63,15 @@ class TestExtractStatistic:
         llr = rng.normal(size=16) * 3
         cw = code.encode(rng.integers(0, 2, size=8).astype(np.uint8))
         llr_flipped = llr * (1 - 2 * cw.astype(float))
-        a = statistic_batch(code, llr[None, :])
-        b = statistic_batch(code, llr_flipped[None, :])
+        a = statistic_batch(code, llr[None, :])[1]
+        b = statistic_batch(code, llr_flipped[None, :])[1]
         assert np.allclose(a[:, :16], b[:, :16])
         assert np.array_equal(a[:, 16:], b[:, 16:])
 
     def test_syndrome_encoding_is_plus_minus_one(self):
         code = hamming_7_4()
         llr = np.array([[-1.0, 1, 1, 1, 1, 1, 1]])
-        vec = statistic_batch(code, llr)[0]
+        vec = statistic_batch(code, llr)[1][0]
         assert set(np.sign(vec[7:]).tolist()) <= {-1.0, 1.0}
         # syndrome bit 1 -> -1, syndrome bit 0 -> +1
         syndrome = code.syndrome((llr[0] < 0).astype(np.uint8))

@@ -9,7 +9,9 @@ import os
 import numpy as np
 import pytest
 
-from bicmlab import bicm, harness
+from bicmlab import bicm, harness, sbnd
+from bicmlab.gf2code import get_code
+from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.neural import (
     RnnConfig,
     TransformerConfig,
@@ -65,3 +67,28 @@ def test_inference_runs_through_the_traced_layers(spans):
     encoder_frames = sum(s[7] for s in tracer.spans
                          if s[2] == "neural.encoder.forward")
     assert encoder_frames == frames * tcfg.encoders
+
+
+def test_sbnd_and_training_batches_record_the_statistic(spans):
+    # decode_batch and make_training_batch form their inputs through the
+    # traced statistic_batch, or sbnd.statistic_batch_ms reads 0 on the
+    # SBND and training workloads
+    code = get_code("polar_16_8")
+    fb = bicm.transmit_batch(code, build_constellation("qam16"),
+                             NoiseConfig.from_esn0_db(3.0),
+                             np.random.default_rng(1), 64)
+
+    class Zeros:
+        def predict(self, stats):
+            return np.zeros((stats.shape[0], code.k))
+
+    for run in (lambda: sbnd.decode_batch(code, fb.llr, Zeros()),
+                lambda: harness.make_training_batch(fb, code)):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        names = [s[2] for s in tracer.spans]
+        assert names.count("sbnd.statistic_batch") == 1, names
