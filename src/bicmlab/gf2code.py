@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import io
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -371,19 +370,37 @@ def ext_hamming_8_4() -> LinearCode:
     return LinearCode.from_parity_check(h, name="ext_hamming_8_4")
 
 
-def _polar_from_data(stem: str) -> LinearCode:
-    ref = resources.files("bicmlab.data").joinpath(stem + ".alist")
-    return LinearCode.from_alist(ref.read_text(encoding="ascii"), name=stem)
+def _polar(n: int, k: int) -> LinearCode:
+    """The (n, k) polar code of Arikan ("Channel polarization", IEEE Trans.
+    IT 55(7), 2009) for the BEC(0.5) design channel.
+
+    Each split maps a Bhattacharyya parameter z to 2z - z^2 and z^2; the k
+    synthetic channels of smallest z (a stable argsort, so ties go to the
+    lower index) pick the rows of the log2(n)-fold Kronecker power of
+    [[1, 0], [1, 1]] that span the code, and H is a basis of their dual.
+    G is the basis derive_generator finds for that H, not the Kronecker
+    rows: it fixes which message each codeword carries, so changing it
+    would move every count.
+    """
+    kernel = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    z = np.array([0.5])
+    f = np.ones((1, 1), dtype=np.uint8)
+    while len(z) < n:
+        z = np.stack([2 * z - z * z, z * z], axis=1).ravel()
+        f = np.kron(f, kernel)
+    info = np.sort(np.argsort(z, kind="stable")[:k])
+    return LinearCode.from_parity_check(derive_generator(f[info]),
+                                        name=f"polar_{n}_{k}")
 
 
 _BUILTINS = {
     "repetition_2_1": repetition_2_1,
     "hamming_7_4": hamming_7_4,
     "ext_hamming_8_4": ext_hamming_8_4,
-    "polar_16_8": lambda: _polar_from_data("polar_16_8"),
-    "polar_32_16": lambda: _polar_from_data("polar_32_16"),
-    "polar_64_32": lambda: _polar_from_data("polar_64_32"),
-    "polar_128_64": lambda: _polar_from_data("polar_128_64"),
+    "polar_16_8": lambda: _polar(16, 8),
+    "polar_32_16": lambda: _polar(32, 16),
+    "polar_64_32": lambda: _polar(64, 32),
+    "polar_128_64": lambda: _polar(128, 64),
 }
 
 

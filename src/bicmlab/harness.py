@@ -741,6 +741,8 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
     Hard decisions come from the max-log demapper, whose decision regions are
     the ones the binary channel model is built on.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     set_allocator_policy()
     rows: list[CheckRow] = []
     code = get_code("polar_64_32")

@@ -72,22 +72,52 @@ def _lex_best(codewords: np.ndarray, metrics: np.ndarray) -> tuple[np.ndarray, f
     return top[np.lexsort(top.T[::-1])[0]], float(best)
 
 
+# codewords that exhaustive MAP scores per product: a (B, n) x (n, width)
+# product, so a slice's scores take 8 B width bytes
+_MAP_SLICE = 1 << 10
+
+
+def _map_slices(llr: np.ndarray, cws: np.ndarray):
+    """(first index, (B, width) metrics) of each _MAP_SLICE-codeword slice
+    of the codebook cws."""
+    for s in range(0, len(cws), _MAP_SLICE):
+        yield s, llr @ (1.0 - 2.0 * cws[s:s + _MAP_SLICE]).T
+
+
 def map_decode(code: LinearCode, llr: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive MAP: score all 2^k codewords of every frame in one
-    (B, n) x (n, 2^k) product and return each frame's best codeword and
-    metric."""
+    """Exhaustive MAP: score all 2^k codewords of every frame, one slice of
+    the codebook at a time, and return each frame's best codeword and
+    metric.  A frame carries its best metric, the first codeword that makes
+    it and whether another one ties it across the slices."""
     if code.k > 20:
         raise ValueError(f"k = {code.k} too large for exhaustive decoding")
     llr = _frames(code, llr)
     cws = code.codebook()
-    metrics = llr @ (1.0 - 2.0 * cws.astype(np.float64)).T     # (B, 2^k)
-    best = np.argmax(metrics, axis=1)
-    cw = cws[best]
-    metric = metrics[np.arange(len(llr)), best]
-    # exact ties (possible only for degenerate LLRs)
-    for i in np.flatnonzero(np.sum(metrics == metric[:, None], axis=1) > 1):
-        cw[i], _ = _lex_best(cws, metrics[i])
+    rows = np.arange(len(llr))
+    metric = np.full(len(llr), -np.inf)
+    first = np.zeros(len(llr), dtype=np.intp)
+    tied = np.zeros(len(llr), dtype=bool)
+    for s, part in _map_slices(llr, cws):
+        best = np.argmax(part, axis=1)
+        top = part[rows, best]
+        won = top > metric
+        tied = np.where(won, np.sum(part == top[:, None], axis=1) > 1,
+                        tied | (top == metric))
+        first = np.where(won, s + best, first)
+        metric = np.where(won, top, metric)
+    cw = cws[first]
+    # exact ties (possible only for degenerate LLRs): a second pass gathers
+    # the codewords at each tied frame's best metric
+    ties = np.flatnonzero(tied)
+    if ties.size:
+        # rows (tie, codeword index)
+        hits = np.concatenate([
+            np.argwhere(part[ties] == metric[ties, None]) + (0, s)
+            for s, part in _map_slices(llr, cws)])
+        for t, i in enumerate(ties):
+            at = hits[hits[:, 0] == t, 1]
+            cw[i], _ = _lex_best(cws[at], np.full(at.size, metric[i]))
     return cw, metric
 
 

@@ -1,7 +1,6 @@
 """GF(2) algebra: alist I/O, ranks, generators, pseudo-inverses, codes."""
 
-import importlib.util
-import pathlib
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,7 +21,66 @@ from bicmlab.gf2code import (
     repetition_2_1,
 )
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+# sha256 of the bytes of H, G and A of each built-in code, with their
+# shapes: a change to any construction shows here
+BUILTIN_FINGERPRINTS = {
+    "repetition_2_1": {
+        "h": ((1, 2), "9dcf97a184f32623d11a73124ceb99a5"
+              "709b083721e878a16d78f596718ba7b2"),
+        "g": ((1, 2), "9dcf97a184f32623d11a73124ceb99a5"
+              "709b083721e878a16d78f596718ba7b2"),
+        "a": ((1, 2), "47dc540c94ceb704a23875c11273e16b"
+              "b0b8a87aed84de911f2133568115f254"),
+    },
+    "hamming_7_4": {
+        "h": ((3, 7), "a26f9b5b9357ddac97a81034d1cd60e6"
+              "1b9d1bf1c0d2bebfb48297b578e29089"),
+        "g": ((4, 7), "dce2dea262aa0a83a9564c497088899f"
+              "252d1fa1a72a1ab7f9011ed0f9716c22"),
+        "a": ((4, 7), "7a478394d8042a475e9b462fa818eaaa"
+              "298f03006d58db0901e81726742d55f6"),
+    },
+    "ext_hamming_8_4": {
+        "h": ((4, 8), "f6f6c76fa61153447845c7ef9b081e9b"
+              "e323bf164764049cb57d067b8c277468"),
+        "g": ((4, 8), "7701ade06636806cf9f7670ebe2f64e6"
+              "a739c8c3ef743d6fcee6237c1237c5e0"),
+        "a": ((4, 8), "2c6c4877772d35d10596132be19a68de"
+              "a5884249aeae454dcc0eb4364d4c308d"),
+    },
+    "polar_16_8": {
+        "h": ((8, 16), "26b8dbc32d917a10c6bc68959e220b47"
+              "fdd174a8839b0d7c50ab0c06d3e9e4f9"),
+        "g": ((8, 16), "26b8dbc32d917a10c6bc68959e220b47"
+              "fdd174a8839b0d7c50ab0c06d3e9e4f9"),
+        "a": ((8, 16), "de876554f84fd1c2da29d270199bb3bb"
+              "67e5fab6ce3218054f31d804162aa682"),
+    },
+    "polar_32_16": {
+        "h": ((16, 32), "f97c5a3d3c97f187149d75723f119e87"
+              "9bf7094c4ec75d8be8c131bc55017449"),
+        "g": ((16, 32), "f97c5a3d3c97f187149d75723f119e87"
+              "9bf7094c4ec75d8be8c131bc55017449"),
+        "a": ((16, 32), "a76ed379db90d71b4df638176aa3cd77"
+              "f107dd89144bb4c0f2d9090989657469"),
+    },
+    "polar_64_32": {
+        "h": ((32, 64), "963b864c3b2e3fd145d2b4790138f709"
+              "d3b0745218f4e3897a37606d6432eb52"),
+        "g": ((32, 64), "963b864c3b2e3fd145d2b4790138f709"
+              "d3b0745218f4e3897a37606d6432eb52"),
+        "a": ((32, 64), "cadb659f49bbcf5290bc4eff0236f548"
+              "9a0fbc23dd7de7974e43ff69bd174ccd"),
+    },
+    "polar_128_64": {
+        "h": ((64, 128), "a50faa46d5fd40ad2d697e134e0fc517"
+              "353872bbbbff35d15f45fb4a6dab32a2"),
+        "g": ((64, 128), "a50faa46d5fd40ad2d697e134e0fc517"
+              "353872bbbbff35d15f45fb4a6dab32a2"),
+        "a": ((64, 128), "908e2ff5b7e18ad82e9053666e812d6e"
+              "50adca101cc1453f23f3e6df2027c0f1"),
+    },
+}
 
 
 def rank_by_rowspace(m: np.ndarray) -> int:
@@ -132,16 +190,6 @@ class TestAlist:
         h = get_code("polar_64_32").h
         assert h.shape == (32, 64)
         assert rank_by_elimination(h) == 32
-
-    @pytest.mark.parametrize("n", [16, 32, 64, 128])
-    def test_shipped_polar_alist_matches_its_generator(self, n):
-        spec = importlib.util.spec_from_file_location(
-            "make_polar_alists", ROOT / "tools" / "make_polar_alists.py")
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        shipped = ROOT / "src" / "bicmlab" / "data" / f"polar_{n}_{n // 2}.alist"
-        text = dump_alist(tool.polar_parity_check(n, n // 2))
-        assert text.encode("ascii") == shipped.read_bytes()
 
 
 class TestDeriveGenerator:
@@ -276,6 +324,25 @@ class TestLinearCode:
             shared += [code.codebook(), code.messages()]
         for m in shared:
             assert not m.flags.writeable
+
+    @pytest.mark.parametrize("name", list(BUILTIN_FINGERPRINTS))
+    def test_builtin_fingerprint(self, name):
+        code = get_code(name)
+        got = {f: (getattr(code, f).shape,
+                   hashlib.sha256(getattr(code, f).tobytes()).hexdigest())
+               for f in "hga"}
+        assert got == BUILTIN_FINGERPRINTS[name]
+        assert builtin_code_names() == list(BUILTIN_FINGERPRINTS)
+
+    @pytest.mark.parametrize("name", [n for n in BUILTIN_FINGERPRINTS
+                                      if n.startswith("polar_")])
+    def test_polar_alist_round_trip(self, tmp_path, name):
+        code = get_code(name)
+        path = tmp_path / f"{name}.alist"
+        path.write_text(dump_alist(code.h), encoding="ascii")
+        loaded = get_code(str(path))
+        for f in "hga":
+            assert np.array_equal(getattr(loaded, f), getattr(code, f))
 
     def test_alist_path_read_on_every_call(self, tmp_path):
         path = tmp_path / "code.alist"

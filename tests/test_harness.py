@@ -32,7 +32,7 @@ from bicmlab.harness import (
     write_csv,
 )
 from bicmlab.bicm import predicted_crossover, transmit_batch
-from bicmlab.gf2code import get_code
+from bicmlab.gf2code import dump_alist, get_code
 from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.neural import (
     CheckpointError,
@@ -850,6 +850,16 @@ class TestVerifyChannel:
         assert len(rows) == 11
         assert all(np.isfinite(r.value) for r in rows)
 
+    def test_negative_seed_is_refused(self, capsys):
+        message = "seed must be >= 0, got -1"
+        with pytest.raises(ValueError) as exc:
+            verify_channel(seed=-1)
+        assert str(exc.value) == message
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-channel", "--seed", "-1", "--quick"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"bicmlab: error: {message}\n"
+
 
 class TestCli:
     def test_count_params_output(self, capsys):
@@ -1061,8 +1071,8 @@ class TestCli:
         folder = tmp_path / "\u00fc"
         folder.mkdir()
         code = folder / "code.alist"
-        code.write_bytes((Path(harness.__file__).parent / "data"
-                          / "polar_16_8.alist").read_bytes())
+        code.write_text(dump_alist(get_code("polar_16_8").h),
+                        encoding="ascii")
         out = folder / "out.csv"
         argv = {"simulate": ["simulate", "ebn0_db=3", "max_frames=2048",
                              f"out={out}"],

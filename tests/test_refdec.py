@@ -1,11 +1,13 @@
 """Exhaustive MAP, ordered statistics decoding, and ML-bound bookkeeping."""
 
 import functools
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from bicmlab import refdec
 from bicmlab.bicm import transmit_batch
 from bicmlab.gf2code import (
     LinearCode,
@@ -79,6 +81,40 @@ class TestMapBruteforce:
         a, _ = map_decode(code, fb.llr)
         b, _ = map_decode(code, 7.3 * fb.llr)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name, width", [
+        ("polar_16_8", 5), ("polar_16_8", 64), ("polar_32_16", 1000),
+        ("polar_32_16", refdec._MAP_SLICE)])
+    @pytest.mark.parametrize("integer", [False, True],
+                             ids=["float", "integer"])
+    def test_slices_decode_as_one_slice(self, monkeypatch, name, width,
+                                        integer):
+        # integer LLRs tie, within a slice and across slices
+        code = get_code(name)
+        if integer:
+            llr = np.random.default_rng(4).integers(
+                -3, 4, size=(64, code.n)).astype(np.float64)
+        else:
+            llr = noisy_frames(code, 64, ebn0_db=0.0, seed=4).llr
+        monkeypatch.setattr(refdec, "_MAP_SLICE", 1 << code.k)
+        cw, metric = map_decode(code, llr)
+        monkeypatch.setattr(refdec, "_MAP_SLICE", width)
+        sliced_cw, sliced_metric = map_decode(code, llr)
+        assert np.array_equal(sliced_cw, cw)
+        assert np.array_equal(sliced_metric, metric)
+
+    def test_scores_take_one_slice_at_a_time(self):
+        # all (256, 2^16) float64 scores at once would take 128 MiB
+        code = get_code("polar_32_16")
+        llr = noisy_frames(code, 256, ebn0_db=0.0, seed=5).llr
+        code.codebook()                     # cached, outside the trace
+        tracemalloc.start()
+        try:
+            map_decode(code, llr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
 
 
 def osd_reference(code, llr, order):
