@@ -310,16 +310,18 @@ class LinearCode:
         return gf2_matmul(v, self.a.T)
 
     def codebook(self) -> np.ndarray:
-        """All 2^k codewords, row i = encode(bits of i); cached. k <= 20 only."""
+        """All 2^k codewords, row i = encode(bits of i); cached, beside a
+        copy sorted lexicographically by codeword for exhaustive MAP.
+        k <= 20 only."""
         if self.k > 20:
             raise ValueError(f"codebook of 2^{self.k} codewords is too large")
         if "cw" not in self._codebook:
             msgs = all_messages(self.k)
             cw = self.encode(msgs)
-            for m in (msgs, cw):
+            lex = cw[np.lexsort(cw.T[::-1])]
+            for m in (msgs, cw, lex):
                 m.setflags(write=False)
-            self._codebook["msgs"] = msgs
-            self._codebook["cw"] = cw
+            self._codebook.update(msgs=msgs, lex=lex, cw=cw)
         return self._codebook["cw"]
 
     def messages(self) -> np.ndarray:

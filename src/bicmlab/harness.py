@@ -46,6 +46,7 @@ from .neural import (
     save_checkpoint,
     train_step,
 )
+from .neural.checkpoint import _write_atomic
 from .refdec import ErrorCounter
 from .sbnd import decode_batch, hard_messages, make_training_batch
 # statistic_batch stays importable from here: bench/spans.py traces it by
@@ -515,7 +516,7 @@ def write_csv(path, cfg: ExperimentConfig, records: list[BerRecord]) -> None:
         f"# stop=min_fe:{cfg.stop.min_frame_errors},min_be:{cfg.stop.min_bit_errors},max_frames:{cfg.stop.max_frames}",
         *csv_rows(records),
     ]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def csv_rows(records: list[BerRecord]) -> list[str]:
@@ -530,25 +531,14 @@ def csv_rows(records: list[BerRecord]) -> list[str]:
 
 
 def _check_directories(cfg, *keys: str) -> None:
-    """Refuse an output path in a missing directory, before any work."""
+    """Refuse an output path that is a directory or in a missing directory,
+    before any work."""
     for key in keys:
         path = getattr(cfg, key)
+        if path and os.path.isdir(path):
+            raise ValueError(f"{key} = {path} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"{key} = {path} is in no existing directory")
-
-
-def _write_text(path, text: str) -> None:
-    """Write text as utf-8 through a temporary file, so path is never half
-    written; a failed write removes the temporary file."""
-    tmp = str(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +672,6 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
 
     opt = Adam(net.params(), lr=cfg.lr)
     curve: list[tuple[int, float]] = []
-    replicas: list = []
     workers = train_workers(cfg)
     step = start_step
     t0 = time.perf_counter()
@@ -697,7 +686,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
                 del fb
                 x[:, :code.n] *= input_scale
                 x, t = x.astype(np.float32), t.astype(np.float32)
-                loss = train_step(net, x, t, opt, pool, replicas)
+                loss = train_step(net, x, t, opt, pool)
                 if (step + 1) % cfg.log_every == 0 or step == start_step:
                     curve.append((step + 1, loss))
                     if verbose:
@@ -713,8 +702,8 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     save_checkpoint(cfg.out, net, input_scale=input_scale,
                     step=start_step + cfg.steps, seed=cfg.seed)
     if cfg.curve:
-        _write_text(cfg.curve, "step,loss\n" + "".join(
-            f"{s},{l:.6f}\n" for s, l in curve))
+        _write_atomic(cfg.curve, [("step,loss\n" + "".join(
+            f"{s},{l:.6f}\n" for s, l in curve)).encode("utf-8")])
     return cfg.out
 
 

@@ -70,14 +70,24 @@ def save_checkpoint(path, net, *, input_scale: float = 1.0, step: int = 0,
         "sha256": sha.hexdigest(),
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    _write_atomic(path, [MAGIC, len(hbytes).to_bytes(4, "little"), hbytes,
+                         *chunks])
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write the byte chunks to path through a temporary file, so path is
+    never half written; a failed write or rename removes the temporary
+    file."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(hbytes).to_bytes(4, "little"))
-        fh.write(hbytes)
-        for raw in chunks:
-            fh.write(raw)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for raw in chunks:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[object, dict]:

@@ -2,10 +2,12 @@
 
 A layer keeps no state between calls.  ``forward(x, tape)`` records what
 the backward pass needs in ``tape``, a dict the caller owns, under the
-layer itself as key; ``backward(dy, tape)`` reads it back, accumulates
-parameter gradients into Param.grad, and returns the gradient with respect
-to the input.  Without a tape, forward records nothing, so inference holds
-no activation past its use and one network serves concurrent callers.
+layer itself as key; ``backward(dy, tape)`` reads it back, adds each
+parameter's gradient into the tape's accumulator for that Param (see
+_grad), and returns the gradient with respect to the input.  Without a
+tape, forward records nothing, so inference holds no activation past its
+use, and one network serves concurrent callers: inference and training
+shards alike.
 Everything is plain numpy; dtype is chosen at construction (float32 for
 training, float64 for finite-difference gradient checks).
 """
@@ -18,7 +20,7 @@ __all__ = ["Param", "Dense", "LayerNorm", "GRULayer", "sigmoid"]
 
 
 class Param:
-    """Named trainable array paired with its gradient accumulator."""
+    """Named trainable array and the gradient that an optimizer step reads."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -30,6 +32,15 @@ class Param:
     @property
     def size(self) -> int:
         return self.value.size
+
+
+def _grad(tape: dict, p: Param) -> np.ndarray:
+    """p's gradient accumulator on tape, a zero array until the first add.
+    A caller that wants the gradient in p.grad seeds the tape with it."""
+    g = tape.get(p)
+    if g is None:
+        g = tape[p] = np.zeros_like(p.value)
+    return g
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -66,8 +77,9 @@ class Dense:
         x = tape[self]
         x2 = x.reshape(-1, x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
-        self.w.grad += x2.T @ dy2
-        self.b.grad += dy2.sum(axis=0)
+        gw, gb = _grad(tape, self.w), _grad(tape, self.b)
+        gw += x2.T @ dy2
+        gb += dy2.sum(axis=0)
         return dy @ self.w.value.T
 
 
@@ -100,8 +112,9 @@ class LayerNorm:
         xhat, inv = tape[self]
         d = xhat.shape[-1]
         flat = (-1, d)
-        self.gamma.grad += (dy * xhat).reshape(flat).sum(axis=0)
-        self.beta.grad += dy.reshape(flat).sum(axis=0)
+        ggamma, gbeta = _grad(tape, self.gamma), _grad(tape, self.beta)
+        ggamma += (dy * xhat).reshape(flat).sum(axis=0)
+        gbeta += dy.reshape(flat).sum(axis=0)
         dxhat = dy * self.gamma.value
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
         mean_dxhat_x = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -174,6 +187,7 @@ class GRULayer:
         hh = self.n_out
         wh = self.wh.value
         xs, cache = tape[self]
+        gwh = _grad(tape, self.wh)
         das = np.empty(douts.shape[:2] + (3 * hh,), dtype=douts.dtype)
         dh = np.zeros_like(douts[0])
         for t in range(len(cache) - 1, 0, -1):
@@ -183,14 +197,14 @@ class GRULayer:
             dc = dh_tot * (1.0 - z)
             dh_prev = dh_tot * z
             dac = dc * (1.0 - c * c)
-            self.wh.grad[:, 2 * hh:] += rh.T @ dac
+            gwh[:, 2 * hh:] += rh.T @ dac
             drh = dac @ wh[:, 2 * hh:].T
             dr = drh * h_prev
             dh_prev = dh_prev + drh * r
             daz = dz * z * (1.0 - z)
             dar = dr * r * (1.0 - r)
-            self.wh.grad[:, :hh] += h_prev.T @ daz
-            self.wh.grad[:, hh:2 * hh] += h_prev.T @ dar
+            gwh[:, :hh] += h_prev.T @ daz
+            gwh[:, hh:2 * hh] += h_prev.T @ dar
             dh_prev = dh_prev + daz @ wh[:, :hh].T + dar @ wh[:, hh:2 * hh].T
             np.concatenate([daz, dar, dac], axis=1, out=das[t])
             dh = dh_prev
@@ -204,6 +218,7 @@ class GRULayer:
         if xs.shape[0] != das.shape[0]:
             das = das.sum(axis=0, keepdims=True)
         da2 = das.reshape(-1, 3 * hh)
-        self.wx.grad += xs.reshape(-1, self.n_in).T @ da2
-        self.b.grad += da2.sum(axis=0)
+        gwx, gb = _grad(tape, self.wx), _grad(tape, self.b)
+        gwx += xs.reshape(-1, self.n_in).T @ da2
+        gb += da2.sum(axis=0)
         return das @ self.wx.value.T if input_grad else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import EncoderLayer
-from .layers import Dense, GRULayer, LayerNorm, Param
+from .layers import Dense, GRULayer, LayerNorm, Param, _grad
 
 __all__ = [
     "RnnConfig",
@@ -225,7 +225,8 @@ class TransformerEstimator:
         dh = self.ln_final.backward(dh, tape)
         for e in reversed(self.encoders):
             dh = e.backward(dh, tape)
-        self.embed.grad += np.einsum("bi,bid->id", tape[self], dh)
+        g = _grad(tape, self.embed)
+        g += np.einsum("bi,bid->id", tape[self], dh)
 
     def predict(self, stats: np.ndarray) -> np.ndarray:
         """forward over slices of the batch (see _SLICE_SCORE_BYTES)."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import Executor
 
 import numpy as np
@@ -81,64 +80,50 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray,
     return float(loss.sum() / count), dz.astype(logits.dtype)
 
 
-def _grad_replica(net):
-    """A copy of net that shares every Param.value array with it but owns
-    its grads: a backward on it leaves net's grads alone, and it sees every
-    update of net's weights."""
-    return copy.deepcopy(net, memo={id(p.value): p.value
-                                    for p in net.params()})
-
-
-def _shard_loss(model, x: np.ndarray, targets: np.ndarray,
-                count: int) -> float:
-    """Forward, BCE over count elements and backward of one shard into
-    model's zeroed grads; returns the shard's share of the batch loss."""
-    for p in model.params():
-        p.grad[...] = 0
-    tape: dict = {}
-    logits = model.forward(x, tape)
-    if not np.all(np.isfinite(logits)):
-        raise TrainingDiverged("non-finite activation in forward pass")
-    loss, dz = bce_with_logits(logits, targets, count)
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"non-finite loss {loss}")
-    model.backward(dz, tape)
-    return loss
-
-
 def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
-               pool: Executor | None = None,
-               replicas: list | None = None) -> float:
+               pool: Executor | None = None) -> float:
     """One Adam update of BCE-with-logits on a batch; returns the loss.
 
     The batch splits into TRAIN_SHARD_FRAMES-frame shards, the last one
-    possibly shorter.  Shard 0 runs on net and shard i >= 1 on
-    replicas[i - 1], a copy of net with its own grads.  A short list is
-    appended to, so a caller that keeps it across steps builds each
-    replica once.  The shards run on this thread and on idle threads of
-    pool, when one is given (units.run_in_order).
+    possibly shorter, and every shard runs on net, each with a tape of its
+    own.  The shards run on this thread and on idle threads of pool, when
+    one is given (units.run_in_order), at most one per thread past the
+    next shard to hand back.  Shard 0's tape is seeded with net's zeroed
+    grads; a later shard's accumulators are added into them as it is
+    handed back, in shard order.  So at most threads + 1 shards' gradients
+    are held besides net's.
 
     Each shard's logit gradient is divided by the whole batch's element
-    count, so once the replica grads are added into net's, in shard order,
-    net holds the batch-mean gradient, and the loss is the shard losses
-    summed in shard order.
+    count, so net ends with the batch-mean gradient, and the loss is the
+    shard losses summed in shard order.
     """
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    starts = range(0, x.shape[0], TRAIN_SHARD_FRAMES)
-    if replicas is None:
-        replicas = []
-    while len(replicas) < len(starts) - 1:
-        replicas.append(_grad_replica(net))
-    models = [net, *replicas[:len(starts) - 1]]
-    shards = [(m, x[s:s + TRAIN_SHARD_FRAMES],
-               targets[s:s + TRAIN_SHARD_FRAMES], targets.size)
-              for m, s in zip(models, starts)]
-    losses = list(run_in_order(len(shards),
-                               lambda i: _shard_loss(*shards[i]), pool))
-    for model in models[1:]:
-        for p, q in zip(net.params(), model.params()):
-            p.grad += q.grad
+    params = net.params()
+    for p in params:
+        p.grad[...] = 0
+
+    def shard(i: int) -> tuple[float, list]:
+        """Forward, BCE over the batch's element count and backward of
+        shard i: its share of the loss and, past shard 0, its gradients."""
+        s = slice(i * TRAIN_SHARD_FRAMES, (i + 1) * TRAIN_SHARD_FRAMES)
+        tape = {p: p.grad for p in params} if i == 0 else {}
+        logits = net.forward(x[s], tape)
+        if not np.all(np.isfinite(logits)):
+            raise TrainingDiverged("non-finite activation in forward pass")
+        loss, dz = bce_with_logits(logits, targets[s], targets.size)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss {loss}")
+        net.backward(dz, tape)
+        return loss, [] if i == 0 else [tape[p] for p in params]
+
+    threads = 1 + getattr(pool, "_max_workers", 0)   # this one and pool's
+    losses = []
+    for loss, grads in run_in_order(-(-x.shape[0] // TRAIN_SHARD_FRAMES),
+                                    shard, pool, threads):
+        losses.append(loss)
+        for p, g in zip(params, grads):
+            p.grad += g
     for p in opt.params:
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite gradient in {p.name}")

@@ -88,37 +88,24 @@ def map_decode(code: LinearCode, llr: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive MAP: score all 2^k codewords of every frame, one slice of
     the codebook at a time, and return each frame's best codeword and
-    metric.  A frame carries its best metric, the first codeword that makes
-    it and whether another one ties it across the slices."""
+    metric.  The codewords are scored in lexicographic order, so a slice's
+    first maximum, kept across slices unless a later one is strictly
+    greater, is the lexicographically smallest of the best."""
     if code.k > 20:
         raise ValueError(f"k = {code.k} too large for exhaustive decoding")
     llr = _frames(code, llr)
-    cws = code.codebook()
+    code.codebook()
+    cws = code._codebook["lex"]
     rows = np.arange(len(llr))
     metric = np.full(len(llr), -np.inf)
     first = np.zeros(len(llr), dtype=np.intp)
-    tied = np.zeros(len(llr), dtype=bool)
     for s, part in _map_slices(llr, cws):
         best = np.argmax(part, axis=1)
         top = part[rows, best]
         won = top > metric
-        tied = np.where(won, np.sum(part == top[:, None], axis=1) > 1,
-                        tied | (top == metric))
         first = np.where(won, s + best, first)
         metric = np.where(won, top, metric)
-    cw = cws[first]
-    # exact ties (possible only for degenerate LLRs): a second pass gathers
-    # the codewords at each tied frame's best metric
-    ties = np.flatnonzero(tied)
-    if ties.size:
-        # rows (tie, codeword index)
-        hits = np.concatenate([
-            np.argwhere(part[ties] == metric[ties, None]) + (0, s)
-            for s, part in _map_slices(llr, cws)])
-        for t, i in enumerate(ties):
-            at = hits[hits[:, 0] == t, 1]
-            cw[i], _ = _lex_best(cws[at], np.full(at.size, metric[i]))
-    return cw, metric
+    return cws[first], metric
 
 
 def osd_decode(code: LinearCode, llr: np.ndarray, order: int

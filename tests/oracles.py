@@ -85,9 +85,11 @@ def gradient_check(net, x: np.ndarray, targets: np.ndarray,
     def loss_only() -> float:
         return bce_with_logits(net.forward(x), targets)[0]
 
+    # the backward adds into the tape's accumulators: seeded with the
+    # zeroed grads, it leaves the gradient in p.grad
     for p in params:
         p.grad[...] = 0
-    tape: dict = {}
+    tape: dict = {p: p.grad for p in params}
     logits = net.forward(x, tape)
     loss, dz = bce_with_logits(logits, targets)
     net.backward(dz, tape)

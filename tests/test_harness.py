@@ -3,6 +3,7 @@ config parsing, training entry points, and the CLI."""
 
 import argparse
 import ctypes
+import hashlib
 import os
 import shlex
 import resource
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__ as _cpu_features
 
 from bicmlab import cli, harness
 from bicmlab.harness import (
@@ -674,6 +676,30 @@ class TestTraining:
                           Path(cfg.curve).read_bytes()))
         assert files[0] == files[1] == files[2]
 
+    @pytest.mark.skipif(
+        not _cpu_features.get("AVX512_SPR"),
+        reason="trained weights depend on numpy's SIMD target; the "
+               "fingerprints were recorded at AVX512_SPR")
+    @pytest.mark.parametrize("cores", [1, 2], ids=["inline", "pool"])
+    @pytest.mark.parametrize("preset, code, batch, sha256", [
+        ("desk-rnn", "polar_64_32", 512,
+         "99c8d44f511bf869c8615d5560541a9360d286a6db522e15fa6dc46053270e85"),
+        ("desk-transformer", "polar_32_16", 768,
+         "3fe012e3005e79bb717bd1ba46c18ca6971a7cc28c09951b08fec3bd7bfe0291"),
+        ("desk-rnn", "polar_16_8", 1000,  # the last shard is short
+         "839fe783d86ac65d312e9665a54a8bd5cd11c9c9243a44215be3144affcdcf1e"),
+    ], ids=["rnn-64", "transformer-32", "rnn-16"])
+    def test_checkpoint_fingerprint(self, tmp_path, monkeypatch, cores,
+                                    preset, code, batch, sha256):
+        # six steps' weights, byte for byte: a change to the training
+        # numerics, or to how shard gradients are summed, shows here
+        monkeypatch.setattr(harness, "available_cores", lambda: cores)
+        cfg = train_config_from_preset(
+            preset, code=code, constellation="qam16", demap="exact",
+            batch_size=batch, steps=6, seed=3, out=str(tmp_path / "t.ckpt"))
+        data = Path(train_estimator(cfg)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
+
     @pytest.mark.parametrize("cores", [1, 2], ids=["inline", "pool"])
     def test_diverged_checkpoint_records_completed_steps(
             self, tmp_path, monkeypatch, cores):
@@ -1051,6 +1077,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "bicmlab: error: unknown config key 'osd_ordr'\n"
 
+    @pytest.mark.parametrize("command, key", [("train", "out"),
+                                              ("train", "curve"),
+                                              ("simulate", "out")])
+    def test_output_path_that_is_a_directory_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        work = []
+        monkeypatch.setattr(harness, "transmit_batch",
+                            lambda *a, **k: work.append(a))
+        folder = tmp_path / "d"
+        folder.mkdir()
+        paths = {"out": str(tmp_path / "t.ckpt"), key: str(folder)}
+        argv = {"simulate": ["simulate", "code=polar_16_8", "ebn0_db=3",
+                             "max_frames=2048", f"out={paths['out']}"],
+                "train": ["train", "code=polar_16_8", "steps=3",
+                          "batch_size=64", f"out={paths['out']}",
+                          f"curve={paths.get('curve', '')}"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"bicmlab: error: {key} = {folder} is a directory\n")
+        assert work == []
+        assert list(tmp_path.iterdir()) == [folder]
+        assert list(folder.iterdir()) == []
+
     def test_train_cli_writes_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "t.ckpt"
         cfgfile = tmp_path / "train.cfg"
@@ -1084,7 +1135,8 @@ class TestCli:
         first = out.read_text(encoding="utf-8").splitlines()[0]
         assert first == {"simulate": f"# code={code}",
                          "train": "step,loss"}[command]
-        # a write that fails once the run is done leaves no temporary file
+        # an output path that is a directory is refused, and leaves no
+        # temporary file
         out.unlink()
         out.mkdir()
         with pytest.raises(SystemExit) as exc:

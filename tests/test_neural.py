@@ -14,8 +14,10 @@ import pytest
 from bicmlab.harness import NeuralEstimator
 from bicmlab.neural import models
 from bicmlab.neural.attention import MultiHeadSelfAttention
-from bicmlab.neural.layers import sigmoid
+from bicmlab.neural.layers import _grad, sigmoid
+from bicmlab.units import thread_pool
 from bicmlab.neural import (
+    TRAIN_SHARD_FRAMES,
     Adam,
     CheckpointError,
     GRULayer,
@@ -381,7 +383,7 @@ def _head_only_check(net, x, t, rng, step=1e-6):
     """Central differences restricted to the output dense layer."""
     for p in net.params():
         p.grad[...] = 0
-    tape = {}
+    tape = {p: p.grad for p in net.params()}
     loss, dz = bce_with_logits(net.forward(x, tape), t)
     net.backward(dz, tape)
     worst = 0.0
@@ -530,6 +532,7 @@ class ParentGRULayer(GRULayer):
         hh = self.n_out
         wh = self.wh.value
         xs, cache = tape[self]
+        gwx, gwh, gb = (_grad(tape, p) for p in (self.wx, self.wh, self.b))
         das = np.empty(douts.shape[:2] + (3 * hh,), dtype=douts.dtype)
         dh = np.zeros_like(douts[0])
         for t in reversed(range(len(cache))):
@@ -539,22 +542,22 @@ class ParentGRULayer(GRULayer):
             dc = dh_tot * (1.0 - z)
             dh_prev = dh_tot * z
             dac = dc * (1.0 - c * c)
-            self.wh.grad[:, 2 * hh:] += rh.T @ dac
+            gwh[:, 2 * hh:] += rh.T @ dac
             drh = dac @ wh[:, 2 * hh:].T
             dr = drh * h_prev
             dh_prev = dh_prev + drh * r
             daz = dz * z * (1.0 - z)
             dar = dr * r * (1.0 - r)
-            self.wh.grad[:, :hh] += h_prev.T @ daz
-            self.wh.grad[:, hh:2 * hh] += h_prev.T @ dar
+            gwh[:, :hh] += h_prev.T @ daz
+            gwh[:, hh:2 * hh] += h_prev.T @ dar
             dh_prev = dh_prev + daz @ wh[:, :hh].T + dar @ wh[:, hh:2 * hh].T
             np.concatenate([daz, dar, dac], axis=1, out=das[t])
             dh = dh_prev
         if xs.shape[0] != das.shape[0]:
             das = das.sum(axis=0, keepdims=True)
         da2 = das.reshape(-1, 3 * hh)
-        self.wx.grad += xs.reshape(-1, self.n_in).T @ da2
-        self.b.grad += da2.sum(axis=0)
+        gwx += xs.reshape(-1, self.n_in).T @ da2
+        gb += da2.sum(axis=0)
         return das @ self.wx.value.T
 
 
@@ -594,7 +597,7 @@ class TestBitIdentity:
 
         assert np.array_equal(net.forward(x), ref.forward(x))
         for model in (net, ref):
-            tape = {}
+            tape = {p: p.grad for p in model.params()}
             _, dz = bce_with_logits(model.forward(x, tape), t)
             model.backward(dz, tape)
         for p, q in zip(net.params(), ref.params()):
@@ -613,7 +616,7 @@ def parent_train_step(net, x, targets, opt):
     """train_step as it was before it split batches into shards."""
     for p in opt.params:
         p.grad[...] = 0
-    tape = {}
+    tape = {p: p.grad for p in opt.params}
     logits = net.forward(x, tape)
     z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -646,7 +649,7 @@ class TestShardedStep:
         x = rng.normal(size=(batch, net.cfg.r))
         t = (rng.random((batch, net.cfg.k)) < 0.2).astype(np.float64)
         ref = copy.deepcopy(net)
-        tape = {}
+        tape = {p: p.grad for p in ref.params()}
         want_loss, dz = bce_with_logits(ref.forward(x, tape), t)
         ref.backward(dz, tape)
 
@@ -704,20 +707,33 @@ class TestShardedStep:
         for p, q in zip(net.params(), inline.params()):
             assert np.array_equal(p.value, q.value), p.name
 
-    def test_replicas_are_built_once(self):
-        net = _shard_nets(np.float32)[0]
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(600, net.cfg.r)).astype(np.float32)
-        t = (rng.random((600, net.cfg.k)) < 0.2).astype(np.float32)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_step_holds_at_most_threads_plus_one_gradient_sets(self, threads):
+        # 16 shards, all on net: besides net's grads, at most threads + 1
+        # shards' gradients are alive at once, next to the activations of
+        # the threads' shards.  A one-shard step adds into net's grads and
+        # measures the activations alone
+        rng = np.random.default_rng(6)
+        net = build_rnn_estimator(
+            RnnConfig(r=8, k=4, alpha=32, time_steps=2, depth=1), rng)
+        grad_set = sum(p.grad.nbytes for p in net.params())
+        x = rng.normal(size=(16 * TRAIN_SHARD_FRAMES, 8)).astype(np.float32)
+        t = (rng.random((x.shape[0], 4)) < 0.2).astype(np.float32)
         opt = Adam(net.params())
-        replicas = []
-        train_step(net, x, t, opt, replicas=replicas)
-        built = list(replicas)
-        train_step(net, x, t, opt, replicas=replicas)
-        assert len(built) == 2 and replicas == built
-        for replica in replicas:
-            for p, q in zip(net.params(), replica.params()):
-                assert q.value is p.value and q.grad is not p.grad
+        peaks = []
+        with thread_pool(threads - 1) as pool:
+            tracemalloc.start()
+            try:
+                for frames in (TRAIN_SHARD_FRAMES, x.shape[0]):
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    train_step(net, x[:frames], t[:frames], opt, pool)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        one, sixteen = peaks
+        assert sixteen <= threads * one + (threads + 1) * grad_set, (
+            one, sixteen, grad_set)
 
     def test_failing_shard_raises_once_every_shard_ends(self, monkeypatch):
         # shard 0 fails at once; the caller sees the error only after the
@@ -728,15 +744,16 @@ class TestShardedStep:
 
         def failing_or_slow(model, x, tape=None):
             logits = forward(model, x, tape)
-            if model is net:
+            if x[0, 0] == 0:  # the first row of shard 0
                 logits[...] = np.nan
             else:
                 time.sleep(0.05)
-                ended.append(model)
+                ended.append(x[0, 0])
             return logits
 
         monkeypatch.setattr(type(net), "forward", failing_or_slow)
-        x = np.ones((600, net.cfg.r), dtype=np.float32)
+        x = np.repeat(np.arange(600, dtype=np.float32)[:, None], net.cfg.r,
+                      axis=1)
         t = np.zeros((600, net.cfg.k), dtype=np.float32)
         with ThreadPoolExecutor(max_workers=3) as pool:
             with pytest.raises(TrainingDiverged, match="activation"):
@@ -769,6 +786,17 @@ class TestCheckpoint:
         net2, _ = load_checkpoint(p1)
         save_checkpoint(p2, net2, input_scale=1.0, step=7, seed=0)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path):
+        # the rename onto a directory fails after the whole file is written
+        net = build_rnn_estimator(
+            RnnConfig(r=8, k=4, alpha=1, time_steps=1, depth=1),
+            np.random.default_rng(1))
+        folder = tmp_path / "d"
+        folder.mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(folder, net)
+        assert list(tmp_path.iterdir()) == [folder]
 
     def test_corruption_detected(self, tmp_path):
         rng = np.random.default_rng(15)
