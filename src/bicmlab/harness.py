@@ -308,11 +308,9 @@ def _openblas(stem: str):
 
 
 @contextmanager
-def limit_blas_threads(workers: int):
-    """Give BLAS max(1, cores // workers) threads while the block runs, so
-    that `workers` threads of ours and BLAS's own do not oversubscribe the
-    cores, then put the previous count back.  Does nothing where numpy's
-    BLAS is not OpenBLAS."""
+def _blas_threads(count: int):
+    """Give OpenBLAS `count` threads while the block runs, then put the
+    previous count back.  Does nothing where numpy's BLAS is not OpenBLAS."""
     get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
     if get is None or set_ is None:
         yield
@@ -320,11 +318,19 @@ def limit_blas_threads(workers: int):
     set_.argtypes = [ctypes.c_int]
     set_.restype = None
     before = get()
-    set_(max(1, available_cores() // workers))
+    set_(count)
     try:
         yield
     finally:
         set_(before)
+
+
+def limit_blas_threads(workers: int):
+    """Give BLAS max(1, cores // workers) threads while the block runs, so
+    that `workers` threads of ours and BLAS's own do not oversubscribe the
+    cores, then put the previous count back.  Does nothing where numpy's
+    BLAS is not OpenBLAS."""
+    return _blas_threads(max(1, available_cores() // workers))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +440,9 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
 
     The point's RNG streams derive from its index on the grid, so an Eb/N0
     off cfg.ebn0_db needs an explicit point_index.  Units run on this
-    thread and min(cfg.workers, available_cores()) - 1 pool threads.
+    thread and min(cfg.workers, available_cores()) - 1 pool threads, with
+    BLAS on one thread (the caller's count is put back afterwards): the
+    units' GF(2) products are small, and BLAS's own threads slow them.
     """
     if point_index is None:
         if ebn0_db not in cfg.ebn0_db:
@@ -471,7 +479,7 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
     workers = min(cfg.workers, available_cores())
     ahead = 2 * workers if workers > 1 else 1
-    with thread_pool(workers - 1) as pool, closing(
+    with _blas_threads(1), thread_pool(workers - 1) as pool, closing(
             run_in_order(budget, chunk, pool, ahead)) as chunks:
         for counts in chunks:
             total.merge(counts)

@@ -291,6 +291,35 @@ class TestRunPoint:
         assert run_point(cfg, 2.0).frames == chunks * harness.CHUNK_FRAMES
         assert transmits == [harness.CHUNK_FRAMES] * chunks
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_units_run_on_one_blas_thread(self, monkeypatch, workers):
+        # a Python caller's BLAS count holds outside run_point only; inside
+        # a unit BLAS has one thread
+        get = harness._openblas("get_num_threads")
+        set_ = harness._openblas("set_num_threads")
+        if get is None or set_ is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        seen = []
+        real = harness.transmit_batch
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "transmit_batch", spy)
+        cfg = ExperimentConfig(code="polar_16_8", constellation="qpsk",
+                               ebn0_db=(2.0,), workers=workers,
+                               stop=quick_stop(3 * harness.CHUNK_FRAMES))
+        before = get()
+        set_(ctypes.c_int(2))
+        try:
+            caller = get()
+            assert run_point(cfg, 2.0).frames == 3 * harness.CHUNK_FRAMES
+            assert seen == [1] * 3
+            assert get() == caller
+        finally:
+            set_(ctypes.c_int(before))
+
     def test_osd_order_refused_before_any_chunk(self, monkeypatch):
         transmits = []
         monkeypatch.setattr(harness, "transmit_batch",

@@ -252,6 +252,48 @@ class TestOsdBatch:
             assert np.array_equal(one_cw[0], cw[i])
             assert one_metric[0] == metric[i]
 
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "clamped"])
+    @pytest.mark.parametrize("name,order,pieces", [
+        pytest.param(name, order, pieces, id=f"{name}-{order}")
+        for name, order, pieces in [
+            ("polar_64_32", 1, (1, 299, 724)),
+            ("polar_64_32", 2, (1, 299, 724)),
+            # order 3 costs about 3 ms a frame on polar_64_32 and 60 ms on
+            # polar_128_64; its groups hold 47 and 5 frames
+            ("polar_64_32", 3, (1, 37, 90)),
+            ("polar_128_64", 1, (1, 299, 724)),
+            ("polar_128_64", 2, (1, 299, 724)),
+            ("polar_128_64", 3, (1, 3, 4))]])
+    def test_pieces_decode_as_one_block(self, name, order, pieces, kind):
+        # a frame's codeword and metric do not depend on the frames decoded
+        # beside it, nor on where its group and sub-slice boundaries fall
+        code = get_code(name)
+        llr = osd_llrs(code, sum(pieces), kind)
+        cw, metric = osd_decode(code, llr, order)
+        ends = np.cumsum(pieces)
+        parts = [osd_decode(code, llr[end - size:end], order)
+                 for size, end in zip(pieces, ends)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), cw)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), metric)
+
+    @pytest.mark.parametrize("ebn0_db", [1.0, 3.0])
+    def test_working_set(self, ebn0_db):
+        # a 1024-frame block of the osd2-qpsk chain; at 1 dB most frames
+        # score order 2, so the cap on a group's scores bounds the peak
+        code = get_code("polar_64_32")
+        const = build_constellation("qpsk")
+        nc = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
+        llr = transmit_batch(code, const, nc, np.random.default_rng(0),
+                             1024, demap_kind="maxlog").llr
+        osd_decode(code, llr, 2)            # pattern tables built once
+        tracemalloc.start()
+        try:
+            osd_decode(code, llr, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
 
 class TestPruning:
     """The tie-checked ranking and the per-frame effective order."""
@@ -296,7 +338,8 @@ class TestPruning:
         cols, info, basis = _reduce_on_ranking(code.g, _ranking(mag),
                                                llr < 0)
         metric0 = correlation_metric(_encode(cols, info), llr)
-        weights = _effective_orders(llr, mag, metric0, basis, 2)
+        weights = _effective_orders(mag, _score_tolerance(llr), metric0,
+                                    basis, 2)
         assert set(np.unique(weights)) == {0, 1, 2}
         # every flip heavier than a frame's effective order scores below c0
         pats = _test_patterns(code.k, 2)

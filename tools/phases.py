@@ -48,6 +48,7 @@ STAGES = {
         (refdec, "_reduce_on_ranking", "eliminate"),
         (refdec, "_encode", "discrepancy"),
         (refdec, "correlation_metric", "discrepancy"),
+        (refdec, "_score_tolerance", "discrepancy"),
         (refdec, "_effective_orders", "discrepancy"),
         (refdec, "_osd_scores", "score"), (refdec, "_osd_best", "re-encode"),
         (refdec, "_shortlist", "re-encode"),  # inside _osd_best: read only
