@@ -37,9 +37,7 @@ def _config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _config(args)
-    with harness.limit_blas_threads(cfg.workers):
-        records = harness.run_sweep(cfg)
-    print("\n".join(harness.csv_rows(records)))
+    print("\n".join(harness.csv_rows(harness.run_sweep(cfg))))
     if cfg.out:
         print(f"wrote {cfg.out}")
     return 0

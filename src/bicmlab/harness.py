@@ -73,7 +73,6 @@ __all__ = [
     "make_decoder",
     "verify_channel",
     "set_allocator_policy",
-    "limit_blas_threads",
     "CHUNK_FRAMES",
     "DECODE_BLOCK_FRAMES",
 ]
@@ -267,7 +266,7 @@ def set_allocator_policy() -> bool:
 
     Without it, glibc trims each worker thread's heap once a chunk's arrays
     are freed, and the next chunk faults the same pages back in.
-    run_point, train_estimator and verify_channel call this before any pool
+    _simulate, train_estimator and verify_channel call this before any pool
     thread starts; a thread that already holds an arena of its own keeps
     it.  No numerics change.  Returns whether every setting took; where the
     C library has no mallopt (a libc other than glibc), it does nothing and
@@ -323,14 +322,6 @@ def _blas_threads(count: int):
         yield
     finally:
         set_(before)
-
-
-def limit_blas_threads(workers: int):
-    """Give BLAS max(1, cores // workers) threads while the block runs, so
-    that `workers` threads of ours and BLAS's own do not oversubscribe the
-    cores, then put the previous count back.  Does nothing where numpy's
-    BLAS is not OpenBLAS."""
-    return _blas_threads(max(1, available_cores() // workers))
 
 
 # ---------------------------------------------------------------------------
@@ -436,42 +427,34 @@ def _block(fb: FrameBatch, start: int) -> FrameBatch:
 
 def run_point(cfg: ExperimentConfig, ebn0_db: float,
               point_index: int | None = None) -> BerRecord:
-    """Simulate one grid point until the stop rule fires.
-
-    The point's RNG streams derive from its index on the grid, so an Eb/N0
-    off cfg.ebn0_db needs an explicit point_index.  Units run on this
-    thread and min(cfg.workers, available_cores()) - 1 pool threads, with
-    BLAS on one thread (the caller's count is put back afterwards): the
-    units' GF(2) products are small, and BLAS's own threads slow them.
-    """
+    """Simulate one grid point until the stop rule fires: a one-point
+    sweep.  The point's RNG streams derive from its index on the grid, so
+    an Eb/N0 off cfg.ebn0_db needs an explicit point_index."""
     if point_index is None:
         if ebn0_db not in cfg.ebn0_db:
             raise ValueError(f"Eb/N0 {ebn0_db:g} dB is not on the grid "
                              f"{cfg.ebn0_db}; pass point_index")
         point_index = cfg.ebn0_db.index(ebn0_db)
+    return _simulate(cfg, [(point_index, ebn0_db)])[0]
+
+
+def run_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
+    _check_directories(cfg, "out")
+    records = _simulate(cfg, list(enumerate(cfg.ebn0_db)))
+    if cfg.out:
+        write_csv(cfg.out, cfg, records)
+    return records
+
+
+def _simulate(cfg: ExperimentConfig,
+              points: list[tuple[int, float]]) -> list[BerRecord]:
+    """One record per (grid index, Eb/N0 dB) of points, in order, each
+    simulated until the stop rule fires, on one code, decoder, interleaver
+    and pool.  Units run on this thread and min(cfg.workers,
+    available_cores()) - 1 pool threads, with BLAS on one thread from the
+    code's construction to the last fold, then the caller's count again:
+    the GF(2) products are small, and BLAS's own threads slow them."""
     set_allocator_policy()
-    code = get_code(cfg.code)
-    const = build_constellation(cfg.constellation)
-    noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
-    decoder = make_decoder(cfg, code)
-    pinned = (
-        draw_interleaver(code.n, np.random.default_rng(cfg.interleaver_seed))
-        if cfg.interleaver == "pinned" else None
-    )
-
-    def chunk(chunk_index: int) -> ErrorCounter:
-        fb = transmit_batch(
-            code, const, noise, _chunk_rng(cfg.seed, point_index, chunk_index),
-            CHUNK_FRAMES, demap_kind=cfg.demap, interleaver=pinned)
-        blocks = run_in_order(
-            CHUNK_FRAMES // DECODE_BLOCK_FRAMES,
-            lambda i: decoder.decode_chunk(_block(fb, i * DECODE_BLOCK_FRAMES)),
-            pool)
-        return functools.reduce(ErrorCounter.merge, blocks, ErrorCounter())
-
-    t0 = time.perf_counter()
-    total = ErrorCounter()
-
     # chunk partitioning is fixed, so totals never depend on the pool size;
     # a thread past one per core would only hold one more chunk's working
     # set; a single worker gains nothing from a queued chunk, so it never
@@ -479,34 +462,45 @@ def run_point(cfg: ExperimentConfig, ebn0_db: float,
     budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
     workers = min(cfg.workers, available_cores())
     ahead = 2 * workers if workers > 1 else 1
-    with _blas_threads(1), thread_pool(workers - 1) as pool, closing(
-            run_in_order(budget, chunk, pool, ahead)) as chunks:
-        for counts in chunks:
-            total.merge(counts)
-            if cfg.stop.satisfied(total):
-                break
+    records = []
+    # the pool starts no thread before its first unit
+    with _blas_threads(1), thread_pool(workers - 1) as pool:
+        code = get_code(cfg.code)
+        const = build_constellation(cfg.constellation)
+        decoder = make_decoder(cfg, code)
+        pinned = (draw_interleaver(code.n, np.random.default_rng(
+            cfg.interleaver_seed)) if cfg.interleaver == "pinned" else None)
 
-    k = code.k
-    return BerRecord(
-        ebn0_db=ebn0_db,
-        frames=total.frames,
-        bit_errors=total.bit_errors,
-        frame_errors=total.frame_errors,
-        ber=total.bit_errors / (total.frames * k),
-        fer=total.frame_errors / total.frames,
-        ml_bound_ber=(total.ml_bit_errors / (total.frames * k)
-                      if cfg.decoder == "osd" else None),
-        seconds=time.perf_counter() - t0,
-    )
+        def chunk(point_index: int, noise: NoiseConfig,
+                  chunk_index: int) -> ErrorCounter:
+            fb = transmit_batch(code, const, noise, _chunk_rng(
+                cfg.seed, point_index, chunk_index), CHUNK_FRAMES,
+                demap_kind=cfg.demap, interleaver=pinned)
+            blocks = run_in_order(
+                CHUNK_FRAMES // DECODE_BLOCK_FRAMES, lambda i:
+                decoder.decode_chunk(_block(fb, i * DECODE_BLOCK_FRAMES)),
+                pool)
+            return functools.reduce(ErrorCounter.merge, blocks, ErrorCounter())
 
-
-def run_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
-    _check_directories(cfg, "out")
-    records = [
-        run_point(cfg, e, point_index=i) for i, e in enumerate(cfg.ebn0_db)
-    ]
-    if cfg.out:
-        write_csv(cfg.out, cfg, records)
+        for point_index, ebn0_db in points:
+            noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
+            t0 = time.perf_counter()
+            total = ErrorCounter()
+            with closing(run_in_order(
+                    budget, functools.partial(chunk, point_index, noise),
+                    pool, ahead)) as chunks:
+                for counts in chunks:
+                    total.merge(counts)
+                    if cfg.stop.satisfied(total):
+                        break
+            bits = total.frames * code.k
+            records.append(BerRecord(
+                ebn0_db, total.frames, total.bit_errors, total.frame_errors,
+                ber=total.bit_errors / bits,
+                fer=total.frame_errors / total.frames,
+                ml_bound_ber=(total.ml_bit_errors / bits
+                              if cfg.decoder == "osd" else None),
+                seconds=time.perf_counter() - t0))
     return records
 
 
@@ -650,7 +644,8 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     train_workers(cfg) - 1 pool threads; the weights are the same for any
     count.  On a failure the network is saved to <out>.diverged with the
     step count it has completed.  While the shards run, BLAS has
-    available_cores() // train_workers(cfg) threads (limit_blas_threads).
+    max(1, available_cores() // train_workers(cfg)) threads, so that our
+    threads and BLAS's own do not oversubscribe the cores.
     A missing out or curve directory, or a resume of a network other than
     the one cfg builds for its code, is refused before any step.
     """
@@ -684,7 +679,8 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     step = start_step
     t0 = time.perf_counter()
     try:
-        with limit_blas_threads(workers), thread_pool(workers - 1) as pool:
+        with _blas_threads(max(1, available_cores() // workers)), \
+                thread_pool(workers - 1) as pool:
             for step in range(start_step, start_step + cfg.steps):
                 batch_rng = np.random.default_rng(np.random.SeedSequence(
                     entropy=cfg.seed, spawn_key=(1, step)))
@@ -736,43 +732,45 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
     8-PSK (Es/N0 3 and 6 dB) and Gray 16-QAM (0 and 6 dB), and the
     crossover against the closed form for 8-PSK and for BPSK at 0 dB.
     Hard decisions come from the max-log demapper, whose decision regions are
-    the ones the binary channel model is built on.
-    """
+    the ones the binary channel model is built on.  BLAS runs on one thread
+    throughout, as in _simulate, then on the caller's count again."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     set_allocator_policy()
-    rows: list[CheckRow] = []
-    code = get_code("polar_64_32")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(99,)))
-    frames_sym = -(-symmetry_bits // code.n)
+    with _blas_threads(1):
+        rows: list[CheckRow] = []
+        code = get_code("polar_64_32")
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                           spawn_key=(99,)))
+        frames_sym = -(-symmetry_bits // code.n)
 
-    bpsk = build_constellation("bpsk")
-    n0 = NoiseConfig.from_esn0_db(0.0)
-    est = channel_statistics(code, bpsk, n0, frames_sym, rng)
-    q_hat, se = est.pooled_q(), est.pooled_q_stderr()
-    _, q_ref = predicted_crossover(bpsk, n0)
-    rows.append(CheckRow("bpsk@0dB crossover vs closed form (|dev|/sigma)",
-                         abs(q_hat - q_ref) / se, "<= 3", abs(q_hat - q_ref) <= 3 * se))
+        bpsk = build_constellation("bpsk")
+        n0 = NoiseConfig.from_esn0_db(0.0)
+        est = channel_statistics(code, bpsk, n0, frames_sym, rng)
+        q_hat, se = est.pooled_q(), est.pooled_q_stderr()
+        _, q_ref = predicted_crossover(bpsk, n0)
+        rows.append(CheckRow(
+            "bpsk@0dB crossover vs closed form (|dev|/sigma)",
+            abs(q_hat - q_ref) / se, "<= 3", abs(q_hat - q_ref) <= 3 * se))
 
-    for kind, esn0_list in (("psk8", (3.0, 6.0)), ("qam16", (0.0, 6.0))):
-        const = build_constellation(kind)
-        for esn0 in esn0_list:
-            noise = NoiseConfig.from_esn0_db(esn0)
-            tag = f"{kind}@{esn0:g}dB"
-            est = channel_statistics(code, const, noise, frames_sym, rng)
-            z = bsc_symmetry_ztest(est)
-            rows.append(CheckRow(f"{tag} symmetry max |z|", z.max_abs_z(),
-                                 "<= 4", z.max_abs_z() <= 4.0))
-            if kind == "psk8":
-                per, q_ref = predicted_crossover(const, noise)
-                q_hat, se = est.pooled_q(), est.pooled_q_stderr()
-                rows.append(CheckRow(
-                    f"{tag} crossover vs closed form (|dev|/sigma)",
-                    abs(q_hat - q_ref) / se, "<= 3",
-                    abs(q_hat - q_ref) <= 3 * se))
-            corr = channel_statistics(code, const, noise, corr_frames, rng)
-            rows.append(CheckRow(f"{tag} flip correlation max |corr|",
-                                 corr.max_abs_corr, "<= 0.02",
-                                 corr.max_abs_corr <= 0.02))
-    return rows
+        for kind, esn0_list in (("psk8", (3.0, 6.0)), ("qam16", (0.0, 6.0))):
+            const = build_constellation(kind)
+            for esn0 in esn0_list:
+                noise = NoiseConfig.from_esn0_db(esn0)
+                tag = f"{kind}@{esn0:g}dB"
+                est = channel_statistics(code, const, noise, frames_sym, rng)
+                z = bsc_symmetry_ztest(est)
+                rows.append(CheckRow(f"{tag} symmetry max |z|", z.max_abs_z(),
+                                     "<= 4", z.max_abs_z() <= 4.0))
+                if kind == "psk8":
+                    per, q_ref = predicted_crossover(const, noise)
+                    q_hat, se = est.pooled_q(), est.pooled_q_stderr()
+                    rows.append(CheckRow(
+                        f"{tag} crossover vs closed form (|dev|/sigma)",
+                        abs(q_hat - q_ref) / se, "<= 3",
+                        abs(q_hat - q_ref) <= 3 * se))
+                corr = channel_statistics(code, const, noise, corr_frames, rng)
+                rows.append(CheckRow(f"{tag} flip correlation max |corr|",
+                                     corr.max_abs_corr, "<= 0.02",
+                                     corr.max_abs_corr <= 0.02))
+        return rows

@@ -245,7 +245,9 @@ def _osd_scores(code: LinearCode, llr: np.ndarray, cols: np.ndarray,
         for p in range(light, len(pats), block):
             # sums of at most k ones: exact in float32, and so is their parity
             e = _unpack(pats[p:p + block], k).T.astype(np.float32)
-            flips = np.fmod(rt @ e, 2.0)
+            flips = (rt @ e).astype(np.int32)
+            flips &= 1
+            flips = flips.astype(np.float32)
             np.subtract(m0[sl], 2.0 * (s[sl, None, :] @ flips)[:, 0, :],
                         out=out[:, p:p + block])
     return scores

@@ -10,6 +10,7 @@ import resource
 import sys
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -575,6 +576,88 @@ class TestDecodeBlocks:
                (want.frames, want.bit_errors, want.frame_errors)
 
 
+def record_counts(records):
+    return [(r.ebn0_db, r.frames, r.bit_errors, r.frame_errors,
+             r.ml_bound_ber) for r in records]
+
+
+class TestSweep:
+    """A sweep builds its code, decoder, interleaver and pool once, and
+    gives each point the record run_point gives it."""
+
+    def test_three_points_build_one_decoder(self, monkeypatch):
+        built = []
+        real = harness.make_decoder
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "make_decoder", counted)
+        cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
+                               ebn0_db=(1.0, 3.0, 5.0), stop=quick_stop(2048))
+        assert len(run_sweep(cfg)) == 3
+        assert len(built) == 1
+
+    def test_sbnd_sweep_loads_its_checkpoint_once(self, monkeypatch,
+                                                  random_rnn_checkpoint):
+        loads = []
+        real = harness.load_checkpoint
+
+        def counted(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(harness, "load_checkpoint", counted)
+        cfg = replace(block_case("sbnd", random_rnn_checkpoint),
+                      ebn0_db=(2.0, 4.0, 6.0))
+        assert len(run_sweep(cfg)) == 3
+        assert loads == [random_rnn_checkpoint]
+
+    def test_records_do_not_depend_on_workers_or_timing(self, monkeypatch,
+                                                        cores):
+        """Each block sleeps 0-4 ms, seeded by its frames, so blocks and
+        chunks end out of order at several workers."""
+        cores(4)
+
+        class Sleepy(harness.HardPinvDecoder):
+            def decode_chunk(self, fb):
+                time.sleep(zlib.crc32(fb.u.tobytes()) % 5 / 1000)
+                return super().decode_chunk(fb)
+
+        monkeypatch.setitem(harness._DECODERS, "sleepy", Sleepy)
+        cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
+                               decoder="sleepy", ebn0_db=(6.0, 11.0, 14.0),
+                               seed=8, stop=StopRule(
+                                   min_frame_errors=300,
+                                   max_frames=6 * harness.CHUNK_FRAMES))
+        want = record_counts(run_point(cfg, e, point_index=i)
+                             for i, e in enumerate(cfg.ebn0_db))
+        # the grid's points stop after different chunk counts
+        assert len({frames for _, frames, *_ in want}) > 1
+        for workers in (1, 2, 4):
+            got = run_sweep(replace(cfg, workers=workers))
+            assert record_counts(got) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_raises_and_joins_every_thread(self, probe, cores,
+                                                         tmp_path, workers):
+        cores(workers)
+        probe.sleep_s = 0.02
+        # a point is one chunk of two blocks: call 3 is the second point's
+        probe.fail_at = 3
+        out = tmp_path / "s.csv"
+        cfg = replace(probe_config(workers), ebn0_db=(2.0, 4.0, 6.0),
+                      out=str(out))
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 3 failed"):
+            run_sweep(cfg)
+        assert threading.active_count() == threads_before
+        # the third point never started, and no CSV was written
+        assert len(probe.threads) <= 4
+        assert not out.exists()
+
+
 class TestSweepCsv:
     def test_three_point_sweep_schema(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -915,6 +998,35 @@ class TestVerifyChannel:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"bicmlab: error: {message}\n"
 
+    def test_battery_runs_on_one_blas_thread(self, monkeypatch):
+        get = harness._openblas("get_num_threads")
+        set_ = harness._openblas("set_num_threads")
+        if get is None or set_ is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        seen = []
+
+        def spy(name):
+            real = getattr(harness, name)
+
+            def counted(*args, **kwargs):
+                seen.append((name, get()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+
+        spy("get_code")
+        spy("channel_statistics")
+        before = get()
+        set_(ctypes.c_int(2))
+        try:
+            caller = get()
+            verify_channel(seed=0, symmetry_bits=120_000, corr_frames=2_000)
+            assert seen == ([("get_code", 1)]
+                            + [("channel_statistics", 1)] * 9)
+            assert get() == caller
+        finally:
+            set_(ctypes.c_int(before))
+
 
 class TestCli:
     def test_count_params_output(self, capsys):
@@ -1028,32 +1140,44 @@ class TestCli:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_simulate_counts_match_run_point(self, tmp_path, capsys,
                                              monkeypatch, workers):
-        # simulate gives BLAS cores // workers threads while it runs, then
-        # puts the count back; counts must not move
+        # every chunk and block of simulate sees one BLAS thread, and the
+        # caller's count is back afterwards; counts must not move
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
             "code = polar_16_8\nconstellation = qam16\nebn0_db = 1, 3\n"
             "min_frame_errors = 0\nmax_frames = 6144\nseed = 4\n")
         get = harness._openblas("get_num_threads")
+        set_ = harness._openblas("set_num_threads")
         seen = []
-        sweep = harness.run_sweep
+        transmit = harness.transmit_batch
+        decode = harness.HardPinvDecoder.decode_chunk
 
-        def spy(cfg):
+        def spy_transmit(*args, **kwargs):
             seen.append(get() if get else None)
-            return sweep(cfg)
+            return transmit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_sweep", spy)
+        def spy_decode(self, fb):
+            seen.append(get() if get else None)
+            return decode(self, fb)
+
+        monkeypatch.setattr(harness, "transmit_batch", spy_transmit)
+        monkeypatch.setattr(harness.HardPinvDecoder, "decode_chunk",
+                            spy_decode)
         before = get() if get else None
         try:
+            if set_:
+                set_(ctypes.c_int(2))
+            caller = get() if get else None
             assert cli.main(["simulate", "--config", str(cfgfile),
                              f"workers={workers}"]) == 0
+            # two points of 3 chunks, each chunk 2 blocks
+            assert len(seen) == 2 * 3 * (1 + 2)
             if get:
-                assert seen == [max(1, len(os.sched_getaffinity(0))
-                                    // workers)]
-                assert get() == before
+                assert seen == [1] * len(seen)
+                assert get() == caller
         finally:
             if before is not None:
-                harness._openblas("set_num_threads")(ctypes.c_int(before))
+                set_(ctypes.c_int(before))
         rows = capsys.readouterr().out.splitlines()[1:]
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",
                                ebn0_db=(1.0, 3.0), seed=4,
