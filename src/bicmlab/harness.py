@@ -4,11 +4,12 @@ Reproducibility contract: a (config, master seed) pair fully determines every
 count.  Frames are simulated in fixed-size chunks whose RNG streams derive
 from (master seed, grid point index, chunk index), and each chunk is decoded
 in DECODE_BLOCK_FRAMES blocks.  Chunks, blocks and a training step's
-gradient shards are all units of units.run_in_order: the calling thread and
-up to one pool thread per other core each take the next unclaimed unit, and
-results are folded in index order.  No unit's size depends on the worker
-count, and a chunk's counts are integer sums over its blocks, so the totals
-are identical for any worker count, whichever thread ran which unit.
+gradient shards are all units of units.run_in_order: the calling thread runs
+the next unit to fold, up to one pool thread per other core runs the units
+queued after it, and results are folded in index order.  No unit's size
+depends on the worker count, and a chunk's counts are integer sums over its
+blocks, so the totals are identical for any worker count, whichever thread
+ran which unit.
 """
 
 from __future__ import annotations
@@ -457,11 +458,12 @@ def _simulate(cfg: ExperimentConfig,
     set_allocator_policy()
     # chunk partitioning is fixed, so totals never depend on the pool size;
     # a thread past one per core would only hold one more chunk's working
-    # set; a single worker gains nothing from a queued chunk, so it never
-    # starts one past the stop, and no pool starts one past the frame budget
+    # set; fewer than 2 * workers chunks are queued past the next one to
+    # fold, none past the frame budget, and a single worker has no pool to
+    # queue on, so it never starts a chunk past the stop
     budget = -(-cfg.stop.max_frames // CHUNK_FRAMES)
     workers = min(cfg.workers, available_cores())
-    ahead = 2 * workers if workers > 1 else 1
+    ahead = 2 * workers
     records = []
     # the pool starts no thread before its first unit
     with _blas_threads(1), thread_pool(workers - 1) as pool:

@@ -86,12 +86,12 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
 
     The batch splits into TRAIN_SHARD_FRAMES-frame shards, the last one
     possibly shorter, and every shard runs on net, each with a tape of its
-    own.  The shards run on this thread and on idle threads of pool, when
-    one is given (units.run_in_order), at most one per thread past the
-    next shard to hand back.  Shard 0's tape is seeded with net's zeroed
-    grads; a later shard's accumulators are added into them as it is
-    handed back, in shard order.  So at most threads + 1 shards' gradients
-    are held besides net's.
+    own.  This thread runs the next shard to hand back, and the shards
+    after it, fewer than one per thread past it, are queued on pool when
+    one is given (units.run_in_order).  Shard 0's tape is seeded with net's
+    zeroed grads; a later shard's accumulators are added into them as it
+    is handed back, in shard order.  So at most threads + 1 shards'
+    gradients are held besides net's.
 
     Each shard's logit gradient is divided by the whole batch's element
     count, so net ends with the batch-mean gradient, and the loss is the

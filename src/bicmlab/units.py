@@ -1,9 +1,8 @@
-"""Fixed units of work, taken by any idle thread and handed back in order:
+"""Fixed units of work, run on a thread pool and handed back in order:
 the sweep chunks, a chunk's decode blocks and a step's gradient shards."""
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 
@@ -19,55 +18,47 @@ def run_in_order(count: int, unit, pool: Executor | None = None,
                  ahead: int | None = None):
     """Yield unit(0), ..., unit(count - 1) in index order.
 
-    This thread, while it waits for the next result, and helper tasks on
-    pool each take the next unclaimed index, never `ahead` or more past the
-    next one to hand back.  A unit's error is raised in place of its result
-    once no unit is free.  Closing the generator early claims nothing more;
-    it ends only once every claimed unit has ended.  This thread waits only
-    while no unit is free, so a unit may run units on the same pool.
+    The units after the next one to hand back, fewer than `ahead` past it,
+    are queued on pool.  This thread runs the next one itself unless a pool
+    thread has started it; while it waits on a started unit, it runs each
+    later queued unit that it can still cancel.  A unit's error is raised
+    in place of its result.  An error or closing the generator cancels
+    every queued unit and ends once every started one has ended.  This
+    thread waits only on started units, so a unit may run units on the
+    same pool.
     """
-    ends: dict[int, Future] = {}    # claimed units not yet handed back
-    lock = threading.Lock()
-    bound = count if ahead is None else ahead   # claims stay below it
-    claimed = helpers = 0
+    queued: dict[int, Future] = {}  # queued or stolen, not yet handed back
+    # queued indices stay below index + bound; without a pool, none is
+    bound = 1 if pool is None else count if ahead is None else ahead
 
-    def work(caller: bool) -> bool:
-        """Run the next free unit on this thread; False if none is free.
-        The caller first gives pool a helper task per other free unit."""
-        nonlocal claimed, helpers
-        with lock:
-            free = min(count, bound) - claimed
-            while caller and pool is not None and helpers < free - 1:
-                pool.submit(helper)
-                helpers += 1
-            if free <= 0:
-                if not caller:
-                    helpers -= 1    # the helper task returns
-                return False
-            claimed += 1
-            index = claimed - 1
-            end = ends[index] = Future()
+    def task(index: int):
+        return unit(index)  # unit is looked up only when the task starts
+
+    def run(index: int) -> Future:
+        """unit(index) on this thread, its result or error in a Future."""
+        end = Future()
         try:
             end.set_result(unit(index))
-        except BaseException as exc:  # raised on the calling thread
+        except BaseException as exc:  # raised at its own index
             end.set_exception(exc)
-        return True
-
-    def helper() -> None:
-        while work(caller=False):
-            pass
+        return end
 
     try:
         for index in range(count):
-            while ((end := ends.get(index)) is None or not end.done()
-                   or end.exception()) and work(caller=True):
-                pass
-            result = ends.pop(index).result()
-            with lock:
-                bound += 1
-            yield result
+            end = queued.pop(index, None)
+            # queued now holds index + 1 up to the queue's end
+            for later in range(index + 1 + len(queued),
+                               min(count, index + bound)):
+                queued[later] = pool.submit(task, later)
+            if end is None or end.cancel():
+                end = run(index)
+            for later, queued_end in queued.items():
+                if end.done():
+                    break
+                if queued_end.cancel():
+                    queued[later] = run(later)
+            yield end.result()
     finally:
-        with lock:
-            bound = 0
-        wait(list(ends.values()))
-        unit = None  # a helper task still queued holds no unit data
+        # a cancelled future is not done until a pool thread dequeues it
+        wait([end for end in queued.values() if not end.cancel()])
+        unit = None  # a cancelled task still queued holds no unit data

@@ -13,17 +13,11 @@ from bicmlab import harness
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
-# modules whose tests start pools: each test must join every thread it starts
-THREAD_CHECKED = {"test_harness", "test_neural", "test_units"}
-
 
 @pytest.fixture(autouse=True)
-def no_thread_left_running(request):
-    """Fail a test in THREAD_CHECKED that leaves more threads alive than it
-    started with, once they have had 2 s to end."""
-    if request.module.__name__.rpartition(".")[2] not in THREAD_CHECKED:
-        yield
-        return
+def no_thread_left_running():
+    """Fail a test that leaves more threads alive than it started with,
+    once they have had 2 s to end."""
     before = threading.active_count()
     yield
     deadline = time.monotonic() + 2.0

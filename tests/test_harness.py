@@ -292,6 +292,25 @@ class TestRunPoint:
         assert run_point(cfg, 2.0).frames == chunks * harness.CHUNK_FRAMES
         assert transmits == [harness.CHUNK_FRAMES] * chunks
 
+    def test_one_worker_transmits_no_chunk_past_the_stop(self, monkeypatch):
+        transmits = []
+        real = harness.transmit_batch
+
+        def counted(*args, **kwargs):
+            transmits.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "transmit_batch", counted)
+        cfg = ExperimentConfig(code="hamming_7_4", constellation="bpsk",
+                               decoder="hard-pinv", ebn0_db=(8.0,),
+                               stop=StopRule(min_frame_errors=100,
+                                             max_frames=10 ** 6), seed=42)
+        r = run_point(cfg, 8.0)
+        # the error target takes several chunks, and the last one meets it
+        assert r.frame_errors >= 100
+        assert r.frames > harness.CHUNK_FRAMES
+        assert len(transmits) == r.frames // harness.CHUNK_FRAMES
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_units_run_on_one_blas_thread(self, monkeypatch, workers):
         # a Python caller's BLAS count holds outside run_point only; inside

@@ -4,6 +4,7 @@ bound, early stops, errors, nested runs, and no thread at one worker."""
 import sys
 import threading
 import time
+import weakref
 from contextlib import closing
 
 import numpy as np
@@ -151,6 +152,88 @@ def test_nested_units_on_a_one_thread_pool_finish():
 
         got = within(lambda: list(run_in_order(4, outer, pool, ahead=2)))
     assert got == [sum(10 * i + j for j in range(3)) for i in range(4)]
+
+
+@pytest.mark.parametrize("ahead", [None, 1, 2, 5])
+@pytest.mark.parametrize("threads", [0, 1, 2, 3, 4])
+def test_nested_runs_on_fast_switches(threads, ahead):
+    # a queued unit may be cancelled and run by a waiting thread just as a
+    # pool thread dequeues it; a 1 us switch interval makes that race likely
+    ran = []
+
+    def run():
+        with thread_pool(threads) as pool:
+            def outer(i):
+                def inner(j):
+                    ran.append((i, j))
+                    return (i, j)
+
+                return list(run_in_order(3, inner, pool))
+
+            return list(run_in_order(40, outer, pool, ahead))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = within(run)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[(i, j) for j in range(3)] for i in range(40)]
+    assert sorted(ran) == [(i, j) for i in range(40) for j in range(3)]
+
+
+def test_failed_nested_run_on_the_only_pool_thread_raises():
+    # outer unit 1 runs on the pool's only thread, and its block 0 fails
+    # while block 1 is still queued on that same thread
+    outer_1_threads = []
+
+    def outer(i):
+        if i == 0:
+            while not outer_1_threads:
+                time.sleep(0.001)
+            return 0
+        outer_1_threads.append(threading.get_ident())
+
+        def block(j):
+            if j == 0:
+                raise RuntimeError("block 0 failed")
+            return j
+
+        return sum(run_in_order(2, block, pool))
+
+    def run():
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            list(run_in_order(2, outer, pool))
+        return threading.get_ident()
+
+    with thread_pool(1) as pool:
+        caller = within(run)
+    assert len(outer_1_threads) == 1 and outer_1_threads[0] != caller
+
+
+def test_closed_run_releases_its_unit():
+    # units queued behind a busy pool thread are cancelled on close, and
+    # their tasks, still in the pool's queue, must not hold the unit's data
+    data = np.zeros(1000)
+    data_ref = weakref.ref(data)
+    busy = threading.Event()
+    release = threading.Event()
+
+    def hold():
+        busy.set()
+        release.wait(30.0)
+
+    with thread_pool(1) as pool:
+        pool.submit(hold)
+        assert busy.wait(10.0)
+        results = run_in_order(4, lambda i, data=data: i + data[0], pool)
+        assert next(results) == 0
+        results.close()
+        del data, results
+        try:
+            assert data_ref() is None
+        finally:
+            release.set()
 
 
 def test_no_thread_at_one_worker(monkeypatch):
