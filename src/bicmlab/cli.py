@@ -7,13 +7,7 @@ import sys
 
 from . import harness
 from .gf2code import get_code
-from .neural import (
-    CheckpointError,
-    approx_params_rnn,
-    approx_params_transformer,
-    count_params_rnn,
-    count_params_transformer,
-)
+from .neural import CheckpointError
 
 
 def _config(args):
@@ -70,11 +64,7 @@ def _cmd_count_params(args) -> int:
     cfg = _config(args)
     code = get_code(cfg.code)
     model = cfg.model_config(code)
-    if cfg.arch == "rnn":
-        exact, approx = count_params_rnn(model), approx_params_rnn(model)
-    else:
-        exact = count_params_transformer(model)
-        approx = approx_params_transformer(model)
+    exact, approx = model.weights(), model.approx_weights()
     rel = abs(exact - approx) / exact
     print(f"code ({code.n},{code.k}), input r = {model.r}")
     print(f"exact weights:       {exact}")

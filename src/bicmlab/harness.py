@@ -37,12 +37,10 @@ from .bicm import (
 from .gf2code import LinearCode, get_code
 from .modem import Constellation, NoiseConfig, build_constellation
 from .neural import (
+    ARCHS,
     TRAIN_SHARD_FRAMES,
     Adam,
-    RnnConfig,
-    TransformerConfig,
-    build_rnn_estimator,
-    build_transformer_estimator,
+    build_estimator,
     load_checkpoint,
     save_checkpoint,
     train_step,
@@ -549,8 +547,10 @@ def _check_directories(cfg, *keys: str) -> None:
 # estimator training
 # ---------------------------------------------------------------------------
 
-_ARCH_KEYS = {"rnn": ("alpha", "time_steps", "depth"),
-              "transformer": ("embed_dim", "heads", "encoders")}
+# the TrainConfig keys each architecture reads: its config's fields after r
+# and k
+_ARCH_KEYS = {arch: tuple(f.name for f in fields(cls)[2:])
+              for arch, (cls, _) in ARCHS.items()}
 
 
 @dataclass(frozen=True)
@@ -589,15 +589,8 @@ class TrainConfig:
         _check_finite("train_ebn0_db", self.train_ebn0_db)
 
     def model_config(self, code: LinearCode):
-        cls = RnnConfig if self.arch == "rnn" else TransformerConfig
-        return cls.for_code(code.n, code.k, **{
+        return ARCHS[self.arch][0].for_code(code.n, code.k, **{
             key: getattr(self, key) for key in _ARCH_KEYS[self.arch]})
-
-    def build_network(self, code: LinearCode, rng: np.random.Generator):
-        """An untrained estimator for code, its weights drawn from rng."""
-        build = (build_rnn_estimator if self.arch == "rnn"
-                 else build_transformer_estimator)
-        return build(self.model_config(code), rng)
 
 
 TRAIN_PRESETS: dict[str, dict] = {
@@ -668,7 +661,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
         input_scale = header["input_scale"]
         start_step = header["step"]
     else:
-        net = cfg.build_network(code, rng)
+        net = build_estimator(cfg.model_config(code), rng)
         # only the scale outlives the calibration draw
         input_scale = 1.0 / float(np.mean(np.abs(transmit_batch(
             code, const, noise, rng, 4096, demap_kind=cfg.demap).llr)))

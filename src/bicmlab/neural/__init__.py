@@ -4,16 +4,13 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .flops import attention_flops, encoder_layer_flops
 from .layers import Dense, GRULayer, LayerNorm, Param
 from .models import (
+    ARCHS,
     RnnConfig,
     RnnEstimator,
     TransformerConfig,
     TransformerEstimator,
-    approx_params_rnn,
-    approx_params_transformer,
-    build_rnn_estimator,
+    build_estimator,
     build_transformer_estimator,
-    count_params_rnn,
-    count_params_transformer,
 )
 from .train import (
     TRAIN_SHARD_FRAMES,
@@ -24,6 +21,7 @@ from .train import (
 )
 
 __all__ = [
+    "ARCHS",
     "TRAIN_SHARD_FRAMES",
     "Adam",
     "CheckpointError",
@@ -36,14 +34,10 @@ __all__ = [
     "TrainingDiverged",
     "TransformerConfig",
     "TransformerEstimator",
-    "approx_params_rnn",
-    "approx_params_transformer",
     "attention_flops",
     "bce_with_logits",
-    "build_rnn_estimator",
+    "build_estimator",
     "build_transformer_estimator",
-    "count_params_rnn",
-    "count_params_transformer",
     "encoder_layer_flops",
     "load_checkpoint",
     "save_checkpoint",

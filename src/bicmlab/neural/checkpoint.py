@@ -24,12 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .models import (
-    RnnConfig,
-    TransformerConfig,
-    build_rnn_estimator,
-    build_transformer_estimator,
-)
+from .models import ARCHS, build_estimator
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
@@ -61,7 +56,7 @@ def save_checkpoint(path, net, *, input_scale: float = 1.0, step: int = 0,
         offset += len(raw)
     header = {
         "format": 1,
-        "arch": net.arch,
+        "arch": net.cfg.arch,
         "config": asdict(net.cfg),
         "input_scale": float(input_scale),
         "step": int(step),
@@ -138,13 +133,9 @@ def _check_training_entries(header: dict) -> None:
 def _rebuild(header: dict, data: bytes):
     """The network a format-1 header describes, with its weights from data."""
     rng = np.random.default_rng(0)  # weights are overwritten below
-    if header["arch"] == "rnn":
-        net = build_rnn_estimator(RnnConfig(**header["config"]), rng)
-    elif header["arch"] == "transformer":
-        net = build_transformer_estimator(
-            TransformerConfig(**header["config"]), rng)
-    else:
+    if header["arch"] not in ARCHS:
         raise ValueError(f"unknown architecture {header['arch']!r}")
+    net = build_estimator(ARCHS[header["arch"]][0](**header["config"]), rng)
 
     by_name = {p.name: p for p in net.params()}
     if set(by_name) != {b["name"] for b in header["params"]}:

@@ -1,9 +1,13 @@
-"""The two bit-flip estimator architectures and their exact weight counts.
+"""The bit-flip estimator architectures, in one table.
 
-Both take the length r = 2n - k packed statistic and emit k logits through a
-final linear layer.  The closed-form counts below are the load-bearing check
-that the constructions match the intended architectures: tests assert that
-enumerating the allocated arrays reproduces them exactly.
+`ARCHS` maps each architecture name to its (config class, network class)
+pair; checkpoints, training and `count-params` look names up there.  A
+config carries its `arch` name and its exact and approximate weight counts,
+and `build_estimator` builds the network any config describes.  Every
+network takes the length r = 2n - k packed statistic and emits k logits
+through a final linear layer.  The closed-form counts are the load-bearing
+check that the constructions match the intended architectures: tests assert
+that enumerating the allocated arrays reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -16,16 +20,13 @@ from .attention import EncoderLayer
 from .layers import Dense, GRULayer, LayerNorm, Param, _grad
 
 __all__ = [
+    "ARCHS",
     "RnnConfig",
     "TransformerConfig",
     "RnnEstimator",
     "TransformerEstimator",
-    "build_rnn_estimator",
+    "build_estimator",
     "build_transformer_estimator",
-    "count_params_rnn",
-    "count_params_transformer",
-    "approx_params_rnn",
-    "approx_params_transformer",
 ]
 
 # TransformerEstimator.predict runs as many frames at a time as keep one
@@ -41,47 +42,74 @@ _SLICE_SCORE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class RnnConfig:
-    """Stacked-GRU estimator: depth layers of width alpha * r, the statistic
-    re-presented at each of time_steps steps, linear head to k outputs."""
+class _EstimatorConfig:
+    """The fields every architecture has: the statistic's length r and the
+    k outputs.  Each subclass names its `arch` in a class attribute, which
+    is no field and so no checkpoint config key."""
 
     r: int
     k: int
+
+    def __post_init__(self):
+        if self.r < 1 or self.k < 1:
+            raise ValueError("r and k must be positive")
+
+    @classmethod
+    def for_code(cls, n: int, k: int, **kw):
+        return cls(r=2 * n - k, k=k, **kw)
+
+
+@dataclass(frozen=True)
+class RnnConfig(_EstimatorConfig):
+    """Stacked-GRU estimator: depth layers of width alpha * r, the statistic
+    re-presented at each of time_steps steps, linear head to k outputs."""
+
+    arch = "rnn"
+
     alpha: int
     time_steps: int
     depth: int
 
     def __post_init__(self):
-        if self.r < 1 or self.k < 1:
-            raise ValueError("r and k must be positive")
+        super().__post_init__()
         for name in ("alpha", "time_steps", "depth"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-
-    @classmethod
-    def for_code(cls, n: int, k: int, **kw) -> "RnnConfig":
-        return cls(r=2 * n - k, k=k, **kw)
 
     @property
     def hidden(self) -> int:
         return self.alpha * self.r
 
+    def weights(self) -> int:
+        """Exact trainable weight count of the GRU estimator.
+
+        3 (2 depth - 1) alpha^2 r^2 + 3 (r + depth + k/3) alpha r + k,
+        evaluated in integer arithmetic (the k/3 term multiplies out against
+        3 alpha r).
+        """
+        a, dl, r, k = self.alpha, self.depth, self.r, self.k
+        return (3 * (2 * dl - 1) * a * a * r * r
+                + 3 * a * r * (r + dl) + k * a * r + k)
+
+    def approx_weights(self) -> int:
+        a, dl, r = self.alpha, self.depth, self.r
+        return 3 * ((2 * dl - 1) * a * a + a) * r * r
+
 
 @dataclass(frozen=True)
-class TransformerConfig:
+class TransformerConfig(_EstimatorConfig):
     """Encoder-stack estimator: per-scalar embedding rows, encoders layers of
     pre-norm attention blocks, a final normalization, a shared token-to-scalar
     projection, and a linear head to k outputs."""
 
-    r: int
-    k: int
+    arch = "transformer"
+
     embed_dim: int
     heads: int
     encoders: int
 
     def __post_init__(self):
-        if self.r < 1 or self.k < 1:
-            raise ValueError("r and k must be positive")
+        super().__post_init__()
         if self.encoders < 1:
             raise ValueError("encoders must be >= 1")
         if self.heads < 1:
@@ -91,43 +119,19 @@ class TransformerConfig:
         if self.embed_dim % self.heads != 0:
             raise ValueError("heads must divide embed_dim")
 
-    @classmethod
-    def for_code(cls, n: int, k: int, **kw) -> "TransformerConfig":
-        return cls(r=2 * n - k, k=k, **kw)
+    def weights(self) -> int:
+        """Exact trainable weight count of the encoder-stack estimator:
+        12 N d^2 + (13 N + r + 3) d + (r + 1) k + 1."""
+        d, nenc, r, k = self.embed_dim, self.encoders, self.r, self.k
+        return 12 * nenc * d * d + (13 * nenc + r + 3) * d + (r + 1) * k + 1
 
-
-def count_params_rnn(cfg: RnnConfig) -> int:
-    """Exact trainable weight count of the GRU estimator.
-
-    3 (2 depth - 1) alpha^2 r^2 + 3 (r + depth + k/3) alpha r + k, evaluated
-    in integer arithmetic (the k/3 term multiplies out against 3 alpha r).
-    """
-    a, dl, r, k = cfg.alpha, cfg.depth, cfg.r, cfg.k
-    return (3 * (2 * dl - 1) * a * a * r * r
-            + 3 * a * r * (r + dl) + k * a * r + k)
-
-
-def approx_params_rnn(cfg: RnnConfig) -> int:
-    a, dl, r = cfg.alpha, cfg.depth, cfg.r
-    return 3 * ((2 * dl - 1) * a * a + a) * r * r
-
-
-def count_params_transformer(cfg: TransformerConfig) -> int:
-    """Exact trainable weight count of the encoder-stack estimator:
-    12 N d^2 + (13 N + r + 3) d + (r + 1) k + 1."""
-    d, nenc, r, k = cfg.embed_dim, cfg.encoders, cfg.r, cfg.k
-    return 12 * nenc * d * d + (13 * nenc + r + 3) * d + (r + 1) * k + 1
-
-
-def approx_params_transformer(cfg: TransformerConfig) -> int:
-    d, nenc = cfg.embed_dim, cfg.encoders
-    return 12 * nenc * d * d + 13 * nenc * d
+    def approx_weights(self) -> int:
+        d, nenc = self.embed_dim, self.encoders
+        return 12 * nenc * d * d + 13 * nenc * d
 
 
 class RnnEstimator:
     """depth stacked GRU layers; the final hidden state feeds a linear head."""
-
-    arch = "rnn"
 
     def __init__(self, cfg: RnnConfig, rng: np.random.Generator,
                  dtype=np.float32):
@@ -174,8 +178,6 @@ class RnnEstimator:
 
 class TransformerEstimator:
     """Embedding, pre-norm encoder stack, final norm, token projection, head."""
-
-    arch = "transformer"
 
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator,
                  dtype=np.float32):
@@ -239,15 +241,17 @@ class TransformerEstimator:
         return out
 
 
-def build_rnn_estimator(cfg: RnnConfig, rng: np.random.Generator,
-                        dtype=np.float32) -> RnnEstimator:
-    net = RnnEstimator(cfg, rng, dtype)
-    assert net.num_params() == count_params_rnn(cfg)
+ARCHS = {"rnn": (RnnConfig, RnnEstimator),
+         "transformer": (TransformerConfig, TransformerEstimator)}
+
+
+def build_estimator(cfg, rng: np.random.Generator, dtype=np.float32):
+    """The network cfg describes, its weights drawn from rng."""
+    net = ARCHS[cfg.arch][1](cfg, rng, dtype)
+    assert net.num_params() == cfg.weights()
     return net
 
 
-def build_transformer_estimator(cfg: TransformerConfig, rng: np.random.Generator,
-                                dtype=np.float32) -> TransformerEstimator:
-    net = TransformerEstimator(cfg, rng, dtype)
-    assert net.num_params() == count_params_transformer(cfg)
-    return net
+# build_transformer_estimator stays importable: bench/workloads.py builds its
+# network by this name
+build_transformer_estimator = build_estimator

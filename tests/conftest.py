@@ -1,7 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import faulthandler
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 import threading
@@ -12,6 +14,30 @@ import pytest
 from bicmlab import harness
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+def pytest_unconfigure(config):
+    """Exit with status 1 and every thread's stack if a thread other than
+    the main one is still alive 5 s after the run.  The interpreter's exit
+    joins every non-daemon thread and every pool thread, daemon or not (a
+    pool made on a daemon thread, as in `within`, has daemon threads), so
+    a deadlocked one would hang pytest instead of failing it: the time
+    limits of `within` and `run_point_within` bound a run, not the pool it
+    runs on."""
+    def left():
+        return [t for t in threading.enumerate()
+                if t is not threading.main_thread()]
+
+    deadline = time.monotonic() + 5.0
+    while left() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if stuck := left():
+        sys.stdout.flush()
+        sys.stderr.write(f"threads still alive after the run: "
+                         f"{', '.join(t.name for t in stuck)}\n")
+        sys.stderr.flush()
+        faulthandler.dump_traceback(all_threads=True)
+        os._exit(1)
 
 
 @pytest.fixture(autouse=True)

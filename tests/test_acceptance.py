@@ -36,12 +36,7 @@ from bicmlab.modem import NoiseConfig, build_constellation, hard_split
 from bicmlab.neural import (
     RnnConfig,
     TransformerConfig,
-    approx_params_rnn,
-    approx_params_transformer,
-    build_rnn_estimator,
-    build_transformer_estimator,
-    count_params_rnn,
-    count_params_transformer,
+    build_estimator,
 )
 from bicmlab.refdec import map_decode, ml_bound_update, osd_decode
 from oracles import gradient_check, map_noise_equivalence
@@ -74,16 +69,16 @@ def test_criterion_1_parameter_counts():
     for (arch, n, k), want in expected.items():
         if arch == "rnn":
             cfg = RnnConfig.for_code(n, k, alpha=5, time_steps=5, depth=5)
-            formula = count_params_rnn(cfg)
-            enumerated = build_rnn_estimator(cfg, rng).num_params()
-            margin = abs(formula - approx_params_rnn(cfg)) / formula
+            formula = cfg.weights()
+            enumerated = build_estimator(cfg, rng).num_params()
+            margin = abs(formula - cfg.approx_weights()) / formula
             ok &= margin < 0.005
         else:
             cfg = TransformerConfig.for_code(n, k, embed_dim=128, heads=8,
                                              encoders=10)
-            formula = count_params_transformer(cfg)
-            enumerated = build_transformer_estimator(cfg, rng).num_params()
-            margin = abs(formula - approx_params_transformer(cfg)) / formula
+            formula = cfg.weights()
+            enumerated = build_estimator(cfg, rng).num_params()
+            margin = abs(formula - cfg.approx_weights()) / formula
             ok &= margin < 0.02
         ok &= formula == enumerated == want
         details.append(f"{arch}({n},{k})={formula}")
@@ -225,17 +220,17 @@ def test_criterion_5_gradient_checks():
     x = rng.normal(size=(3, 10))
     t = (rng.random((3, 4)) < 0.3).astype(float)
 
-    dense = build_rnn_estimator(
+    dense = build_estimator(
         RnnConfig(r=10, k=4, alpha=1, time_steps=1, depth=1), rng,
         dtype=np.float64)
     e_dense = gradient_check(dense, x, t, rng)
 
-    gru = build_rnn_estimator(
+    gru = build_estimator(
         RnnConfig(r=10, k=4, alpha=1, time_steps=3, depth=2), rng,
         dtype=np.float64)
     e_gru = gradient_check(gru, x, t, rng)
 
-    tf = build_transformer_estimator(
+    tf = build_estimator(
         TransformerConfig(r=10, k=4, embed_dim=8, heads=2, encoders=1), rng,
         dtype=np.float64)
     e_tf = gradient_check(tf, x, t, rng)

@@ -11,7 +11,7 @@ import pytest
 from bicmlab import harness
 from bicmlab.gf2code import get_code
 from bicmlab.harness import ExperimentConfig, StopRule, run_point
-from bicmlab.neural import RnnConfig, build_rnn_estimator, save_checkpoint
+from bicmlab.neural import RnnConfig, build_estimator, save_checkpoint
 
 HARD_PINV = dict(code="polar_16_8", constellation="qam16", decoder="hard-pinv",
                  ebn0_db=(4.0,))
@@ -63,7 +63,7 @@ GOLDEN = {
 def zero_head_checkpoint(tmp_path_factory):
     """A small GRU estimator for polar_16_8 whose head outputs 0 logits."""
     code = get_code(HARD_PINV["code"])
-    net = build_rnn_estimator(
+    net = build_estimator(
         RnnConfig.for_code(code.n, code.k, alpha=1, time_steps=1, depth=1),
         np.random.default_rng(0))
     net.head.w.value[:] = 0.0

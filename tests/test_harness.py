@@ -43,8 +43,7 @@ from bicmlab.neural import (
     RnnEstimator,
     TrainingDiverged,
     TransformerEstimator,
-    build_rnn_estimator,
-    count_params_rnn,
+    build_estimator,
     load_checkpoint,
     save_checkpoint,
 )
@@ -405,7 +404,7 @@ BLOCK_CASES = {
 def random_rnn_checkpoint(tmp_path_factory):
     """An untrained small GRU estimator for polar_16_8: it flips bits."""
     code = get_code("polar_16_8")
-    net = build_rnn_estimator(
+    net = build_estimator(
         RnnConfig.for_code(code.n, code.k, alpha=1, time_steps=1, depth=1),
         np.random.default_rng(3))
     path = tmp_path_factory.mktemp("blocks") / "rnn.ckpt"
@@ -547,8 +546,9 @@ class TestDecodeBlocks:
     def test_stop_in_chunk_zero_past_running_chunks(self, probe, monkeypatch,
                                                     cores):
         """Chunk 0 meets the error target while later chunks still
-        transmit; their helper submits may meet a closing pool, and the
-        point must still return chunk 0's counts and join every thread."""
+        transmit; the stop cancels the queued chunks and waits on the
+        running ones, and the point must still return chunk 0's counts and
+        join every thread."""
         cores(2)
         real_rng = harness._chunk_rng
 
@@ -749,7 +749,7 @@ class TestTraining:
     def test_table1_preset_parameter_count(self):
         cfg = train_config_from_preset("table1-rnn", code="polar_128_64")
         model_cfg = cfg.model_config(get_code("polar_128_64"))
-        assert count_params_rnn(model_cfg) == 25_512_064
+        assert model_cfg.weights() == 25_512_064
 
     @pytest.mark.parametrize("preset, net_type", [
         ("desk-rnn", RnnEstimator),
@@ -758,7 +758,8 @@ class TestTraining:
     def test_build_network_follows_arch(self, preset, net_type):
         cfg = train_config_from_preset(preset)
         code = get_code(cfg.code)
-        net = cfg.build_network(code, np.random.default_rng(0))
+        net = build_estimator(cfg.model_config(code),
+                              np.random.default_rng(0))
         assert type(net) is net_type
         assert net.cfg == cfg.model_config(code)
 
@@ -925,7 +926,8 @@ class TestTraining:
                           batch_size=64, steps=1, out=str(tmp_path / "t.ckpt"))
         code = get_code(cfg.code)
         ckpt = tmp_path / "est.ckpt"
-        save_checkpoint(ckpt, cfg.build_network(code, np.random.default_rng(0)))
+        save_checkpoint(ckpt, build_estimator(cfg.model_config(code),
+                                              np.random.default_rng(0)))
         key, value, error = self.BAD_ENTRIES[entry]
 
         def edit(header):
@@ -973,7 +975,7 @@ class TestTraining:
 
     def test_sbnd_checkpoint_for_another_code_rejected(self, tmp_path):
         ckpt = tmp_path / "h74.ckpt"
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig.for_code(7, 4, alpha=1, time_steps=1, depth=1),
             np.random.default_rng(0))
         save_checkpoint(ckpt, net)
@@ -1109,10 +1111,10 @@ class TestCli:
     def test_bad_checkpoint_is_one_line(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "est.ckpt"
         if damage != "missing":
-            net = build_rnn_estimator(RnnConfig.for_code(16, 8, alpha=1,
-                                                         time_steps=1,
-                                                         depth=1),
-                                      np.random.default_rng(0))
+            net = build_estimator(RnnConfig.for_code(16, 8, alpha=1,
+                                                     time_steps=1,
+                                                     depth=1),
+                                  np.random.default_rng(0))
             save_checkpoint(ckpt, net)
             raw = bytearray(ckpt.read_bytes())
             if damage == "garbage":
@@ -1342,7 +1344,7 @@ class TestCli:
                          "--config", str(cfgfile), "depth=3"]) == 0
         want = RnnConfig.for_code(16, 8, alpha=1, time_steps=5, depth=3)
         out = capsys.readouterr().out
-        assert f"exact weights:       {count_params_rnn(want)}\n" in out
+        assert f"exact weights:       {want.weights()}\n" in out
 
     def test_simulate_seed_overrides_the_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

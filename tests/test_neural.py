@@ -17,6 +17,7 @@ from bicmlab.neural.attention import MultiHeadSelfAttention
 from bicmlab.neural.layers import _grad, sigmoid
 from bicmlab.units import thread_pool
 from bicmlab.neural import (
+    ARCHS,
     TRAIN_SHARD_FRAMES,
     Adam,
     CheckpointError,
@@ -24,14 +25,9 @@ from bicmlab.neural import (
     RnnConfig,
     TrainingDiverged,
     TransformerConfig,
-    approx_params_rnn,
-    approx_params_transformer,
     attention_flops,
     bce_with_logits,
-    build_rnn_estimator,
-    build_transformer_estimator,
-    count_params_rnn,
-    count_params_transformer,
+    build_estimator,
     load_checkpoint,
     save_checkpoint,
     train_step,
@@ -58,20 +54,20 @@ class TestCounts:
     def test_tiny_rnn_from_first_principles(self):
         cfg = RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1)
         # one GRU cell 3(16+16+4) plus dense 4*2+2
-        assert count_params_rnn(cfg) == 118
+        assert cfg.weights() == 118
         assert rnn_count_oracle(cfg) == 118
 
     def test_tiny_transformer_from_first_principles(self):
         cfg = TransformerConfig(r=1, k=1, embed_dim=1, heads=1, encoders=1)
         # 12 + (13 + 1 + 3) + 2 + 1
-        assert count_params_transformer(cfg) == 32
+        assert cfg.weights() == 32
         assert transformer_count_oracle(cfg) == 32
 
     @pytest.mark.parametrize("n,k,expected", [(128, 64, 25_512_064),
                                               (64, 32, 6_381_632)])
     def test_rnn_full_scale_counts(self, n, k, expected):
         cfg = RnnConfig.for_code(n, k, alpha=5, time_steps=5, depth=5)
-        assert count_params_rnn(cfg) == expected
+        assert cfg.weights() == expected
         assert rnn_count_oracle(cfg) == expected
 
     @pytest.mark.parametrize("n,k,expected", [(128, 64, 2_020_033),
@@ -79,21 +75,21 @@ class TestCounts:
     def test_transformer_full_scale_counts(self, n, k, expected):
         cfg = TransformerConfig.for_code(n, k, embed_dim=128, heads=8,
                                          encoders=10)
-        assert count_params_transformer(cfg) == expected
+        assert cfg.weights() == expected
         assert transformer_count_oracle(cfg) == expected
 
     @pytest.mark.parametrize("n,k", [(128, 64), (64, 32)])
     def test_rnn_approximation_margin(self, n, k):
         cfg = RnnConfig.for_code(n, k, alpha=5, time_steps=5, depth=5)
-        exact, approx = count_params_rnn(cfg), approx_params_rnn(cfg)
+        exact, approx = cfg.weights(), cfg.approx_weights()
         assert abs(exact - approx) / exact < 0.005
 
     @pytest.mark.parametrize("n,k", [(128, 64), (64, 32)])
     def test_transformer_approximation_margin(self, n, k):
         cfg = TransformerConfig.for_code(n, k, embed_dim=128, heads=8,
                                          encoders=10)
-        exact = count_params_transformer(cfg)
-        approx = approx_params_transformer(cfg)
+        exact = cfg.weights()
+        approx = cfg.approx_weights()
         assert abs(exact - approx) / exact < 0.02
 
     def test_enumeration_matches_formula_across_configs(self):
@@ -102,13 +98,13 @@ class TestCounts:
             for depth in (1, 2, 3):
                 cfg = RnnConfig(r=11, k=5, alpha=alpha, time_steps=2,
                                 depth=depth)
-                net = build_rnn_estimator(cfg, rng)
-                assert net.num_params() == count_params_rnn(cfg)
+                net = build_estimator(cfg, rng)
+                assert net.num_params() == cfg.weights()
         for d, heads, nenc in [(8, 2, 1), (12, 3, 2), (16, 4, 3)]:
             cfg = TransformerConfig(r=9, k=4, embed_dim=d, heads=heads,
                                     encoders=nenc)
-            net = build_transformer_estimator(cfg, rng)
-            assert net.num_params() == count_params_transformer(cfg)
+            net = build_estimator(cfg, rng)
+            assert net.num_params() == cfg.weights()
 
     def test_invalid_configs_rejected(self):
         valid = {RnnConfig: dict(r=4, k=2, alpha=5, time_steps=5, depth=5),
@@ -131,47 +127,39 @@ class TestCounts:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         rng = np.random.default_rng(1)
-        net = build_rnn_estimator(RnnConfig(r=6, k=3, alpha=1, time_steps=2,
-                                            depth=1), rng)
+        net = build_estimator(RnnConfig(r=6, k=3, alpha=1, time_steps=2,
+                                        depth=1), rng)
         for p in net.params():
             p.value[...] = 0
         out = net.forward(rng.normal(size=(4, 6)).astype(np.float32))
         assert not np.any(out)
 
-    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_batch_row_consistency(self, arch):
         rng = np.random.default_rng(2)
-        if arch == "rnn":
-            net = build_rnn_estimator(
-                RnnConfig(r=8, k=3, alpha=2, time_steps=3, depth=2), rng,
-                dtype=np.float64)
-        else:
-            net = build_transformer_estimator(
-                TransformerConfig(r=8, k=3, embed_dim=8, heads=2, encoders=1),
-                rng, dtype=np.float64)
+        cfg = {"rnn": RnnConfig(r=8, k=3, alpha=2, time_steps=3, depth=2),
+               "transformer": TransformerConfig(r=8, k=3, embed_dim=8,
+                                                heads=2, encoders=1)}[arch]
+        net = build_estimator(cfg, rng, dtype=np.float64)
         x = rng.normal(size=(5, 8))
         full = net.forward(x)
         single = np.vstack([net.forward(x[i:i + 1]) for i in range(5)])
         assert np.allclose(full, single, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_network_keeps_its_dtype(self, arch, dtype):
         rng = np.random.default_rng(3)
-        if arch == "rnn":
-            net = build_rnn_estimator(
-                RnnConfig(r=8, k=3, alpha=1, time_steps=2, depth=1), rng,
-                dtype=dtype)
-        else:
-            net = build_transformer_estimator(
-                TransformerConfig(r=8, k=3, embed_dim=8, heads=2, encoders=1),
-                rng, dtype=dtype)
+        cfg = {"rnn": RnnConfig(r=8, k=3, alpha=1, time_steps=2, depth=1),
+               "transformer": TransformerConfig(r=8, k=3, embed_dim=8,
+                                                heads=2, encoders=1)}[arch]
+        net = build_estimator(cfg, rng, dtype=dtype)
         assert {p.value.dtype for p in net.params()} == {np.dtype(dtype)}
         assert net.predict(rng.normal(size=(4, 8))).dtype == dtype
 
     def test_permuting_batch_rows_permutes_outputs(self):
         rng = np.random.default_rng(3)
-        net = build_transformer_estimator(
+        net = build_estimator(
             TransformerConfig(r=6, k=2, embed_dim=8, heads=2, encoders=1),
             rng, dtype=np.float64)
         x = rng.normal(size=(6, 6))
@@ -234,14 +222,10 @@ class TestAttention:
 
 def desk_net(arch, n, k, dtype=np.float32, seed=20):
     """The desk-rnn or desk-transformer network of an (n, k) code."""
-    rng = np.random.default_rng(seed)
-    if arch == "rnn":
-        return build_rnn_estimator(
-            RnnConfig.for_code(n, k, alpha=2, time_steps=3, depth=2), rng,
-            dtype=dtype)
-    return build_transformer_estimator(
-        TransformerConfig.for_code(n, k, embed_dim=32, heads=4, encoders=2),
-        rng, dtype=dtype)
+    cfg = {"rnn": RnnConfig.for_code(n, k, alpha=2, time_steps=3, depth=2),
+           "transformer": TransformerConfig.for_code(
+               n, k, embed_dim=32, heads=4, encoders=2)}[arch]
+    return build_estimator(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
 def stray_arrays(obj, path="net"):
@@ -259,7 +243,7 @@ def stray_arrays(obj, path="net"):
 
 
 class TestInference:
-    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_predict_leaves_no_arrays_on_the_network(self, arch):
         net = desk_net(arch, 16, 8)
         net.predict(np.random.default_rng(0).normal(size=(64, net.cfg.r)))
@@ -293,7 +277,7 @@ class TestInference:
         for got, want in zip(results, serial):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("arch", ["rnn", "transformer"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_sliced_predict_matches_forward(self, arch):
         x = np.random.default_rng(2).normal(size=(300, 48))
         if arch == "transformer":
@@ -330,7 +314,7 @@ class TestInference:
 class TestGradients:
     def test_dense_only(self):
         rng = np.random.default_rng(4)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=5, k=3, alpha=1, time_steps=1, depth=1), rng,
             dtype=np.float64)
         # silence the recurrent part: gradcheck still covers it, but the
@@ -342,7 +326,7 @@ class TestGradients:
 
     def test_gru_two_layers_t3(self):
         rng = np.random.default_rng(5)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=10, k=4, alpha=1, time_steps=3, depth=2), rng,
             dtype=np.float64)
         x = rng.normal(size=(3, 10))
@@ -351,7 +335,7 @@ class TestGradients:
 
     def test_transformer_one_encoder(self):
         rng = np.random.default_rng(6)
-        net = build_transformer_estimator(
+        net = build_estimator(
             TransformerConfig(r=10, k=4, embed_dim=8, heads=2, encoders=1),
             rng, dtype=np.float64)
         x = rng.normal(size=(3, 10))
@@ -364,7 +348,7 @@ class TestGradients:
         # the first LayerNorm sees x_i times one embedding row, which bends
         # sharply where x_i is near 0
         rng = np.random.default_rng(8)
-        net = build_transformer_estimator(
+        net = build_estimator(
             TransformerConfig(r=10, k=4, embed_dim=8, heads=4, encoders=2),
             rng, dtype=np.float64)
         x = rng.normal(size=(3, 10))
@@ -373,7 +357,7 @@ class TestGradients:
 
     def test_float32_network_rejected(self):
         rng = np.random.default_rng(7)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1), rng)
         with pytest.raises(ValueError, match="float64"):
             gradient_check(net, np.zeros((1, 4)), np.zeros((1, 2)), rng)
@@ -412,7 +396,7 @@ class TestTraining:
 
     def test_monotone_decrease_on_separable_toy(self):
         rng = np.random.default_rng(8)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=6, k=2, alpha=1, time_steps=2, depth=1), rng)
         opt = Adam(net.params())
         x = rng.normal(size=(128, 6)).astype(np.float32)
@@ -433,7 +417,7 @@ class TestTraining:
         const = build_constellation("qam16")
         nc = NoiseConfig.from_ebn0_db(5.0, code.rate, const.m)
         rng = np.random.default_rng(9)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig.for_code(code.n, code.k, alpha=2, time_steps=3, depth=2),
             rng)
         opt = Adam(net.params())
@@ -449,7 +433,7 @@ class TestTraining:
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(10)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1), rng)
         net.head.w.value[...] = np.inf
         opt = Adam(net.params())
@@ -459,7 +443,7 @@ class TestTraining:
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(11)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1), rng)
         with pytest.raises(ValueError):
             train_step(net, np.zeros((0, 4)), np.zeros((0, 2)),
@@ -468,7 +452,7 @@ class TestTraining:
     def test_fixed_seed_training_is_bit_identical(self):
         def run():
             rng = np.random.default_rng(12)
-            net = build_rnn_estimator(
+            net = build_estimator(
                 RnnConfig(r=6, k=2, alpha=1, time_steps=2, depth=1), rng)
             opt = Adam(net.params())
             x = rng.normal(size=(32, 6)).astype(np.float32)
@@ -586,7 +570,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("time_steps, depth", [(3, 2), (1, 1), (2, 3)])
     def test_rnn_matches_reference(self, time_steps, depth, dtype):
         rng = np.random.default_rng(13)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=24, k=8, alpha=2, time_steps=time_steps, depth=depth),
             rng, dtype=dtype)
         ref = copy.deepcopy(net)
@@ -629,20 +613,20 @@ def parent_train_step(net, x, targets, opt):
 
 def _shard_nets(dtype):
     rng = np.random.default_rng(17)
-    return [
-        build_rnn_estimator(
+    return {
+        "rnn": build_estimator(
             RnnConfig(r=24, k=8, alpha=2, time_steps=3, depth=2), rng, dtype),
-        build_transformer_estimator(
+        "transformer": build_estimator(
             TransformerConfig(r=12, k=4, embed_dim=8, heads=2, encoders=2),
             rng, dtype),
-    ]
+    }
 
 
 class TestShardedStep:
     """train_step splits its batch into TRAIN_SHARD_FRAMES-frame shards."""
 
     @pytest.mark.parametrize("batch", [512, 600])
-    @pytest.mark.parametrize("arch", [0, 1], ids=["rnn", "transformer"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_shard_grads_sum_to_the_batch_gradient(self, arch, batch):
         net = _shard_nets(np.float64)[arch]
         rng = np.random.default_rng(batch)
@@ -668,7 +652,7 @@ class TestShardedStep:
                                        atol=1e-12 * scale, err_msg=p.name)
 
     @pytest.mark.parametrize("batch", [100, 256])
-    @pytest.mark.parametrize("arch", [0, 1], ids=["rnn", "transformer"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_one_shard_is_the_unsharded_step(self, arch, batch):
         net = _shard_nets(np.float32)[arch]
         ref = copy.deepcopy(net)
@@ -692,7 +676,7 @@ class TestShardedStep:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1000, 24)).astype(np.float32)
         t = (rng.random((1000, 8)) < 0.2).astype(np.float32)
-        net = _shard_nets(np.float32)[0]
+        net = _shard_nets(np.float32)["rnn"]
         inline = copy.deepcopy(net)
         opt, inline_opt = Adam(net.params()), Adam(inline.params())
         interval = sys.getswitchinterval()
@@ -714,7 +698,7 @@ class TestShardedStep:
         # the threads' shards.  A one-shard step adds into net's grads and
         # measures the activations alone
         rng = np.random.default_rng(6)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=8, k=4, alpha=32, time_steps=2, depth=1), rng)
         grad_set = sum(p.grad.nbytes for p in net.params())
         x = rng.normal(size=(16 * TRAIN_SHARD_FRAMES, 8)).astype(np.float32)
@@ -738,7 +722,7 @@ class TestShardedStep:
     def test_failing_shard_raises_once_every_shard_ends(self, monkeypatch):
         # shard 0 fails at once; the caller sees the error only after the
         # two slower shards have finished writing their grads
-        net = _shard_nets(np.float32)[0]
+        net = _shard_nets(np.float32)["rnn"]
         ended = []
         forward = type(net).forward
 
@@ -764,7 +748,7 @@ class TestShardedStep:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=8, k=4, alpha=2, time_steps=2, depth=2), rng)
         path = tmp_path / "est.ckpt"
         save_checkpoint(path, net, input_scale=0.25, step=42, seed=13)
@@ -779,7 +763,7 @@ class TestCheckpoint:
 
     def test_resave_byte_identical(self, tmp_path):
         rng = np.random.default_rng(14)
-        net = build_transformer_estimator(
+        net = build_estimator(
             TransformerConfig(r=6, k=3, embed_dim=8, heads=2, encoders=1), rng)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(p1, net, input_scale=1.0, step=7, seed=0)
@@ -789,7 +773,7 @@ class TestCheckpoint:
 
     def test_failed_save_leaves_no_temporary_file(self, tmp_path):
         # the rename onto a directory fails after the whole file is written
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=8, k=4, alpha=1, time_steps=1, depth=1),
             np.random.default_rng(1))
         folder = tmp_path / "d"
@@ -800,7 +784,7 @@ class TestCheckpoint:
 
     def test_corruption_detected(self, tmp_path):
         rng = np.random.default_rng(15)
-        net = build_rnn_estimator(
+        net = build_estimator(
             RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1), rng)
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, net)
@@ -825,6 +809,7 @@ class TestCheckpoint:
         "no-offset": "no 'offset' entry",
         "dtype": "float99",
         "past-data": "block gru0.wx runs past the data",
+        "unknown-arch": "unknown architecture 'lstm'",
     }
 
     @pytest.mark.parametrize("defect", HEADER_DEFECTS)
@@ -834,7 +819,7 @@ class TestCheckpoint:
         CheckpointError naming the file, never a bare KeyError, TypeError,
         AttributeError or ValueError."""
         path = tmp_path / "bad.ckpt"
-        save_checkpoint(path, build_rnn_estimator(
+        save_checkpoint(path, build_estimator(
             RnnConfig(r=4, k=2, alpha=1, time_steps=1, depth=1),
             np.random.default_rng(16)))
 
@@ -854,6 +839,8 @@ class TestCheckpoint:
                 del first["offset"]
             elif defect == "dtype":
                 first["dtype"] = "float99"
+            elif defect == "unknown-arch":
+                header["arch"] = "lstm"
             else:
                 data = sum(block["nbytes"] for block in header["params"])
                 first["offset"] = data - first["nbytes"] + 4

@@ -15,8 +15,7 @@ from bicmlab.modem import NoiseConfig, build_constellation
 from bicmlab.neural import (
     RnnConfig,
     TransformerConfig,
-    build_rnn_estimator,
-    build_transformer_estimator,
+    build_estimator,
 )
 
 SPANS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -48,8 +47,8 @@ def test_inference_runs_through_the_traced_layers(spans):
     tcfg = TransformerConfig.for_code(n, k, embed_dim=8, heads=2, encoders=2)
     rcfg = RnnConfig.for_code(n, k, alpha=1, time_steps=2, depth=2)
     estimators = [
-        harness.NeuralEstimator(build_transformer_estimator(tcfg, rng), n=n),
-        harness.NeuralEstimator(build_rnn_estimator(rcfg, rng), n=n),
+        harness.NeuralEstimator(build_estimator(tcfg, rng), n=n),
+        harness.NeuralEstimator(build_estimator(rcfg, rng), n=n),
     ]
     stats = rng.normal(size=(frames, 2 * n - k))
     tracer = spans.Tracer()

@@ -1,5 +1,6 @@
-"""units.run_in_order: every index once, results in order, the claim
-bound, early stops, errors, nested runs, and no thread at one worker."""
+"""units.run_in_order: every index once, results in order, at most `ahead`
+units queued past the next result, early stops, errors, nested runs, and no
+thread at one worker."""
 
 import sys
 import threading
@@ -35,7 +36,8 @@ def within(fn, seconds=30.0):
 @pytest.mark.parametrize("ahead", [None, 1, 3])
 @pytest.mark.parametrize("threads", [0, 1, 2, 3, 4])
 def test_every_index_runs_once_on_fast_switches(threads, ahead):
-    # a 1 us switch interval makes a lost or doubled claim likely
+    # a 1 us switch interval makes it likely that a unit which was both
+    # cancelled and started, or neither, runs twice or never
     ran = []
 
     def unit(i):
@@ -110,9 +112,10 @@ def test_early_stop_claims_nothing_more():
 
     with thread_pool(2) as pool:
         n_started, n_ended = within(first_two)
-        # every claimed unit ended before the generator closed
+        # closing cancelled every queued unit and waited on every started
+        # one, so each unit that started ended before the generator closed
         assert n_started == n_ended
-        # two units handed back, and at most ahead = 4 claimed past them
+        # two units handed back, and at most ahead = 4 started past them
         assert 2 <= n_started <= 2 + 4
         time.sleep(0.2)
         assert len(started) == n_started

@@ -37,6 +37,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from bicmlab.gf2code import get_code  # noqa: E402
 from bicmlab.harness import (  # noqa: E402
     set_allocator_policy, train_config_from_preset)
+from bicmlab.neural import build_estimator  # noqa: E402
 
 PRESETS = ("desk-rnn", "desk-transformer")
 CODES = ("polar_16_8", "polar_32_16", "polar_64_32", "polar_128_64")
@@ -55,7 +56,8 @@ def quadratic_fit_exponent(rs, values) -> float:
 
 def build(preset: str, code_name: str, seed: int):
     cfg = train_config_from_preset(preset, code=code_name)
-    return cfg.build_network(get_code(code_name), np.random.default_rng(seed))
+    return build_estimator(cfg.model_config(get_code(code_name)),
+                           np.random.default_rng(seed))
 
 
 def measure(net, stats: np.ndarray) -> tuple[float, int]:
