@@ -183,6 +183,8 @@ class ExperimentConfig:
             raise ValueError("sbnd decoder needs a checkpoint path")
         _check_at_least(self, 0, "seed", "interleaver_seed")
         _check_at_least(self, 1, "workers")
+        if self.interleaver == "fresh":
+            _check_unread(self, ["interleaver_seed"], "interleaver 'fresh'")
 
     def decoder_id(self) -> str:
         if self.decoder == "osd":
@@ -410,11 +412,18 @@ def make_decoder(cfg: ExperimentConfig, code: LinearCode):
 # Monte-Carlo driver
 # ---------------------------------------------------------------------------
 
-def _chunk_rng(seed: int, point_index: int, chunk_index: int
-               ) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(point_index, chunk_index))
-    )
+# Every random stream of this module: its purpose's spawn-key prefix, which
+# _stream puts before the index ("chunk": (point, chunk); "train batch":
+# (step,)).  Two pairs coincide: "chunk" (1, j) is "train batch" (j,)
+# (ROADMAP item 4b), and "interleaver" is "train init" at equal seeds, which
+# no run draws from both.
+_STREAMS = {"train init": (), "interleaver": (), "chunk": (),
+            "train batch": (1,), "battery": (99,)}
+
+
+def _stream(seed: int, purpose: str, *index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=_STREAMS[purpose] + index))
 
 
 def _block(fb: FrameBatch, start: int) -> FrameBatch:
@@ -468,13 +477,13 @@ def _simulate(cfg: ExperimentConfig,
         code = get_code(cfg.code)
         const = build_constellation(cfg.constellation)
         decoder = make_decoder(cfg, code)
-        pinned = (draw_interleaver(code.n, np.random.default_rng(
-            cfg.interleaver_seed)) if cfg.interleaver == "pinned" else None)
+        pinned = None if cfg.interleaver == "fresh" else draw_interleaver(
+            code.n, _stream(cfg.interleaver_seed, "interleaver"))
 
         def chunk(point_index: int, noise: NoiseConfig,
                   chunk_index: int) -> ErrorCounter:
-            fb = transmit_batch(code, const, noise, _chunk_rng(
-                cfg.seed, point_index, chunk_index), CHUNK_FRAMES,
+            fb = transmit_batch(code, const, noise, _stream(
+                cfg.seed, "chunk", point_index, chunk_index), CHUNK_FRAMES,
                 demap_kind=cfg.demap, interleaver=pinned)
             blocks = run_in_order(
                 CHUNK_FRAMES // DECODE_BLOCK_FRAMES, lambda i:
@@ -514,6 +523,8 @@ def write_csv(path, cfg: ExperimentConfig, records: list[BerRecord]) -> None:
         f"# decoder={cfg.decoder_id()}",
         f"# demap={cfg.demap}",
         f"# interleaver={cfg.interleaver}",
+        *([f"# interleaver_seed={cfg.interleaver_seed}"]
+          if cfg.interleaver == "pinned" else []),
         f"# seed={cfg.seed}",
         f"# stop=min_fe:{cfg.stop.min_frame_errors},min_be:{cfg.stop.min_bit_errors},max_frames:{cfg.stop.max_frames}",
         *csv_rows(records),
@@ -649,7 +660,7 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     code = get_code(cfg.code)
     const = build_constellation(cfg.constellation)
     noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = _stream(cfg.seed, "train init")
 
     start_step = 0
     if cfg.resume:
@@ -677,9 +688,8 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
         with _blas_threads(max(1, available_cores() // workers)), \
                 thread_pool(workers - 1) as pool:
             for step in range(start_step, start_step + cfg.steps):
-                batch_rng = np.random.default_rng(np.random.SeedSequence(
-                    entropy=cfg.seed, spawn_key=(1, step)))
-                fb = transmit_batch(code, const, noise, batch_rng,
+                fb = transmit_batch(code, const, noise,
+                                    _stream(cfg.seed, "train batch", step),
                                     cfg.batch_size, demap_kind=cfg.demap)
                 x, t = make_training_batch(fb, code)
                 del fb
@@ -735,8 +745,7 @@ def verify_channel(seed: int = 0, symmetry_bits: int = 1_000_000,
     with _blas_threads(1):
         rows: list[CheckRow] = []
         code = get_code("polar_64_32")
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(99,)))
+        rng = _stream(seed, "battery")
         frames_sym = -(-symmetry_bits // code.n)
 
         bpsk = build_constellation("bpsk")

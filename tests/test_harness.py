@@ -130,6 +130,15 @@ class TestConfig:
         ExperimentConfig(decoder=decoder,
                          **{key: getattr(ExperimentConfig(), key)})
 
+    def test_interleaver_seed_refused_on_a_fresh_interleaver(self):
+        kv = parse_config_text("interleaver_seed = 3\n")
+        with pytest.raises(ValueError, match=(
+                "^interleaver_seed = 3 is not read by interleaver 'fresh'$")):
+            ExperimentConfig(**config_kwargs(ExperimentConfig, kv))
+        ExperimentConfig(interleaver="pinned", interleaver_seed=3)
+        # the default value is no setting, so it passes
+        ExperimentConfig(interleaver="fresh", interleaver_seed=0)
+
     @pytest.mark.parametrize("preset", sorted(harness.TRAIN_PRESETS))
     def test_every_preset_constructs(self, preset):
         cfg = train_config_from_preset(preset)
@@ -550,14 +559,14 @@ class TestDecodeBlocks:
         running ones, and the point must still return chunk 0's counts and
         join every thread."""
         cores(2)
-        real_rng = harness._chunk_rng
+        real_stream = harness._stream
 
-        def slow_past_chunk_zero(seed, point_index, chunk_index):
-            if chunk_index > 0:
+        def slow_past_chunk_zero(seed, purpose, *index):
+            if purpose == "chunk" and index[1] > 0:
                 time.sleep(0.3)
-            return real_rng(seed, point_index, chunk_index)
+            return real_stream(seed, purpose, *index)
 
-        monkeypatch.setattr(harness, "_chunk_rng", slow_past_chunk_zero)
+        monkeypatch.setattr(harness, "_stream", slow_past_chunk_zero)
         one_chunk = run_point_within(probe_config(workers=1))
         probe.threads.clear()
         threads_before = threading.active_count()
@@ -579,13 +588,14 @@ class TestDecodeBlocks:
         want = run_point_within(probe_config(workers=1, **stop))
         probe.threads.clear()
         alive = []
-        real_rng = harness._chunk_rng
+        real_stream = harness._stream
 
-        def counting_rng(*args):
-            alive.append(threading.active_count())
-            return real_rng(*args)
+        def counting_stream(seed, purpose, *index):
+            if purpose == "chunk":
+                alive.append(threading.active_count())
+            return real_stream(seed, purpose, *index)
 
-        monkeypatch.setattr(harness, "_chunk_rng", counting_rng)
+        monkeypatch.setattr(harness, "_stream", counting_stream)
         before = threading.active_count()
         got = run_point_within(probe_config(workers=6, **stop))
         assert len(set(probe.threads)) <= 2
@@ -707,6 +717,21 @@ class TestSweepCsv:
         row = [l for l in out.read_text().splitlines()
                if not l.startswith("#")][1]
         assert row.split(",")[6] == ""
+
+    @pytest.mark.parametrize("interleaver, seed, seed_lines", [
+        ("fresh", 0, []), ("pinned", 3, ["# interleaver_seed=3"])])
+    def test_header_names_the_pinned_interleaver_seed(
+            self, tmp_path, interleaver, seed, seed_lines):
+        out = tmp_path / "s.csv"
+        cfg = ExperimentConfig(interleaver=interleaver,
+                               interleaver_seed=seed)
+        write_csv(out, cfg, [])
+        assert out.read_text().splitlines() == [
+            "# code=hamming_7_4", "# constellation=bpsk",
+            "# decoder=hard-pinv", "# demap=exact",
+            f"# interleaver={interleaver}", *seed_lines, "# seed=0",
+            "# stop=min_fe:100,min_be:0,max_frames:10000000",
+            harness.CSV_HEADER]
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         out = tmp_path / "x.csv"
