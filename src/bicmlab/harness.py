@@ -649,64 +649,64 @@ def train_estimator(cfg: TrainConfig, verbose: bool = False) -> str:
     gradient shards (see train_step) run on this thread and
     train_workers(cfg) - 1 pool threads; the weights are the same for any
     count.  On a failure the network is saved to <out>.diverged with the
-    step count it has completed.  While the shards run, BLAS has
-    max(1, available_cores() // train_workers(cfg)) threads, so that our
-    threads and BLAS's own do not oversubscribe the cores.
+    step count it has completed.  From get_code on, calibration included,
+    BLAS has max(1, available_cores() // train_workers(cfg)) threads, so
+    that our threads and BLAS's own do not oversubscribe the cores.
     A missing out or curve directory, or a resume of a network other than
     the one cfg builds for its code, is refused before any step.
     """
     _check_directories(cfg, "out", "curve")
     set_allocator_policy()
-    code = get_code(cfg.code)
-    const = build_constellation(cfg.constellation)
-    noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
-    rng = _stream(cfg.seed, "train init")
-
-    start_step = 0
-    if cfg.resume:
-        net, header = load_checkpoint(cfg.resume)
-        want = cfg.model_config(code)
-        if net.cfg != want:
-            raise ValueError(f"resume {cfg.resume} holds {net.cfg}; this "
-                             f"config builds {want}")
-        input_scale = header["input_scale"]
-        start_step = header["step"]
-    else:
-        net = build_estimator(cfg.model_config(code), rng)
-        # only the scale outlives the calibration draw
-        input_scale = 1.0 / float(np.mean(np.abs(transmit_batch(
-            code, const, noise, rng, 4096, demap_kind=cfg.demap).llr)))
-    if verbose:
-        print(f"model: {cfg.arch} with {net.num_params()} parameters")
-
-    opt = Adam(net.params(), lr=cfg.lr)
-    curve: list[tuple[int, float]] = []
     workers = train_workers(cfg)
-    step = start_step
-    t0 = time.perf_counter()
-    try:
-        with _blas_threads(max(1, available_cores() // workers)), \
-                thread_pool(workers - 1) as pool:
-            for step in range(start_step, start_step + cfg.steps):
-                fb = transmit_batch(code, const, noise,
-                                    _stream(cfg.seed, "train batch", step),
-                                    cfg.batch_size, demap_kind=cfg.demap)
-                x, t = make_training_batch(fb, code)
-                del fb
-                x[:, :code.n] *= input_scale
-                x, t = x.astype(np.float32), t.astype(np.float32)
-                loss = train_step(net, x, t, opt, pool)
-                if (step + 1) % cfg.log_every == 0 or step == start_step:
-                    curve.append((step + 1, loss))
-                    if verbose:
-                        print(f"step {step + 1:6d}  loss {loss:.5f}  "
-                              f"({time.perf_counter() - t0:.0f}s)")
-    except Exception:
-        # the failing step took no update: the network has completed
-        # `step` steps, and a resume from this file starts at that one
-        save_checkpoint(str(cfg.out) + ".diverged", net,
-                        input_scale=input_scale, step=step, seed=cfg.seed)
-        raise
+    with _blas_threads(max(1, available_cores() // workers)):
+        code = get_code(cfg.code)
+        const = build_constellation(cfg.constellation)
+        noise = NoiseConfig.from_ebn0_db(cfg.train_ebn0_db, code.rate, const.m)
+        rng = _stream(cfg.seed, "train init")
+
+        start_step = 0
+        if cfg.resume:
+            net, header = load_checkpoint(cfg.resume)
+            want = cfg.model_config(code)
+            if net.cfg != want:
+                raise ValueError(f"resume {cfg.resume} holds {net.cfg}; this "
+                                 f"config builds {want}")
+            input_scale = header["input_scale"]
+            start_step = header["step"]
+        else:
+            net = build_estimator(cfg.model_config(code), rng)
+            # only the scale outlives the calibration draw
+            input_scale = 1.0 / float(np.mean(np.abs(transmit_batch(
+                code, const, noise, rng, 4096, demap_kind=cfg.demap).llr)))
+        if verbose:
+            print(f"model: {cfg.arch} with {net.num_params()} parameters")
+
+        opt = Adam(net.params(), lr=cfg.lr)
+        curve: list[tuple[int, float]] = []
+        step = start_step
+        t0 = time.perf_counter()
+        try:
+            with thread_pool(workers - 1) as pool:
+                for step in range(start_step, start_step + cfg.steps):
+                    fb = transmit_batch(code, const, noise,
+                                        _stream(cfg.seed, "train batch", step),
+                                        cfg.batch_size, demap_kind=cfg.demap)
+                    x, t = make_training_batch(fb, code)
+                    del fb
+                    x[:, :code.n] *= input_scale
+                    x, t = x.astype(np.float32), t.astype(np.float32)
+                    loss = train_step(net, x, t, opt, pool, workers)
+                    if (step + 1) % cfg.log_every == 0 or step == start_step:
+                        curve.append((step + 1, loss))
+                        if verbose:
+                            print(f"step {step + 1:6d}  loss {loss:.5f}  "
+                                  f"({time.perf_counter() - t0:.0f}s)")
+        except Exception:
+            # the failing step took no update: the network has completed
+            # `step` steps, and a resume from this file starts at that one
+            save_checkpoint(str(cfg.out) + ".diverged", net,
+                            input_scale=input_scale, step=step, seed=cfg.seed)
+            raise
 
     save_checkpoint(cfg.out, net, input_scale=input_scale,
                     step=start_step + cfg.steps, seed=cfg.seed)

@@ -81,16 +81,18 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray,
 
 
 def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
-               pool: Executor | None = None) -> float:
+               pool: Executor | None = None,
+               threads: int | None = None) -> float:
     """One Adam update of BCE-with-logits on a batch; returns the loss.
 
     The batch splits into TRAIN_SHARD_FRAMES-frame shards, the last one
     possibly shorter, and every shard runs on net, each with a tape of its
     own.  This thread runs the next shard to hand back, and the shards
-    after it, fewer than one per thread past it, are queued on pool when
-    one is given (units.run_in_order).  Shard 0's tape is seeded with net's
-    zeroed grads; a later shard's accumulators are added into them as it
-    is handed back, in shard order.  So at most threads + 1 shards'
+    after it, fewer than `threads` past it (this thread and pool's; None
+    queues them all), are queued on pool when one is given
+    (units.run_in_order).  Shard 0's tape is seeded with net's zeroed
+    grads; a later shard's accumulators are added into them as it is
+    handed back, in shard order.  So at most threads + 1 shards'
     gradients are held besides net's.
 
     Each shard's logit gradient is divided by the whole batch's element
@@ -117,7 +119,6 @@ def train_step(net, x: np.ndarray, targets: np.ndarray, opt: Adam,
         net.backward(dz, tape)
         return loss, [] if i == 0 else [tape[p] for p in params]
 
-    threads = 1 + getattr(pool, "_max_workers", 0)   # this one and pool's
     losses = []
     for loss, grads in run_in_order(-(-x.shape[0] // TRAIN_SHARD_FRAMES),
                                     shard, pool, threads):

@@ -1267,6 +1267,42 @@ class TestCli:
             if before is not None:
                 harness._openblas("set_num_threads")(ctypes.c_int(before))
 
+    def test_set_up_runs_inside_the_blas_hold(self, tmp_path, monkeypatch):
+        # get_code and the 4096-frame calibration draw run at the training
+        # BLAS count, not at the caller's
+        get = harness._openblas("get_num_threads")
+        set_ = harness._openblas("set_num_threads")
+        if get is None or set_ is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        seen = []
+
+        def spy(name):
+            real = getattr(harness, name)
+
+            def counted(*args, **kwargs):
+                seen.append((name, get()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+
+        spy("get_code")
+        spy("transmit_batch")
+        cfg = harness.TrainConfig(code="polar_16_8", alpha=1, time_steps=2,
+                                  depth=1, steps=1, batch_size=64,
+                                  out=str(tmp_path / "t.ckpt"))
+        held = max(1, harness.available_cores() // harness.train_workers(cfg))
+        before = get()
+        set_(ctypes.c_int(2 if held == 1 else 1))
+        try:
+            caller = get()
+            assert caller != held
+            harness.train_estimator(cfg)
+            assert seen == [("get_code", held), ("transmit_batch", held),
+                            ("transmit_batch", held)]
+            assert get() == caller
+        finally:
+            set_(ctypes.c_int(before))
+
     def test_config_error_is_one_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("code = hamming_7_4\nosd_ordr = 5\n")
