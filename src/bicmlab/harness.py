@@ -476,6 +476,8 @@ def _simulate(cfg: ExperimentConfig,
     with _blas_threads(1), thread_pool(workers - 1) as pool:
         code = get_code(cfg.code)
         const = build_constellation(cfg.constellation)
+        noises = [NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
+                  for _, ebn0_db in points]     # refused before any chunk
         decoder = make_decoder(cfg, code)
         pinned = None if cfg.interleaver == "fresh" else draw_interleaver(
             code.n, _stream(cfg.interleaver_seed, "interleaver"))
@@ -491,8 +493,7 @@ def _simulate(cfg: ExperimentConfig,
                 pool)
             return functools.reduce(ErrorCounter.merge, blocks, ErrorCounter())
 
-        for point_index, ebn0_db in points:
-            noise = NoiseConfig.from_ebn0_db(ebn0_db, code.rate, const.m)
+        for (point_index, ebn0_db), noise in zip(points, noises):
             t0 = time.perf_counter()
             total = ErrorCounter()
             with closing(run_in_order(

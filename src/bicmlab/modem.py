@@ -153,20 +153,31 @@ class NoiseConfig:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be > 0")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 = {self.sigma2} is not in (0, inf)")
 
     @classmethod
     def from_esn0_db(cls, esn0_db: float) -> "NoiseConfig":
-        return cls(sigma2=10.0 ** (-esn0_db / 10.0))
+        return cls._from_db(f"Es/N0 {esn0_db:g} dB",
+                            lambda: 10.0 ** (-esn0_db / 10.0))
 
     @classmethod
     def from_ebn0_db(cls, ebn0_db: float, code_rate: float,
                      bits_per_symbol: int) -> "NoiseConfig":
         if not 0 < code_rate <= 1:
             raise ValueError("code rate must be in (0, 1]")
-        ebn0 = 10.0 ** (ebn0_db / 10.0)
-        return cls(sigma2=1.0 / (code_rate * bits_per_symbol * ebn0))
+        return cls._from_db(f"Eb/N0 {ebn0_db:g} dB", lambda: 1.0 / (
+            code_rate * bits_per_symbol * 10.0 ** (ebn0_db / 10.0)))
+
+    @classmethod
+    def _from_db(cls, what: str, sigma2) -> "NoiseConfig":
+        """cls(sigma2()), or a ValueError naming what if that overflows,
+        divides by zero or is not in (0, inf)."""
+        try:
+            return cls(sigma2=sigma2())
+        except (ArithmeticError, ValueError):
+            raise ValueError(f"{what} gives no finite noise variance"
+                             ) from None
 
     @property
     def esn0_db(self) -> float:

@@ -39,6 +39,7 @@ the other, where 64-frame scoring slices gave 85-94k and 69-75k.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from itertools import combinations
 
@@ -104,8 +105,7 @@ def map_decode(code: LinearCode, llr: np.ndarray
     if code.k > 20:
         raise ValueError(f"k = {code.k} too large for exhaustive decoding")
     llr = _frames(code, llr)
-    code.codebook()
-    cws = code._codebook["lex"]
+    cws = code.codebook()
     rows = np.arange(len(llr))
     metric = np.full(len(llr), -np.inf)
     first = np.zeros(len(llr), dtype=np.intp)
@@ -404,12 +404,20 @@ def _pair_index(k: int) -> np.ndarray:
     return index
 
 
+# the most test patterns an OSD table may hold: every order <= 4 at k = 64
+_MAX_PATTERNS = 1 << 22
+
+
 @functools.cache
 def _test_patterns(k: int, order: int) -> np.ndarray:
     """All binary k-vectors of weight <= order, weight-major, as
     (patterns, words) words of _pack; cached."""
     if not 0 <= order <= k:
         raise ValueError(f"OSD order {order} is not in [0, {k}]")
+    count = sum(math.comb(k, w) for w in range(order + 1))
+    if count > _MAX_PATTERNS:
+        raise ValueError(f"OSD order {order} at k = {k} has {count} test "
+                         f"patterns, more than {_MAX_PATTERNS}")
     supports = [c for w in range(order + 1) for c in combinations(range(k), w)]
     pats = np.zeros((len(supports), k), dtype=np.uint8)
     for i, support in enumerate(supports):

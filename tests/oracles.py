@@ -5,7 +5,7 @@ import io
 import numpy as np
 
 from bicmlab.bicm import ChannelStatistics
-from bicmlab.gf2code import LinearCode
+from bicmlab.gf2code import LinearCode, all_messages
 from bicmlab.neural import bce_with_logits
 
 
@@ -24,8 +24,8 @@ def map_noise_equivalence(code: LinearCode, q: float, hard: np.ndarray
     if not 0 < q < 0.5:
         raise ValueError("q must be in (0, 0.5)")
     hard = np.asarray(hard, dtype=np.uint8)
-    msgs = code.messages()
-    cws = code.codebook()
+    msgs = all_messages(code.k)
+    cws = code.encode(msgs)
 
     # message side: minimize Hamming distance, lexicographically first winner
     dists = np.count_nonzero(cws ^ hard, axis=1)

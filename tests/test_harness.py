@@ -5,7 +5,6 @@ import argparse
 import ctypes
 import hashlib
 import os
-import shlex
 import resource
 import sys
 import threading
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__ as _cpu_features
 
-from bicmlab import cli, harness
+from bicmlab import cli, harness, refdec
 from bicmlab.harness import (
     ExperimentConfig,
     NeuralEstimator,
@@ -78,32 +77,6 @@ class TestConfig:
             with pytest.raises(ValueError,
                                match=f"^unknown config key '{key}'$"):
                 config_kwargs(cls, parse_config_text(line))
-
-    def test_readme_example_config_parses(self):
-        readme = Path(__file__).parents[1] / "README.md"
-        section = readme.read_text().split("### Experiment config format")[1]
-        block = section.split("```")[1]
-        cfg = ExperimentConfig(**config_kwargs(ExperimentConfig,
-                                               parse_config_text(block)))
-        assert (cfg.code, cfg.decoder, cfg.workers) == ("polar_64_32", "osd", 4)
-
-    def test_readme_command_lines_parse(self):
-        # every documented command line, through the CLI's own parser and,
-        # for its KEY=VALUE arguments, the config typing; nothing runs
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        blocks = readme.split("```")[1::2]
-        lines = [l for b in blocks
-                 for l in b.replace("\\\n", " ").splitlines()
-                 if l.startswith("bicmlab ")]
-        assert len(lines) >= 6
-        parser = cli._parser()
-        for line in lines:
-            args = cli._parse_args(parser, shlex.split(line)[1:])
-            if "settings" in vars(args):
-                kv = {}
-                for arg in args.settings:
-                    kv.update(parse_config_text(arg))
-                config_kwargs(args.cls, kv)
 
     @pytest.mark.parametrize("arch, key, value", [
         ("rnn", "embed_dim", 64), ("rnn", "heads", 8), ("rnn", "encoders", 3),
@@ -358,6 +331,44 @@ class TestRunPoint:
         with pytest.raises(ValueError, match=r"order 9 is not in \[0, 4\]"):
             run_point(cfg, 2.0)
         assert transmits == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "code=hamming_7_4", "ebn0_db=0 4000",
+          "max_frames=2048"], "Eb/N0 4000 dB gives no finite noise variance"),
+        (["simulate", "code=hamming_7_4", "ebn0_db=0 -4000",
+          "max_frames=2048"], "Eb/N0 -4000 dB gives no finite noise variance"),
+        (["simulate", "code=hamming_7_4", "ebn0_db=0 -3090",
+          "max_frames=2048"], "Eb/N0 -3090 dB gives no finite noise variance"),
+        (["train", "train_ebn0_db=4000"],
+         "Eb/N0 4000 dB gives no finite noise variance"),
+        (["simulate", "code=polar_128_64", "decoder=osd", "osd_order=10",
+          "max_frames=2048"], "OSD order 10 at k = 64 has 184144458889 "
+         "test patterns, more than 4194304"),
+    ], ids=["overflow", "zero-division", "infinite-variance", "train",
+            "osd-patterns"])
+    def test_set_up_refusal_before_any_frame(self, tmp_path, capsys,
+                                             monkeypatch, argv, message):
+        # from Python a ValueError, from the CLI one line and status 2;
+        # neither transmits a chunk, takes a training step or lists OSD
+        # test patterns
+        work = []
+        monkeypatch.setattr(harness, "transmit_batch",
+                            lambda *a, **k: work.append(a))
+        monkeypatch.setattr(harness, "train_step",
+                            lambda *a: work.append(a) or 0.0)
+        monkeypatch.setattr(refdec, "combinations",
+                            lambda *a: work.append(a) or iter(()))
+        monkeypatch.chdir(tmp_path)
+        cfg = cli._config(cli._parse_args(cli._parser(), argv))
+        run = run_sweep if argv[0] == "simulate" else train_estimator
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(cfg)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"bicmlab: error: {message}\n")
+        assert work == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_pinned_interleaver_mode(self):
         cfg = ExperimentConfig(code="polar_16_8", constellation="qam16",

@@ -174,6 +174,24 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(0.0)
 
+    def test_finite_required(self):
+        with pytest.raises(ValueError, match=r"sigma2 = inf is not in"):
+            NoiseConfig(np.inf)
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: NoiseConfig.from_ebn0_db(4000.0, 0.5, 2), "Eb/N0 4000 dB"),
+        (lambda: NoiseConfig.from_ebn0_db(-4000.0, 0.5, 2), "Eb/N0 -4000 dB"),
+        (lambda: NoiseConfig.from_ebn0_db(-3090.0, 0.5, 2), "Eb/N0 -3090 dB"),
+        (lambda: NoiseConfig.from_esn0_db(-4000.0), "Es/N0 -4000 dB"),
+        (lambda: NoiseConfig.from_esn0_db(4000.0), "Es/N0 4000 dB"),
+    ], ids=["overflow", "zero-division", "infinite", "esn0-overflow",
+            "esn0-zero"])
+    def test_db_without_finite_variance_names_it(self, make, what):
+        # an overflow, a division by zero and an infinite sigma2 alike
+        with pytest.raises(ValueError, match=(
+                f"^{what} gives no finite noise variance$")):
+            make()
+
 
 class TestModulate:
     def test_bpsk_mapping(self):

@@ -189,6 +189,24 @@ class TestOsd:
         with pytest.raises(ValueError, match="order"):
             osd_decode(hamming_7_4(), np.zeros((1, 7)), order=5)
 
+    def test_pattern_table_past_the_cap_refused_unbuilt(self, monkeypatch):
+        # an order-10 table at k = 64 would list 1.8e11 patterns
+        def built(*_):
+            raise AssertionError("a test-pattern table was built")
+        monkeypatch.setattr(refdec, "combinations", built)
+        count = 184_144_458_889
+        with pytest.raises(ValueError, match=(
+                f"^OSD order 10 at k = 64 has {count} test patterns, "
+                f"more than {1 << 22}$")):
+            osd_decode(get_code("polar_128_64"), np.zeros((1, 128)), 10)
+        # the cap still lets every order <= 4 at k = 64 and <= 6 at k = 32
+        # reach the table, and refuses the next order up
+        for k, order in [(64, 4), (32, 6)]:
+            with pytest.raises(AssertionError, match="was built"):
+                _test_patterns.__wrapped__(k, order)
+            with pytest.raises(ValueError, match="test patterns, more than"):
+                _test_patterns.__wrapped__(k, order + 1)
+
     @pytest.mark.parametrize("shape", [(2, 8), (7,)], ids=["n", "frame"])
     @pytest.mark.parametrize("decode", [
         lambda code, llr: map_decode(code, llr),

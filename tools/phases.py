@@ -192,7 +192,9 @@ def make_call(mode: str, run: str, seed: int, ebn0_db: float):
     return call, (ties, "/".join(map(str, by_order)))
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line, refused in one line with exit status 2 unless
+    every run is of its mode's form."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("mode", choices=STAGES)
     ap.add_argument("--runs", nargs="+", help="transmit: names in RUNS; osd: "
@@ -201,13 +203,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--ebn0-db", type=float, help="osd only (default 3)")
     args = ap.parse_args(argv)
-    mode, runs = args.mode, args.runs or list(RUNS[args.mode])
+    mode = args.mode
+    runs = args.runs = args.runs or list(RUNS[mode])
     for why in filter(None, [
             args.repeats < 1 and "--repeats must be >= 1",
             args.ebn0_db is not None and mode != "osd"
             and f"--ebn0-db is for osd runs only, not {mode}",
             *(refusal(mode, run) for run in runs)]):
         ap.error(why)
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    mode, runs = args.mode, args.runs
     ebn0_db = 3.0 if args.ebn0_db is None else args.ebn0_db
     harness.set_allocator_policy()
     stages = list(dict.fromkeys(stage for _, _, stage in STAGES[mode]))
