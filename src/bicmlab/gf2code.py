@@ -190,42 +190,33 @@ def derive_generator(h: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"parity-check matrix is rank-deficient: rank {len(pivots)} < {m} rows"
         )
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    free = np.setdiff1d(np.arange(n), pivots)
+    if not free.size:
         raise ValueError("code has no free columns (k = 0), no generator exists")
-    g = np.zeros((len(free), n), dtype=np.uint8)
-    for i, f in enumerate(free):
-        g[i, f] = 1
-        for r, p in enumerate(pivots):
-            g[i, p] = rref[r, f]
+    # row i is 1 at free[i] and, at each pivot, rref's entry in that column
+    g = np.zeros((free.size, n), dtype=np.uint8)
+    g[np.arange(free.size), free] = 1
+    g[:, pivots] = rref[:, free].T
     return g
 
 
-def build_pseudo_inverse(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+def build_pseudo_inverse(g: np.ndarray) -> np.ndarray:
     """k x n matrix A with A @ G.T = I_k, i.e. A maps codewords to messages.
 
-    A is not unique; this construction inverts G on the lexicographically
-    first information set (first k independent columns of G), which makes
-    builds reproducible.
+    A is not unique; this one inverts G on the lexicographically first
+    information set J (first k independent columns of G), which makes builds
+    reproducible.  One reduction of [G | I_k] finds both: its pivots are J
+    and its right block is G_J^-1, so A[:, J] = (G_J^-1)^T.
     """
     g = _as_bits(g)
-    h = _as_bits(h)
     k, n = g.shape
-    _, info = gf2_rref(g)
-    if len(info) != k:
-        raise ValueError(f"generator is rank-deficient: rank {len(info)} < k = {k}")
-    gj = g[:, info]
-    # invert the k x k block via elimination on [gj | I]
-    aug = np.concatenate([gj, np.eye(k, dtype=np.uint8)], axis=1)
-    rref, piv = gf2_rref(aug)
-    if piv[:k] != list(range(k)):
-        raise ValueError("information-set block is singular")
-    inv = rref[:, k:]
+    rref, pivots = gf2_rref(np.concatenate([g, np.eye(k, dtype=np.uint8)],
+                                           axis=1))
+    rank = sum(p < n for p in pivots)
+    if rank != k:
+        raise ValueError(f"generator is rank-deficient: rank {rank} < k = {k}")
     a = np.zeros((k, n), dtype=np.uint8)
-    a[:, info] = inv.T
-    b = np.concatenate([h.T, a.T], axis=1)
-    if gf2_rank(b) != n:
-        raise ValueError("[H^T, A^T] is not full rank: inconsistent G/H pair")
+    a[:, pivots] = rref[:, n:].T
     return a
 
 
@@ -281,8 +272,7 @@ class LinearCode:
     def from_parity_check(cls, h, name: str = "custom") -> "LinearCode":
         h = _as_bits(h)
         g = derive_generator(h)
-        a = build_pseudo_inverse(g, h)
-        return cls(name=name, h=h, g=g, a=a)
+        return cls(name=name, h=h, g=g, a=build_pseudo_inverse(g))
 
     @classmethod
     def from_alist(cls, text: str, name: str = "alist") -> "LinearCode":
@@ -337,30 +327,20 @@ def repetition_2_1() -> LinearCode:
     return LinearCode.from_parity_check(np.array([[1, 1]]), name="repetition_2_1")
 
 
+# columns are the binary expansions of 1..7
+_HAMMING_H = np.array([[1, 0, 1, 0, 1, 0, 1],
+                       [0, 1, 1, 0, 0, 1, 1],
+                       [0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8)
+
+
 def hamming_7_4() -> LinearCode:
-    # columns are the binary expansions of 1..7
-    h = np.array(
-        [
-            [1, 0, 1, 0, 1, 0, 1],
-            [0, 1, 1, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1, 1, 1],
-        ],
-        dtype=np.uint8,
-    )
-    return LinearCode.from_parity_check(h, name="hamming_7_4")
+    return LinearCode.from_parity_check(_HAMMING_H, name="hamming_7_4")
 
 
 def ext_hamming_8_4() -> LinearCode:
-    h7 = np.array(
-        [
-            [1, 0, 1, 0, 1, 0, 1],
-            [0, 1, 1, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1, 1, 1],
-        ],
-        dtype=np.uint8,
-    )
+    # Hamming's H padded with a zero column, and an overall parity row
     h = np.zeros((4, 8), dtype=np.uint8)
-    h[:3, :7] = h7
+    h[:3, :7] = _HAMMING_H
     h[3, :] = 1
     return LinearCode.from_parity_check(h, name="ext_hamming_8_4")
 

@@ -216,8 +216,7 @@ class TestDeriveGenerator:
 class TestPseudoInverse:
     def test_systematic_extraction_accepted(self):
         g = np.array([[1, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
-        h = derive_generator(g)  # dual basis works as a parity check here
-        a = build_pseudo_inverse(g, h)
+        a = build_pseudo_inverse(g)
         assert np.array_equal(gf2_matmul(a, g.T), np.eye(2, dtype=np.uint8))
 
     def test_hamming_exhaustive(self):
@@ -232,9 +231,40 @@ class TestPseudoInverse:
     def test_deterministic(self):
         h = hamming_7_4().h
         g = derive_generator(h)
-        a1 = build_pseudo_inverse(g, h)
-        a2 = build_pseudo_inverse(g, h)
+        a1 = build_pseudo_inverse(g)
+        a2 = build_pseudo_inverse(g)
         assert np.array_equal(a1, a2)
+
+    def test_rank_deficient_generator_rejected(self):
+        g = np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8)
+        with pytest.raises(ValueError,
+                           match=r"^generator is rank-deficient: rank 1 < k = 2$"):
+            build_pseudo_inverse(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_full_rank_h_against_definition(self, seed):
+        # G spans the null space of H, A inverts G, and A lives on the
+        # information set that a greedy left-to-right rank test picks
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 41))
+        m = int(rng.integers(1, n))
+        h = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        while rank_by_elimination(h) != m:
+            h = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        k = n - m
+        g = derive_generator(h)
+        a = build_pseudo_inverse(g)
+        assert g.shape == (k, n) and a.shape == (k, n)
+        assert not np.any(gf2_matmul(g, h.T))
+        assert rank_by_elimination(g) == k
+        assert np.array_equal(gf2_matmul(a, g.T), np.eye(k, dtype=np.uint8))
+        info = []
+        for j in range(n):
+            if rank_by_elimination(g[:, info + [j]]) > len(info):
+                info.append(j)
+        assert len(info) == k
+        outside = np.setdiff1d(np.arange(n), info)
+        assert not np.any(a[:, outside])
 
 
 class TestLinearCode:

@@ -131,8 +131,13 @@ def test_phases_predict_traces_only_the_predict(load_tool):
      "predict run 'desk-rnn:polar_99' is not"),
     (["transmit", "--ebn0-db", "4"], "--ebn0-db is for osd runs only"),
     (["predict", "--ebn0-db", "0"], "--ebn0-db is for osd runs only"),
+    (["osd", "--runs", "polar_128_64:5"], "osd run 'polar_128_64:5': OSD "
+     "order 5 at k = 64 has 8303633 test patterns, more than 4194304"),
+    (["osd", "--runs", "polar_16_8:1", "--ebn0-db", "4000"],
+     "osd run 'polar_16_8:1': Eb/N0 4000 dB gives no finite noise variance"),
 ], ids=["no-order", "bad-order", "order-above-k", "osd-code", "transmit-name",
-        "swapped", "predict-code", "ebn0-transmit", "ebn0-predict"])
+        "swapped", "predict-code", "ebn0-transmit", "ebn0-predict",
+        "too-many-patterns", "ebn0-no-noise"])
 def test_phases_refuses_bad_arguments_before_any_call(load_tool, capsys,
                                                        monkeypatch, argv,
                                                        message):

@@ -72,7 +72,7 @@ RUNS = {  # the default runs; transmit: (code, constellation, demap, Eb/N0 dB)
 # mode: (header, format) of the columns after faults
 COUNTS = {"transmit": ("", ""), "predict": ("    r", " {:4d}"),
           "osd": (" tie frames  frames at order 0/1/...", " {:10d}  {}")}
-FRAMES = 2048
+FRAMES = harness.CHUNK_FRAMES
 
 
 def staged_call(call, targets, span=lambda *_: None, mark=time.perf_counter,
@@ -146,8 +146,10 @@ def traced(call, targets, stages) -> list[float]:
     return [p / 2**20 for p in [*peaks.values(), max(peaks.values())]]
 
 
-def refusal(mode: str, run: str, codes=gf2code.builtin_code_names()) -> str:
-    """Why run is not of mode's form, or "" if it is."""
+def refusal(mode: str, run: str, ebn0_db: float,
+            codes=gf2code.builtin_code_names()) -> str:
+    """Why run is not of mode's form, or why the package refuses its osd
+    order or Eb/N0 ebn0_db, or "" if neither."""
     first, _, second = run.partition(":")
     ok, form = {
         "transmit": (run in RUNS[mode], "one of " + ", ".join(RUNS[mode])),
@@ -157,7 +159,17 @@ def refusal(mode: str, run: str, codes=gf2code.builtin_code_names()) -> str:
         "predict": (first in harness.TRAIN_PRESETS and second in codes,
                     "preset:code, a train preset and a built-in code"),
     }[mode]
-    return "" if ok else f"{mode} run {run!r} is not {form}"
+    if not ok:
+        return f"{mode} run {run!r} is not {form}"
+    if mode == "osd":
+        code = get_code(first)
+        try:
+            refdec._test_patterns(code.k, int(second))
+            NoiseConfig.from_ebn0_db(ebn0_db, code.rate,
+                                     build_constellation("qpsk").m)
+        except ValueError as exc:
+            return f"osd run {run!r}: {exc}"
+    return ""
 
 
 def make_call(mode: str, run: str, seed: int, ebn0_db: float):
@@ -194,7 +206,8 @@ def make_call(mode: str, run: str, seed: int, ebn0_db: float):
 
 def parse_args(argv=None) -> argparse.Namespace:
     """The command line, refused in one line with exit status 2 unless
-    every run is of its mode's form."""
+    every run is of its mode's form and refdec and NoiseConfig accept each
+    osd run's order and Eb/N0; --ebn0-db defaults to 3 dB."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("mode", choices=STAGES)
     ap.add_argument("--runs", nargs="+", help="transmit: names in RUNS; osd: "
@@ -205,19 +218,20 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = ap.parse_args(argv)
     mode = args.mode
     runs = args.runs = args.runs or list(RUNS[mode])
+    ebn0_db = 3.0 if args.ebn0_db is None else args.ebn0_db
     for why in filter(None, [
             args.repeats < 1 and "--repeats must be >= 1",
             args.ebn0_db is not None and mode != "osd"
             and f"--ebn0-db is for osd runs only, not {mode}",
-            *(refusal(mode, run) for run in runs)]):
+            *(refusal(mode, run, ebn0_db) for run in runs)]):
         ap.error(why)
+    args.ebn0_db = ebn0_db
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    mode, runs = args.mode, args.runs
-    ebn0_db = 3.0 if args.ebn0_db is None else args.ebn0_db
+    mode, runs, ebn0_db = args.mode, args.runs, args.ebn0_db
     harness.set_allocator_policy()
     stages = list(dict.fromkeys(stage for _, _, stage in STAGES[mode]))
     names = stages + ["other", "total"]
